@@ -3,9 +3,11 @@
 Every ring enumerates its elements as indices 0..size-1 through a
 mixed-radix encoding of coordinate tuples; index 0 is always the additive
 zero. Three concrete kinds exist: Z_n, direct products, and rings given by
-structure constants over a finite basis. All bulk queries (unit scan,
-zero-product relation, nilpotent scan) are vectorized over numpy so that
-graphs of rings up to the size cap build quickly.
+structure constants over a finite basis. The bulk predicates (zero-product
+relation, unit, nilpotent and idempotent masks) are vectorized over numpy;
+a product assembles each one from its factors' predicates as a Kronecker
+product, and units follow from zero divisors, so graphs of rings up to the
+size cap build quickly.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from .errors import (
 DEFAULT_SIZE_CAP = 4096
 DEFAULT_VALIDATION_CAP = 64
 
-# Full add/mul tables are materialized below this size; above it, bulk
-# queries fall back to blocked vector kernels.
-_TABLE_CAP = 1024
+# rows per block of the zero-product scan, to bound its int64 temporaries
 _BLOCK = 256
 
 
@@ -41,6 +41,7 @@ class FiniteRing:
     size: int
     unity: int
     name: str | None = None
+    factors: tuple = ()  # the factors of a direct product; empty otherwise
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -86,38 +87,35 @@ class FiniteRing:
 
     # -- cached bulk predicates -------------------------------------------
 
-    @cached_property
-    def mul_table(self) -> np.ndarray | None:
-        if self.size > _TABLE_CAP:
-            return None
-        v = np.arange(self.size, dtype=np.int64)
-        return self.mul_many(v[:, None], v[None, :])
-
-    def _mul_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Products rows x all-elements, shape (len(rows), size)."""
-        if self.mul_table is not None:
-            return self.mul_table[rows]
-        v = np.arange(self.size, dtype=np.int64)
-        return self.mul_many(rows[:, None], v[None, :])
+    def _kron(self, predicate: str) -> np.ndarray:
+        """A product's predicate, true at (x_i) iff true at every x_i; factor 1 is innermost."""
+        out = np.ones((1,) * getattr(self.factors[0], predicate).ndim, dtype=bool)
+        for f in self.factors:
+            out = np.kron(getattr(f, predicate), out)
+        return out
 
     @cached_property
     def zero_rel_matrix(self) -> np.ndarray:
         """Boolean matrix Z[a, b] = (a*b == 0), diagonal included."""
+        if self.factors:
+            return self._kron("zero_rel_matrix")
         n = self.size
+        v = np.arange(n, dtype=np.int64)
         out = np.empty((n, n), dtype=bool)
         for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            out[lo:hi] = self._mul_rows(np.arange(lo, hi, dtype=np.int64)) == 0
+            out[lo:lo + _BLOCK] = self.mul_many(v[lo:lo + _BLOCK, None], v[None, :]) == 0
         return out
 
     @cached_property
     def unit_mask(self) -> np.ndarray:
-        """unit_mask[a] iff some b has a*b = unity (exhaustive partner scan)."""
-        n = self.size
-        out = np.empty(n, dtype=bool)
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            out[lo:hi] = (self._mul_rows(np.arange(lo, hi, dtype=np.int64)) == self.unity).any(axis=1)
+        """unit_mask[a] iff a is a unit: a nonzero non-zero-divisor, or Z1's unity 0.
+
+        In a finite ring, multiplication by a non-zero-divisor is injective, hence onto.
+        """
+        if self.factors:
+            return self._kron("unit_mask")
+        out = ~self.zero_divisor_mask
+        out[0] = self.unity == 0
         return out
 
     @cached_property
@@ -135,12 +133,21 @@ class FiniteRing:
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
+        if self.factors:
+            return self._kron("nilpotent_mask")
         # x nilpotent iff x^(2^k) = 0 once 2^k >= size; log2 squaring rounds.
         v = np.arange(self.size, dtype=np.int64)
         rounds = max(1, (self.size - 1).bit_length())
         for _ in range(rounds):
             v = self.mul_many(v, v)
         return v == 0
+
+    @cached_property
+    def idempotent_mask(self) -> np.ndarray:
+        if self.factors:
+            return self._kron("idempotent_mask")
+        v = np.arange(self.size, dtype=np.int64)
+        return self.mul_many(v, v) == v
 
     def units(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.unit_mask).tolist())
@@ -170,12 +177,11 @@ class FiniteRing:
 
     @cached_property
     def _local(self) -> bool:
-        nonunits = np.flatnonzero(~self.unit_mask).astype(np.int64)
-        sums = self.add_many(nonunits[:, None], nonunits[None, :])
-        return not self.unit_mask[sums].any()
+        return self.size == 1 or int(self.idempotent_mask.sum()) == 2
 
     def is_local(self) -> bool:
-        """Non-units closed under addition (absorption is automatic)."""
+        """Non-units closed under addition: a finite ring with r local factors
+        has 2^r idempotents, so it is local iff it has two (or is Z1)."""
         return self._local
 
     def is_reduced(self) -> bool:
@@ -663,21 +669,9 @@ def _nilradical_profile(ring: FiniteRing) -> NilradicalProfile:
 def field_factor_count(ring: FiniteRing) -> int:
     """Number of field factors of a finite reduced ring.
 
-    Counts primitive idempotents: nonzero idempotents e admitting no split
-    e = e1 + e2 with e1*e2 = 0 and e1, e2 nonzero idempotents.
+    The idempotents of a product of r fields form a Boolean algebra of
+    2^r elements, so r is log2 of their count.
     """
     if not ring.is_reduced():
         raise PreconditionError("field_factor_count requires a reduced ring")
-    v = np.arange(ring.size, dtype=np.int64)
-    idem = np.flatnonzero(ring.mul_many(v, v) == v).tolist()
-    nonzero = [e for e in idem if e != 0]
-    count = 0
-    for e in nonzero:
-        splittable = any(
-            ring.mul(e1, e2) == 0 and ring.add(e1, e2) == e
-            for e1 in nonzero
-            for e2 in nonzero
-        )
-        if not splittable:
-            count += 1
-    return count
+    return int(ring.idempotent_mask.sum()).bit_length() - 1

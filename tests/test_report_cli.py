@@ -1,6 +1,7 @@
 """Analysis reports, JSON schema stability, CLI behavior, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -111,6 +112,14 @@ def test_cli_capacity_exit_3(capsys):
 
 def test_cli_budget_exit_4(capsys):
     assert main(["analyze", "Z60", "--budget", "0"]) == 4
+
+
+def test_cli_budget_holds_on_ring_predicates(capsys):
+    # Z2^10: 1024 elements and ten field factors; the ring predicates of a
+    # product run before any budgeted solver and must not outlast the budget
+    start = time.monotonic()
+    assert main(["analyze", "--json", "--budget", "2", " x ".join(["Z2"] * 10)]) in (0, 4)
+    assert time.monotonic() - start < 10
 
 
 def test_cli_usage_exit_1(capsys):
