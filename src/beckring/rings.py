@@ -410,12 +410,12 @@ class StructureRing(FiniteRing):
                     raise DescriptorError(f"structure constant for {key} has arity {len(val)}")
                 table[(i, j)] = tuple(c % o for c, o in zip(val, orders))
         self._table = table
-        # tensor T[i, j, l] = l-th coordinate of e_i * e_j
+        # T[i * k + j, l] = l-th coordinate of e_i * e_j
         t = np.zeros((k, k, k), dtype=np.int64)
         for (i, j), val in table.items():
             t[i, j] = val
             t[j, i] = val
-        self._tensor = t
+        self._tensor = t.reshape(k * k, k)
         self._orders_arr = np.array(orders, dtype=np.int64)
         self._strides_arr = np.array(self.strides, dtype=np.int64)
         self.unity = self.encode(tuple(c % o for c, o in zip(unity_coords, orders)))
@@ -467,7 +467,8 @@ class StructureRing(FiniteRing):
 
     def mul_many(self, a, b):
         ca, cb = self._decode_many(a), self._decode_many(b)
-        coords = np.einsum("...i,...j,ijl->...l", ca, cb, self._tensor) % self._orders_arr
+        pairs = ca[..., :, None] * cb[..., None, :]
+        coords = (pairs.reshape(*pairs.shape[:-2], self.k * self.k) @ self._tensor) % self._orders_arr
         return coords @ self._strides_arr
 
     def coords(self, a):
@@ -595,29 +596,32 @@ class NilradicalProfile:
     power_sizes: tuple[int, ...]
 
 
-def _additive_closure(ring: FiniteRing, seeds: set[int]) -> frozenset[int]:
-    closed: set[int] = {0}
-    for t in sorted(seeds):
-        if t in closed:
-            continue
-        # extend the subgroup by the full cyclic orbit of t
-        orbit = [0]
-        c = t
-        while c != 0:
-            orbit.append(c)
-            c = ring.add(c, t)
-        closed = {ring.add(s, u) for s in closed for u in orbit}
-    return frozenset(closed)
+def _span(ring: FiniteRing, candidates) -> tuple[list[int], np.ndarray]:
+    """Ideal generated by `candidates`, as a membership mask over the ring,
+    and the candidates that were not already in the ideal of those before
+    them.
+
+    Each such candidate x widens the ideal I so far to I + R*x: one outer sum
+    of the two element sets, since the sum of two ideals is an ideal.
+    """
+    kept: list[int] = []
+    covered = np.zeros(ring.size, dtype=bool)
+    covered[0] = True
+    everything = np.arange(ring.size, dtype=np.int64)
+    for x in candidates:
+        if not covered[x]:
+            kept.append(x)
+            multiples = np.zeros(ring.size, dtype=bool)
+            multiples[ring.mul_many(everything, np.int64(x))] = True
+            covered[ring.add_many(np.flatnonzero(covered)[:, None], np.flatnonzero(multiples)[None, :])] = True
+    return kept, covered
 
 
 def ideal_generate(ring: FiniteRing, gens) -> Ideal:
     """Smallest additively closed, multiplication-absorbing set containing gens."""
     gens = tuple(sorted({ring._check(g) for g in gens}))
-    multiples: set[int] = set()
-    v = np.arange(ring.size, dtype=np.int64)
-    for g in gens:
-        multiples.update(ring.mul_many(v, np.int64(g)).tolist())
-    return Ideal(ring, _additive_closure(ring, multiples), gens)
+    _, covered = _span(ring, gens)
+    return Ideal(ring, frozenset(np.flatnonzero(covered).tolist()), gens)
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
@@ -639,20 +643,10 @@ def ideal_power(i: Ideal, k: int) -> Ideal:
     return out
 
 
-def _minimal_generators(ring: FiniteRing, members: list[int]) -> tuple[int, ...]:
-    gens: list[int] = []
-    covered: frozenset[int] = frozenset({0})
-    for x in sorted(members):
-        if x not in covered:
-            gens.append(x)
-            covered = ideal_generate(ring, gens).elements
-    return tuple(gens)
-
-
 def _nilradical_profile(ring: FiniteRing) -> NilradicalProfile:
     members = np.flatnonzero(ring.nilpotent_mask).tolist()
-    gens = _minimal_generators(ring, members)
-    j = Ideal(ring, frozenset(members), gens)
+    gens, _ = _span(ring, members)
+    j = Ideal(ring, frozenset(members), tuple(gens))
     sizes = [len(j)]
     power = j
     while len(power) > 1:

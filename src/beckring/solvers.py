@@ -8,6 +8,15 @@ so far instead of returning an unproven answer.
 Graphs above CORE_THRESHOLD vertices are reduced to their zero-divisor
 core first; the reduction preserves clique and chromatic numbers under the
 max(., 2) rule, and witnesses are reported in ring-element ids either way.
+
+The k-coloring decision search prunes with Hall's condition on cliques: if
+a clique U of uncolored vertices has fewer colors left in the union of its
+domains than it has vertices, the node has no completion, since the members
+of U need |U| distinct colors. This is the clique bound of DSATUR-based
+branch and bound (San Segundo, "A new DSATUR-based algorithm for exact
+vertex coloring", 2012; Furini, Gabrel and Ternier, "An improved
+DSATUR-based branch-and-bound algorithm for the vertex coloring problem",
+Networks 2017) on the graph where each used color is merged into one vertex.
 """
 
 from __future__ import annotations
@@ -296,7 +305,8 @@ def _dsatur(n: int, adj: list[int]) -> list[int]:
 
 class _KColorSearch:
     """Decision search for a proper k-coloring, symmetry-broken by a
-    pre-colored maximum clique plus a lowest-fresh-color rule."""
+    pre-colored maximum clique plus a lowest-fresh-color rule, and pruned
+    by Hall's condition on cliques of uncolored vertices."""
 
     def __init__(self, n, adj, k, clique, deadline):
         self.n = n
@@ -306,55 +316,82 @@ class _KColorSearch:
         self.deg = [adj[v].bit_count() for v in range(n)]
         self.color = [-1] * n
         self.dom = [(1 << k) - 1] * n
+        self.free = (1 << n) - 1
         self._ticks = 0
         self.start_used = len(clique)
         for i, v in enumerate(sorted(clique)):
             self.color[v] = i
+            self.free ^= 1 << v
             for u in _bits(adj[v]):
                 self.dom[u] &= ~(1 << i)
 
     def _tick(self):
+        # a node's Hall check can take milliseconds, so read the clock often
         self._ticks += 1
-        if self._ticks % 512 == 0 and time.monotonic() > self.deadline:
+        if self._ticks % 64 == 0 and time.monotonic() > self.deadline:
             raise _OutOfTime()
 
     def _pick(self) -> int:
         pick, key = -1, None
-        for v in range(self.n):
-            if self.color[v] == -1:
-                k = (self.dom[v].bit_count(), -self.deg[v], v)
-                if pick == -1 or k < key:
-                    pick, key = v, k
+        for v in _bits(self.free):
+            k = (self.dom[v].bit_count(), -self.deg[v], v)
+            if pick == -1 or k < key:
+                pick, key = v, k
         return pick
+
+    def _hall_violated(self, seeds) -> bool:
+        """True when some clique U of uncolored vertices grown greedily from
+        a seed has |U| > |union of the domains of U|: its vertices need
+        more distinct colors than they have left, so no completion exists.
+
+        Each step adds the common neighbour that widens the color union
+        least, ties broken by the most neighbours among the remaining
+        candidates, then by the lowest id.
+        """
+        adj, dom, free = self.adj, self.dom, self.free
+        for s in seeds:
+            size, union = 1, dom[s]
+            cand = adj[s] & free
+            while size <= union.bit_count() and cand:
+                pick, key = -1, None
+                for u in _bits(cand):
+                    kk = ((union | dom[u]).bit_count(), -(adj[u] & cand).bit_count())
+                    if pick == -1 or kk < key:
+                        pick, key = u, kk
+                size += 1
+                union |= dom[pick]
+                cand &= adj[pick]
+            if size > union.bit_count():
+                return True
+        return False
 
     def _solve(self, used: int) -> bool:
         self._tick()
         v = self._pick()
         if v == -1:
             return True
+        self.free ^= 1 << v
         allowed = self.dom[v] & ((1 << min(used + 1, self.k)) - 1)
         for c in _bits(allowed):
             self.color[v] = c
             bit = 1 << c
             changed = []
-            dead = False
-            for u in _bits(self.adj[v]):
-                if self.color[u] == -1 and self.dom[u] & bit:
+            for u in _bits(self.adj[v] & self.free):
+                if self.dom[u] & bit:
                     self.dom[u] &= ~bit
                     changed.append(u)
-                    if self.dom[u] == 0:
-                        dead = True
-            if not dead and self._solve(max(used, c + 1)):
+            if not self._hall_violated(changed) and self._solve(max(used, c + 1)):
                 return True
             for u in changed:
                 self.dom[u] |= bit
             self.color[v] = -1
+        self.free ^= 1 << v
         return False
 
     def run(self) -> list[int] | None:
         if time.monotonic() > self.deadline:
             raise _OutOfTime()
-        if any(self.color[v] == -1 and self.dom[v] == 0 for v in range(self.n)):
+        if self._hall_violated(_bits(self.free)):
             return None
         if self._solve(self.start_used):
             return self.color
@@ -476,7 +513,12 @@ def chromatic_number(
     DSATUR supplies the upper bound, a maximum clique the lower bound, and
     any gap is closed by iterated k-coloring decision searches on the core
     (with same-neighborhood vertices fused), symmetry-broken by
-    pre-coloring the clique.
+    pre-coloring the clique. Each search prunes a node when a greedily grown
+    clique of uncolored vertices has more members than colors left in the
+    union of their domains (Hall's condition; the clique bound of San
+    Segundo 2012 and Furini, Gabrel and Ternier 2017). That cut is sound,
+    since a clique needs as many distinct colors as it has vertices, and it
+    refutes k = 18 and k = 19 on AN x AN, whose chi is 20.
     """
     work = _reduce(g, use_core)
     deadline = time.monotonic() + solver_budget(budget)

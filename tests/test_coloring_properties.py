@@ -1,0 +1,126 @@
+"""The exact chromatic search against an independent oracle and the paper's bounds.
+
+The k-coloring search prunes any node where a clique of uncolored vertices
+has fewer colors left in the union of its domains than it has vertices.
+These properties check that the pruning never cuts a colorable branch:
+on random small graphs against the set-partition oracle, which shares no
+code with the solver, and on Anderson-Naseer products against chi = omega + 1
+(reduced co-factors) and the chi sandwich (any co-factors).
+"""
+
+import math
+import random
+from dataclasses import dataclass
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_ring_predicates import PROPERTY, atoms, reduced_atoms
+
+from beckring import build_graph, chi_bounds, chromatic_number, make_product, max_clique, ring_of, verify_coloring
+from beckring.oracle import CHROMATIC_ORACLE_CAP, exhaustive_chromatic_number
+from beckring.solvers import _CliqueSearch, _KColorSearch
+
+AN_PRODUCT_CAP = 1024
+SMALL_GRAPHS = settings(PROPERTY, max_examples=200)
+
+
+@dataclass(frozen=True)
+class Graph:
+    """Just the vertex count and bitset rows the solver and the oracle read."""
+
+    n: int
+    adj: list[int]
+
+
+def _join_of_cycles(lengths: list[int], rng: random.Random) -> list[tuple[int, int]]:
+    """Edges of the join of cycles of the given lengths, vertices shuffled.
+    Each odd cycle of five or more vertices has omega 2 and chi 3, and a join
+    adds both numbers, so every such cycle widens the gap by one."""
+    label = list(range(sum(lengths)))
+    rng.shuffle(label)
+    edges, parts, start = [], [], 0
+    for m in lengths:
+        part = label[start:start + m]
+        edges += [(part[i], part[(i + 1) % m]) for i in range(m)]
+        edges += [(u, v) for done in parts for u in done for v in part]
+        parts.append(part)
+        start += m
+    return edges
+
+
+@st.composite
+def graphs(draw):
+    """Graphs of up to CHROMATIC_ORACLE_CAP vertices: random ones, and joins
+    of 3-, 5- and 7-cycles with some edges dropped, whose chi exceeds omega.
+    Edges come from a drawn seed, so that hypothesis, which shrinks towards
+    small values, still draws dense graphs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3)
+                       .filter(lambda ls: sum(ls) <= CHROMATIC_ORACLE_CAP))
+        n = sum(lengths)
+        drop = draw(st.sampled_from((0.0, 0.05, 0.15)))
+        edges = [e for e in _join_of_cycles(lengths, rng) if rng.random() >= drop]
+    else:
+        n = draw(st.integers(0, CHROMATIC_ORACLE_CAP))
+        density = draw(st.sampled_from((0.3, 0.5, 0.7, 0.85)))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, adj)
+
+
+@st.composite
+def an_products(draw, atom):
+    """AN times one to four atoms, at most AN_PRODUCT_CAP elements; an atom
+    that would pass the cap is skipped."""
+    factors = [ring_of("AN")]
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(atom)
+        if math.prod(g.size for g in factors) * f.size <= AN_PRODUCT_CAP:
+            factors.append(f)
+    return factors
+
+
+@SMALL_GRAPHS
+@given(graphs())
+def test_chromatic_number_matches_partition_oracle(g):
+    chi, coloring = chromatic_number(g)
+    assert chi == exhaustive_chromatic_number(g)
+    assert verify_coloring(g, coloring)
+
+
+@SMALL_GRAPHS
+@given(graphs())
+def test_decision_search_refutes_exactly_below_chi(g):
+    chi = exhaustive_chromatic_number(g)
+    clique = _CliqueSearch(g.n, g.adj, float("inf")).run()
+    for k in range(len(clique), chi + 1):
+        found = _KColorSearch(g.n, g.adj, k, clique, float("inf")).run()
+        assert (found is not None) == (k == chi), k
+
+
+@PROPERTY
+@given(an_products(reduced_atoms()))
+def test_an_times_reduced_rings_has_gap_one(factors):
+    g = build_graph(make_product(factors))
+    omega = max_clique(g).size
+    chi, coloring = chromatic_number(g)
+    assert chi == omega + 1
+    assert verify_coloring(g, coloring)
+
+
+@PROPERTY
+@given(an_products(atoms()))
+def test_an_products_lie_in_the_chi_sandwich(factors):
+    g = build_graph(make_product(factors))
+    chi, coloring = chromatic_number(g)
+    bounds = chi_bounds(factors)
+    assert bounds.lower <= chi <= bounds.upper
+    assert verify_coloring(g, coloring)

@@ -122,6 +122,13 @@ def test_cli_budget_holds_on_ring_predicates(capsys):
     assert time.monotonic() - start < 10
 
 
+def test_cli_analyze_an_squared_certified(capsys):
+    assert main(["analyze", "--json", "--budget", "3", "AN x AN"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["omega"]["value"], payload["chi"]["value"]) == (18, 20)
+    assert all(chk["pass"] for chk in payload["checks"])
+
+
 def test_cli_usage_exit_1(capsys):
     assert main(["predict-omega", "Z2"]) == 1
     assert main(["frobnicate"]) == 1

@@ -99,6 +99,22 @@ def test_an_chi_is_6():
     assert chromatic_number(graph("AN"))[0] == 6
 
 
+def test_an_squared_has_chi_20_two_above_omega():
+    # k = 18 and k = 19 are refuted by cliques whose domains hold too few colors
+    g = graph("AN x AN")
+    chi, coloring = chromatic_number(g, budget=10)
+    assert chi == 20
+    assert verify_coloring(g, coloring)
+    assert max_clique(g, budget=10).size == 18
+
+
+def test_an_z8_z2_chi_within_a_short_budget():
+    g = graph("AN x Z8 x Z2")
+    chi, coloring = chromatic_number(g, budget=3)
+    assert chi == 12
+    assert verify_coloring(g, coloring)
+
+
 def test_z36_chi_equals_6():
     assert chromatic_number(graph("Z36"))[0] == 6
 
