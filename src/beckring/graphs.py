@@ -5,16 +5,26 @@ int), the format the branch-and-bound solvers consume directly. The
 zero-divisor core keeps {0} plus the zero-divisors; dropping the remaining
 vertices (units, which are pendant on 0) preserves both the clique and the
 chromatic number under the max(., 2) rule.
+
+Each graph is built once per ring and reduced once: `build_graph` returns
+the ring's live graph while anything holds it, and `BeckGraph.core` keeps
+its core. Both graph kinds carry `solved`, the memo in which the solvers
+keep the searches they finish on that graph.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 
 from .errors import CapacityError, DescriptorError
 from .rings import DEFAULT_SIZE_CAP, FiniteRing
+
+
+# rows per block when the core's adjacency is cut out of the full graph's
+_ROWS = 256
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
@@ -30,8 +40,7 @@ class BeckGraph:
     """Graph on all ring elements; x ~ y iff x != y and x*y = 0."""
 
     def __init__(self, ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP):
-        if ring.size > size_cap:
-            raise CapacityError(f"graph on {ring.size} vertices exceeds cap {size_cap}")
+        _check_cap(ring, size_cap)
         self.ring = ring
         self.n = ring.size
         rel = ring.zero_rel_matrix.copy()
@@ -40,6 +49,8 @@ class BeckGraph:
         self.adj = _pack_rows(rel)
         self.sq0_bits = _pack_mask(ring.square_zero_mask)
         self.to_ring = list(range(self.n))
+        self.solved: dict = {}
+        self._core: CoreGraph | None = None
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -58,7 +69,10 @@ class BeckGraph:
         return v
 
     def core(self) -> "CoreGraph":
-        return CoreGraph(self)
+        """The zero-divisor core, built on the first call and kept."""
+        if self._core is None:
+            self._core = CoreGraph(self)
+        return self._core
 
 
 class CoreGraph:
@@ -68,14 +82,18 @@ class CoreGraph:
         ring = base.ring
         zd = sorted(np.flatnonzero(ring.zero_divisor_mask).tolist())
         vs = [0] + [v for v in zd if v != 0]
-        self.base = base
         self.ring = ring
         self.n = len(vs)
         self.to_ring = vs
-        sub = base._matrix[np.ix_(vs, vs)]
-        self._matrix = sub
-        self.adj = _pack_rows(sub)
+        # blocks of rows, taken rows first: one n x n fancy index is several
+        # times slower, and no |core|^2 submatrix is held at once
+        self.adj = [
+            row
+            for lo in range(0, self.n, _ROWS)
+            for row in _pack_rows(base._matrix.take(vs[lo:lo + _ROWS], axis=0).take(vs, axis=1))
+        ]
         self.sq0_bits = _pack_mask(ring.square_zero_mask[vs])
+        self.solved: dict = {}
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -87,8 +105,24 @@ class CoreGraph:
         return self.to_ring[v]
 
 
+def _check_cap(ring: FiniteRing, size_cap: int) -> None:
+    if ring.size > size_cap:
+        raise CapacityError(f"graph on {ring.size} vertices exceeds cap {size_cap}")
+
+
 def build_graph(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> BeckGraph:
-    return BeckGraph(ring, size_cap=size_cap)
+    """The Beck graph of `ring`: the one already built while anything holds it.
+
+    The ring keeps only a weak reference, so a graph and the solves memoised
+    on it go when the last holder lets go. Long-lived rings, such as the
+    cached AN ring, therefore carry no answers from one analysis to the next.
+    """
+    _check_cap(ring, size_cap)
+    g = ring._graph() if ring._graph is not None else None
+    if g is None:
+        g = BeckGraph(ring, size_cap=size_cap)
+        ring._graph = weakref.ref(g)
+    return g
 
 
 def core(g: BeckGraph) -> CoreGraph:

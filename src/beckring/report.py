@@ -94,7 +94,9 @@ def analyze(
                 )
             )
     if isinstance(ast, ProductExpr):
-        factors = [elaborate(a, size_cap=size_cap) for a in ast.atoms]
+        factors = ring.factors
+        # held through both checks, so that they share each factor's graph and solves
+        factor_graphs = [build_graph(f) for f in factors]  # noqa: F841
         pred = omega_product_formula(factors, budget)
         checks.append(
             _check("product_omega_formula", pred.predicted, omega_val, pred.predicted == omega_val)

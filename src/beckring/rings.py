@@ -42,6 +42,7 @@ class FiniteRing:
     unity: int
     name: str | None = None
     factors: tuple = ()  # the factors of a direct product; empty otherwise
+    _graph = None  # weak reference to the ring's Beck graph, kept by graphs.build_graph
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -187,8 +188,13 @@ class FiniteRing:
     def is_reduced(self) -> bool:
         return int(self.nilpotent_mask.sum()) == 1
 
-    def nilradical(self) -> "NilradicalProfile":
+    @cached_property
+    def _nilradical(self) -> "NilradicalProfile":
         return _nilradical_profile(self)
+
+    def nilradical(self) -> "NilradicalProfile":
+        """The nilradical, its nilpotency index and power sizes; computed once."""
+        return self._nilradical
 
     # -- axiom validation ---------------------------------------------------
 

@@ -17,6 +17,15 @@ branch and bound (San Segundo, "A new DSATUR-based algorithm for exact
 vertex coloring", 2012; Furini, Gabrel and Ternier, "An improved
 DSATUR-based branch-and-bound algorithm for the vertex coloring problem",
 Networks 2017) on the graph where each used color is merged into one vertex.
+
+Each graph is searched once. The finished maximum-clique search (vertex
+order, remapped adjacency, result), the best split and the chromatic
+number with its coloring are memoised in the `solved` dict of the graph
+they ran on, the full Beck graph or its core, so one analysis that asks for
+omega, the split and chi of the same graph, or solves the same factor for
+two theorem checks, pays for each search once. A search cut short by its
+budget is never memoised: the BudgetError goes to the caller, and a later
+call, with a larger budget, searches again.
 """
 
 from __future__ import annotations
@@ -128,18 +137,19 @@ def verify_clique(g, vertices) -> bool:
 
 
 def verify_coloring(g, coloring: Coloring) -> bool:
-    if len(coloring.class_of) != g.n:
+    """True iff the coloring covers every vertex, uses each of its k classes,
+    and no vertex has a neighbour in its own class (checked against one
+    bitmask per class)."""
+    if len(coloring.class_of) != g.n or coloring.k < 0:
         return False
-    seen = set()
+    members = [0] * coloring.k
     for v, c in enumerate(coloring.class_of):
         if not 0 <= c < coloring.k:
             return False
-        seen.add(c)
-        rest = g.adj[v] >> (v + 1)
-        for off in _bits(rest):
-            if coloring.class_of[v + 1 + off] == c:
-                return False
-    return len(seen) == coloring.k
+        members[c] |= 1 << v
+    if not all(members):
+        return False
+    return not any(g.adj[v] & members[c] for v, c in enumerate(coloring.class_of))
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +175,7 @@ class _CliqueSearch:
             radj[i] = m
         self.radj = radj
         self.best: list[int] = []
+        self.result: list[int] | None = None
         self._ticks = 0
 
     def _tick(self):
@@ -224,29 +235,33 @@ class _CliqueSearch:
             p ^= 1 << v
 
     def run(self) -> list[int]:
-        if self.n == 0:
-            return []
-        self._greedy_seed()
-        self._check_deadline()
-        self._expand([], (1 << self.n) - 1)
-        return sorted(self.order[v] for v in self.best)
+        """A maximum clique in vertex ids, sorted; also kept as `result`."""
+        if self.n:
+            self._greedy_seed()
+            self._check_deadline()
+            self._expand([], (1 << self.n) - 1)
+        self.result = sorted(self.order[v] for v in self.best)
+        return self.result
 
 
 class _SplitSearch(_CliqueSearch):
-    """Lexicographic objective (clique size, then square-zero count)."""
+    """Lexicographic objective (clique size, then square-zero count), seeded
+    with a finished maximum-clique search whose order and remapped
+    adjacency it reuses."""
 
-    def __init__(self, n, adj, sq0_bits, deadline, seed: list[int]):
-        super().__init__(n, adj, deadline)
-        pos = [0] * n
+    def __init__(self, base: _CliqueSearch, sq0_bits: int, deadline: float):
+        self.n, self.order, self.radj = base.n, base.order, base.radj
+        self.deadline = deadline
+        self._ticks = 0
+        pos = [0] * self.n
         for i, v in enumerate(self.order):
             pos[v] = i
         m = 0
         for v in _bits(sq0_bits):
             m |= 1 << pos[v]
         self.sq0 = m
-        rseed = [pos[v] for v in seed]
-        self.best = rseed
-        self.best_b = len([v for v in rseed if (self.sq0 >> v) & 1])
+        self.best = list(base.best)
+        self.best_b = len([v for v in self.best if (self.sq0 >> v) & 1])
 
     def _expand(self, r: list[int], rb: int, p: int):
         self._tick()
@@ -414,6 +429,27 @@ def _full_ids(work, raw: list[int]) -> list[int]:
     return sorted(work.element_of(v) for v in raw)
 
 
+def _solved(work) -> dict:
+    """The memo of finished solves on a graph; a throwaway dict for
+    graph-likes that carry none."""
+    return getattr(work, "solved", {})
+
+
+def _clique_search(work, deadline: float) -> _CliqueSearch:
+    """The maximum-clique search on `work`, run once per graph. A search the
+    deadline cuts short comes back unmemoised, with result None and its best
+    clique so far."""
+    memo = _solved(work)
+    if "clique" not in memo:
+        search = _CliqueSearch(work.n, work.adj, deadline)
+        try:
+            search.run()
+        except _OutOfTime:
+            return search
+        memo["clique"] = search
+    return memo["clique"]
+
+
 def max_clique(g, budget: float | None = None, *, use_core: bool | None = None) -> Clique:
     """Exact maximum clique with witness; deterministic across runs.
 
@@ -421,14 +457,11 @@ def max_clique(g, budget: float | None = None, *, use_core: bool | None = None) 
     reduction; None applies it automatically above CORE_THRESHOLD.
     """
     work = _reduce(g, use_core)
-    deadline = time.monotonic() + solver_budget(budget)
-    search = _CliqueSearch(work.n, work.adj, deadline)
-    try:
-        raw = search.run()
-    except _OutOfTime:
+    search = _clique_search(work, time.monotonic() + solver_budget(budget))
+    if search.result is None:
         lb_w = _full_ids(work, [search.order[v] for v in search.best])
-        raise BudgetError("max_clique", len(lb_w), witness=lb_w) from None
-    verts = sorted(work.element_of(v) for v in raw)
+        raise BudgetError("max_clique", len(lb_w), witness=lb_w)
+    verts = _full_ids(work, search.result)
     if work is not g and len(verts) < 2 and g.n >= 2:
         verts = [0, _smallest_nonzero(g)]
     return Clique(tuple(verts))
@@ -441,15 +474,17 @@ def _smallest_nonzero(g) -> int:
 def best_clique_split(g, budget: float | None = None, *, use_core: bool | None = None) -> CliqueSplit:
     """Among all maximum cliques, one maximizing the square-zero part."""
     work = _reduce(g, use_core)
-    deadline = time.monotonic() + solver_budget(budget)
-    base = _CliqueSearch(work.n, work.adj, deadline)
-    try:
-        seed = base.run()
-        search = _SplitSearch(work.n, work.adj, work.sq0_bits, deadline, seed)
-        raw = search.run()
-    except _OutOfTime:
-        raise BudgetError("best_clique_split", len(base.best)) from None
-    verts = sorted(work.element_of(v) for v in raw)
+    memo = _solved(work)
+    if "split" not in memo:
+        deadline = time.monotonic() + solver_budget(budget)
+        base = _clique_search(work, deadline)
+        if base.result is None:
+            raise BudgetError("best_clique_split", len(base.best))
+        try:
+            memo["split"] = _SplitSearch(base, work.sq0_bits, deadline).run()
+        except _OutOfTime:
+            raise BudgetError("best_clique_split", len(base.best)) from None
+    verts = _full_ids(work, memo["split"])
     if work is not g and len(verts) < 2 and g.n >= 2:
         verts = [0, _smallest_nonzero(g)]
     ring = g.ring
@@ -521,16 +556,23 @@ def chromatic_number(
     refutes k = 18 and k = 19 on AN x AN, whose chi is 20.
     """
     work = _reduce(g, use_core)
-    deadline = time.monotonic() + solver_budget(budget)
+    memo = _solved(work)
+    if "chromatic" not in memo:
+        memo["chromatic"] = _chromatic_on(work, time.monotonic() + solver_budget(budget))
+    k, color = memo["chromatic"]
+    return _extend_to_full(g, work, color, k)
+
+
+def _chromatic_on(work, deadline: float) -> tuple[int, list[int]]:
+    """chi of `work` and a chi-coloring of its vertices; see chromatic_number."""
     reps, member_group, radj = _twin_fuse(work.n, work.adj)
     rn = len(reps)
     greedy = _dsatur(rn, radj)
     ub = max(greedy) + 1 if greedy else 0
     clique_search = _CliqueSearch(rn, radj, deadline)
 
-    def lift(colors: list[int], k: int) -> tuple[int, Coloring]:
-        full = [colors[member_group[v]] for v in range(work.n)]
-        return _extend_to_full(g, work, full, k)
+    def lift(colors: list[int], k: int) -> tuple[int, list[int]]:
+        return k, [colors[member_group[v]] for v in range(work.n)]
 
     try:
         clique_raw = clique_search.run()

@@ -329,24 +329,20 @@ def check_an_condition(ring: FiniteRing, kind: str, param: int) -> ANConditionRe
         jp1 = ideal_power(profile.ideal, param + 1)
         in_jp1 = np.zeros(ring.size, dtype=bool)
         in_jp1[list(jp1.elements)] = True
-    membership_ok = True
-    boundary_ok = True if kind == "even" else None
+    # both checks fail at an x with a zero-product partner outside J^p
+    rel, outside = ring.zero_rel_matrix, ~in_jp
+    has_bad = (rel & outside).any(axis=1)
+    failing = has_bad & outside
+    membership_ok = not failing.any()
+    boundary_ok = None
+    if kind == "even":
+        failing_boundary = has_bad & ~in_jp1
+        boundary_ok = not failing_boundary.any()
+        failing |= failing_boundary
     witness = None
-    rel = ring.zero_rel_matrix
-    for x in range(ring.size):
-        ys = np.flatnonzero(rel[x])
-        if ys.size == 0:
-            continue
-        if not in_jp[x]:
-            bad = ys[~in_jp[ys]]
-            if bad.size:
-                membership_ok = False
-                witness = witness or (int(x), int(bad[0]))
-        if kind == "even" and not in_jp1[x]:
-            bad = ys[~in_jp[ys]]
-            if bad.size:
-                boundary_ok = False
-                witness = witness or (int(x), int(bad[0]))
+    if failing.any():
+        x = int(np.argmax(failing))
+        witness = (x, int(np.argmax(rel[x] & outside)))
     holds = membership_ok and (boundary_ok is not False)
     return ANConditionResult(kind, param, holds, membership_ok, boundary_ok, witness)
 

@@ -1,4 +1,5 @@
-"""The exact chromatic search against an independent oracle and the paper's bounds.
+"""The exact chromatic search against an independent oracle and the paper's
+bounds, and the coloring re-verification against the pairwise definition.
 
 The k-coloring search prunes any node where a clique of uncolored vertices
 has fewer colors left in the union of its domains than it has vertices.
@@ -20,7 +21,16 @@ from hypothesis import strategies as st
 
 from test_ring_predicates import PROPERTY, atoms, reduced_atoms
 
-from beckring import build_graph, chi_bounds, chromatic_number, make_product, max_clique, ring_of, verify_coloring
+from beckring import (
+    Coloring,
+    build_graph,
+    chi_bounds,
+    chromatic_number,
+    make_product,
+    max_clique,
+    ring_of,
+    verify_coloring,
+)
 from beckring.oracle import CHROMATIC_ORACLE_CAP, exhaustive_chromatic_number
 from beckring.solvers import _CliqueSearch, _KColorSearch
 
@@ -124,3 +134,39 @@ def test_an_products_lie_in_the_chi_sandwich(factors):
     bounds = chi_bounds(factors)
     assert bounds.lower <= chi <= bounds.upper
     assert verify_coloring(g, coloring)
+
+
+def _proper_pairwise(g, coloring) -> bool:
+    """The definition, pair by pair: n entries, each in [0, k), every class
+    used, and no edge inside a class."""
+    cls, k = coloring.class_of, coloring.k
+    if len(cls) != g.n or any(not 0 <= c < k for c in cls) or len(set(cls)) != k:
+        return False
+    return all(cls[u] != cls[v] for u in range(g.n) for v in range(u + 1, g.n) if (g.adj[u] >> v) & 1)
+
+
+@st.composite
+def colorings(draw, g):
+    """A chi-coloring of g, kept as is or broken: one vertex recolored
+    (improper, out of range, or emptying a class), k moved by one, a vertex
+    dropped or added, or every entry drawn at random."""
+    _, proper = chromatic_number(g)
+    cls, k = list(proper.class_of), proper.k
+    change = draw(st.sampled_from(("none", "recolor", "k", "length", "random")))
+    if change == "recolor" and cls:
+        cls[draw(st.integers(0, len(cls) - 1))] = draw(st.integers(-1, k))
+    elif change == "k":
+        k += draw(st.sampled_from((-1, 1)))
+    elif change == "length":
+        cls = cls[:-1] if cls and draw(st.booleans()) else cls + [0]
+    elif change == "random":
+        cls = draw(st.lists(st.integers(-1, k), min_size=len(cls), max_size=len(cls)))
+    return Coloring(tuple(cls), k)
+
+
+@SMALL_GRAPHS
+@given(st.data())
+def test_verify_coloring_matches_pairwise_oracle(data):
+    g = data.draw(graphs())
+    coloring = data.draw(colorings(g))
+    assert verify_coloring(g, coloring) == _proper_pairwise(g, coloring)

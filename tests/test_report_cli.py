@@ -72,6 +72,27 @@ def test_analyze_product_checks_present():
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_analyze_searches_each_graph_once(monkeypatch):
+    # omega, the split and chi of the ring share one clique search on its
+    # core, and the two product checks share each factor's solves
+    from beckring import solvers
+
+    searched = []
+    init = solvers._CliqueSearch.__init__
+
+    def counting_init(self, n, adj, deadline):
+        searched.append((n, tuple(adj)))
+        init(self, n, adj, deadline)
+
+    monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
+    rep = analyze("Z4 x Z256")
+    assert all(c["pass"] for c in rep["checks"])
+    # the core and the twin-fused graph of the product and of Z256, the
+    # full and the twin-fused graph of Z4
+    assert len(searched) == 6
+    assert len(set(searched)) == len(searched)
+
+
 def test_analyze_min_s_mode():
     rep = analyze("Z4", s_mode="min_s")
     assert rep["s"] == 2

@@ -4,6 +4,7 @@ import pytest
 
 from beckring import (
     BudgetError,
+    CapacityError,
     Coloring,
     ContractError,
     best_clique_split,
@@ -256,6 +257,55 @@ def test_budget_env_override(monkeypatch):
         max_clique(graph("Z60"))
     monkeypatch.delenv("BECKRING_BUDGET")
     assert max_clique(graph("Z60")).size == 4
+
+
+# -- memoised graphs and solves ------------------------------------------------
+
+
+def test_graph_and_core_are_built_once():
+    r = ring_of("Z4 x Z16")
+    g = build_graph(r)
+    assert build_graph(r) is g
+    assert g.core() is g.core()
+    with pytest.raises(CapacityError):
+        build_graph(r, size_cap=r.size - 1)
+
+
+def test_budget_error_is_not_memoised():
+    g = graph("AN x AN")
+    with pytest.raises(BudgetError):
+        max_clique(g, budget=0)
+    assert max_clique(g, budget=10).size == 18
+
+
+def test_memo_goes_with_its_graph():
+    # the ring holds its graph weakly: once dropped, a new graph searches
+    # again and honors its own budget
+    r = ring_of("AN x Z4")
+    g = build_graph(r)
+    assert max_clique(g).size == 9
+    assert max_clique(g, budget=0).size == 9
+    del g
+    with pytest.raises(BudgetError):
+        max_clique(build_graph(r), budget=0)
+
+
+def test_each_work_graph_is_searched_once(monkeypatch):
+    from beckring import solvers
+
+    searched = []
+    init = solvers._CliqueSearch.__init__
+
+    def counting_init(self, n, adj, deadline):
+        searched.append((n, tuple(adj)))
+        init(self, n, adj, deadline)
+
+    monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
+    g = graph("Z8 x Z9")
+    first = (max_clique(g), best_clique_split(g), chromatic_number(g))
+    assert len(searched) == 2  # the core, then its twin-fused graph
+    assert (max_clique(g), best_clique_split(g), chromatic_number(g)) == first
+    assert len(searched) == 2
 
 
 # -- verification helpers ---------------------------------------------------
