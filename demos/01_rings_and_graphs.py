@@ -5,12 +5,12 @@ how the graph on all elements (edge iff the product vanishes) looks, along
 with the zero-divisor core that the solvers actually work on.
 """
 
-from beckring import build_graph, core, export_graph, ring_of
+from beckring import build_graph, export_graph, ring_of
 
 for expr in ("Z12", "Z2[t]/(t^2)", "Z4 x Z3", "AN"):
     ring = ring_of(expr)
     g = build_graph(ring)
-    c = core(g)
+    c = g.core()
     profile = ring.nilradical()
     print(f"{expr}: {ring.size} elements "
           f"(local={ring.is_local()}, reduced={ring.is_reduced()})")

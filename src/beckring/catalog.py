@@ -9,6 +9,7 @@ never assumed.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -67,14 +68,11 @@ def field_rings() -> dict[str, FiniteRing]:
     return {expr: ring_of(expr) for expr in FIELD_EXPRS}
 
 
-def catalog_tuples(arity: int, max_product: int) -> list[tuple[str, ...]]:
-    """Unordered catalog factor lists of the given arity within a size cap."""
-    rings = catalog_rings()
-    out = []
-    for names in combinations_with_replacement(CATALOG_EXPRS, arity):
-        size = 1
-        for name in names:
-            size *= rings[name].size
-        if size <= max_product:
-            out.append(names)
-    return out
+def catalog_tuples(rings: dict[str, FiniteRing], arity: int, max_product: int) -> list[tuple[str, ...]]:
+    """Unordered lists of `arity` names from `rings`, in the dict's order,
+    whose rings multiply to at most `max_product` elements."""
+    return [
+        names
+        for names in combinations_with_replacement(rings, arity)
+        if math.prod(rings[name].size for name in names) <= max_product
+    ]

@@ -1,15 +1,20 @@
-"""Beck's graph of a ring: all elements as vertices, edges where products vanish.
+"""Beck's graph of a ring: elements as vertices, edges where products vanish.
+
+One type, `BeckGraph`, is Beck's graph induced on a list of ring elements:
+`build_graph` gives the graph on all elements, and `BeckGraph.core` the
+zero-divisor core on {0} plus the zero-divisors. Dropping the remaining
+vertices (units, which are pendant on 0) preserves both the clique and the
+chromatic number under the max(., 2) rule. A core is its own core.
 
 Adjacency is stored as one machine-word-packed bitset per vertex (a Python
-int), the format the branch-and-bound solvers consume directly. The
-zero-divisor core keeps {0} plus the zero-divisors; dropping the remaining
-vertices (units, which are pendant on 0) preserves both the clique and the
-chromatic number under the max(., 2) rule.
+int), the format the branch-and-bound solvers consume directly. It is
+packed from the ring's zero relation, which the ring keeps; the graph keeps
+no matrix of its own.
 
 Each graph is built once per ring and reduced once: `build_graph` returns
 the ring's live graph while anything holds it, and `BeckGraph.core` keeps
-its core. Both graph kinds carry `solved`, the memo in which the solvers
-keep the searches they finish on that graph.
+its core. Every graph carries `solved`, the memo in which the solvers keep
+the searches they finish on that graph.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from .errors import CapacityError, DescriptorError
 from .rings import DEFAULT_SIZE_CAP, FiniteRing
 
 
-# rows per block when the core's adjacency is cut out of the full graph's
+# rows of the zero relation packed at a time: a core cut out in one n x n
+# fancy index is several times slower, and no block larger than this many
+# rows is held at once
 _ROWS = 256
 
 
@@ -37,20 +44,31 @@ def _pack_mask(mask: np.ndarray) -> int:
 
 
 class BeckGraph:
-    """Graph on all ring elements; x ~ y iff x != y and x*y = 0."""
+    """Beck's graph induced on the ring elements `to_ring`: vertex v is
+    element to_ring[v], and u ~ v iff u != v and their elements multiply to 0.
 
-    def __init__(self, ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP):
-        _check_cap(ring, size_cap)
+    `to_ring` None means every element, in ring order.
+    """
+
+    def __init__(self, ring: FiniteRing, to_ring: list[int] | None = None):
+        full = to_ring is None
         self.ring = ring
-        self.n = ring.size
-        rel = ring.zero_rel_matrix.copy()
-        np.fill_diagonal(rel, False)
-        self._matrix = rel
-        self.adj = _pack_rows(rel)
-        self.sq0_bits = _pack_mask(ring.square_zero_mask)
-        self.to_ring = list(range(self.n))
+        self.to_ring = list(range(ring.size)) if full else to_ring
+        self.n = len(self.to_ring)
+        rel = ring.zero_rel_matrix
+        self.adj = []
+        for lo in range(0, self.n, _ROWS):
+            if full:
+                # plain row slices: gathering columns as well doubles the build
+                block = rel[lo:lo + _ROWS].copy()
+            else:
+                block = rel.take(self.to_ring[lo:lo + _ROWS], axis=0).take(self.to_ring, axis=1)
+            rows = np.arange(len(block))
+            block[rows, lo + rows] = False
+            self.adj.extend(_pack_rows(block))
+        self.sq0_bits = _pack_mask(ring.square_zero_mask[self.to_ring])
         self.solved: dict = {}
-        self._core: CoreGraph | None = None
+        self._core: BeckGraph | None = None
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -63,51 +81,23 @@ class BeckGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted lexicographically."""
-        return [(int(u), int(v)) for u, v in np.argwhere(np.triu(self._matrix, k=1))]
-
-    def element_of(self, v: int) -> int:
-        return v
-
-    def core(self) -> "CoreGraph":
-        """The zero-divisor core, built on the first call and kept."""
-        if self._core is None:
-            self._core = CoreGraph(self)
-        return self._core
-
-
-class CoreGraph:
-    """Induced subgraph on {0} plus the zero-divisors, with the id remap kept."""
-
-    def __init__(self, base: BeckGraph):
-        ring = base.ring
-        zd = sorted(np.flatnonzero(ring.zero_divisor_mask).tolist())
-        vs = [0] + [v for v in zd if v != 0]
-        self.ring = ring
-        self.n = len(vs)
-        self.to_ring = vs
-        # blocks of rows, taken rows first: one n x n fancy index is several
-        # times slower, and no |core|^2 submatrix is held at once
-        self.adj = [
-            row
-            for lo in range(0, self.n, _ROWS)
-            for row in _pack_rows(base._matrix.take(vs[lo:lo + _ROWS], axis=0).take(vs, axis=1))
-        ]
-        self.sq0_bits = _pack_mask(ring.square_zero_mask[vs])
-        self.solved: dict = {}
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
+        rel = self.ring.zero_rel_matrix
+        if self.n < self.ring.size:
+            rel = rel[np.ix_(self.to_ring, self.to_ring)]
+        return [(int(u), int(v)) for u, v in np.argwhere(np.triu(rel, k=1))]
 
     def element_of(self, v: int) -> int:
         return self.to_ring[v]
 
-
-def _check_cap(ring: FiniteRing, size_cap: int) -> None:
-    if ring.size > size_cap:
-        raise CapacityError(f"graph on {ring.size} vertices exceeds cap {size_cap}")
+    def core(self) -> BeckGraph:
+        """The zero-divisor core, built on the first call and kept; a core
+        is its own core."""
+        if self._core is None:
+            vs = [0] + [v for v in np.flatnonzero(self.ring.zero_divisor_mask).tolist() if v != 0]
+            if vs == self.to_ring:
+                return self
+            self._core = BeckGraph(self.ring, vs)
+        return self._core
 
 
 def build_graph(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> BeckGraph:
@@ -117,16 +107,13 @@ def build_graph(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> BeckGraph
     on it go when the last holder lets go. Long-lived rings, such as the
     cached AN ring, therefore carry no answers from one analysis to the next.
     """
-    _check_cap(ring, size_cap)
+    if ring.size > size_cap:
+        raise CapacityError(f"graph on {ring.size} vertices exceeds cap {size_cap}")
     g = ring._graph() if ring._graph is not None else None
     if g is None:
-        g = BeckGraph(ring, size_cap=size_cap)
+        g = BeckGraph(ring)
         ring._graph = weakref.ref(g)
     return g
-
-
-def core(g: BeckGraph) -> CoreGraph:
-    return g.core()
 
 
 def export_graph(g: BeckGraph, fmt: str) -> str:

@@ -3,7 +3,10 @@
 All searches are deterministic: vertices are ordered by descending degree
 with ties broken by id, candidate sets are walked lowest-bit-first, and no
 result depends on timing. Budgets abort a search with the bounds certified
-so far instead of returning an unproven answer.
+so far instead of returning an unproven answer: each public entry builds
+one `_Deadline` from its budget, every search it runs ticks that deadline
+once per node, and expiry anywhere comes back to the caller as a
+BudgetError carrying the bounds found so far.
 
 Graphs above CORE_THRESHOLD vertices are reduced to their zero-divisor
 core first; the reduction preserves clique and chromatic numbers under the
@@ -57,6 +60,29 @@ def solver_budget(budget: float | None) -> float:
 
 class _OutOfTime(Exception):
     pass
+
+
+class _Deadline:
+    """The clock of one solve, `budget` seconds (see solver_budget) from now.
+
+    `tick()` is called once per search node and reads the clock every 64
+    ticks, often enough for the k-coloring search, whose Hall check can take
+    milliseconds a node; `check()` reads it at once. Both raise _OutOfTime
+    once the budget is spent.
+    """
+
+    def __init__(self, budget: float | None):
+        self.at = time.monotonic() + solver_budget(budget)
+        self.ticks = 0
+
+    def tick(self) -> None:
+        self.ticks += 1
+        if self.ticks % 64 == 0:
+            self.check()
+
+    def check(self) -> None:
+        if time.monotonic() > self.at:
+            raise _OutOfTime()
 
 
 def _bits(x: int):
@@ -160,7 +186,7 @@ def verify_coloring(g, coloring: Coloring) -> bool:
 class _CliqueSearch:
     """Branch and bound with a greedy-coloring upper bound (bitset sets)."""
 
-    def __init__(self, n: int, adj: list[int], deadline: float):
+    def __init__(self, n: int, adj: list[int], deadline: _Deadline):
         self.n = n
         self.deadline = deadline
         self.order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
@@ -176,16 +202,6 @@ class _CliqueSearch:
         self.radj = radj
         self.best: list[int] = []
         self.result: list[int] | None = None
-        self._ticks = 0
-
-    def _tick(self):
-        self._ticks += 1
-        if self._ticks % 512 == 0 and time.monotonic() > self.deadline:
-            raise _OutOfTime()
-
-    def _check_deadline(self):
-        if time.monotonic() > self.deadline:
-            raise _OutOfTime()
 
     def _greedy_seed(self):
         for s in range(min(self.n, 8)):
@@ -220,7 +236,7 @@ class _CliqueSearch:
         return out
 
     def _expand(self, r: list[int], p: int):
-        self._tick()
+        self.deadline.tick()
         order = self._color_sort(p, self.radj)
         for v, c in reversed(order):
             if len(r) + c <= len(self.best):
@@ -238,7 +254,7 @@ class _CliqueSearch:
         """A maximum clique in vertex ids, sorted; also kept as `result`."""
         if self.n:
             self._greedy_seed()
-            self._check_deadline()
+            self.deadline.check()
             self._expand([], (1 << self.n) - 1)
         self.result = sorted(self.order[v] for v in self.best)
         return self.result
@@ -249,10 +265,9 @@ class _SplitSearch(_CliqueSearch):
     with a finished maximum-clique search whose order and remapped
     adjacency it reuses."""
 
-    def __init__(self, base: _CliqueSearch, sq0_bits: int, deadline: float):
+    def __init__(self, base: _CliqueSearch, sq0_bits: int, deadline: _Deadline):
         self.n, self.order, self.radj = base.n, base.order, base.radj
         self.deadline = deadline
-        self._ticks = 0
         pos = [0] * self.n
         for i, v in enumerate(self.order):
             pos[v] = i
@@ -264,7 +279,7 @@ class _SplitSearch(_CliqueSearch):
         self.best_b = len([v for v in self.best if (self.sq0 >> v) & 1])
 
     def _expand(self, r: list[int], rb: int, p: int):
-        self._tick()
+        self.deadline.tick()
         order = self._color_sort(p, self.radj)
         for v, c in reversed(order):
             if len(r) + c < len(self.best):
@@ -286,7 +301,7 @@ class _SplitSearch(_CliqueSearch):
             p ^= 1 << v
 
     def run(self) -> list[int]:
-        self._check_deadline()
+        self.deadline.check()
         self._expand([], 0, (1 << self.n) - 1)
         return sorted(self.order[v] for v in self.best)
 
@@ -332,19 +347,12 @@ class _KColorSearch:
         self.color = [-1] * n
         self.dom = [(1 << k) - 1] * n
         self.free = (1 << n) - 1
-        self._ticks = 0
         self.start_used = len(clique)
         for i, v in enumerate(sorted(clique)):
             self.color[v] = i
             self.free ^= 1 << v
             for u in _bits(adj[v]):
                 self.dom[u] &= ~(1 << i)
-
-    def _tick(self):
-        # a node's Hall check can take milliseconds, so read the clock often
-        self._ticks += 1
-        if self._ticks % 64 == 0 and time.monotonic() > self.deadline:
-            raise _OutOfTime()
 
     def _pick(self) -> int:
         pick, key = -1, None
@@ -381,7 +389,7 @@ class _KColorSearch:
         return False
 
     def _solve(self, used: int) -> bool:
-        self._tick()
+        self.deadline.tick()
         v = self._pick()
         if v == -1:
             return True
@@ -404,8 +412,7 @@ class _KColorSearch:
         return False
 
     def run(self) -> list[int] | None:
-        if time.monotonic() > self.deadline:
-            raise _OutOfTime()
+        self.deadline.check()
         if self._hall_violated(_bits(self.free)):
             return None
         if self._solve(self.start_used):
@@ -418,10 +425,9 @@ class _KColorSearch:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(g, use_core: bool | None = None):
-    if isinstance(g, BeckGraph):
-        if use_core is True or (use_core is None and g.n > CORE_THRESHOLD):
-            return g.core()
+def _reduce(g, use_core: bool = True):
+    if use_core and isinstance(g, BeckGraph) and g.n > CORE_THRESHOLD:
+        return g.core()
     return g
 
 
@@ -435,7 +441,7 @@ def _solved(work) -> dict:
     return getattr(work, "solved", {})
 
 
-def _clique_search(work, deadline: float) -> _CliqueSearch:
+def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
     """The maximum-clique search on `work`, run once per graph. A search the
     deadline cuts short comes back unmemoised, with result None and its best
     clique so far."""
@@ -450,14 +456,15 @@ def _clique_search(work, deadline: float) -> _CliqueSearch:
     return memo["clique"]
 
 
-def max_clique(g, budget: float | None = None, *, use_core: bool | None = None) -> Clique:
+def max_clique(g, budget: float | None = None, *, use_core: bool = True) -> Clique:
     """Exact maximum clique with witness; deterministic across runs.
 
-    `use_core` forces (True) or forbids (False) the zero-divisor core
-    reduction; None applies it automatically above CORE_THRESHOLD.
+    Graphs above CORE_THRESHOLD vertices are searched on their zero-divisor
+    core; `use_core=False` searches the whole graph, the unreduced
+    reference the core reduction is checked against.
     """
     work = _reduce(g, use_core)
-    search = _clique_search(work, time.monotonic() + solver_budget(budget))
+    search = _clique_search(work, _Deadline(budget))
     if search.result is None:
         lb_w = _full_ids(work, [search.order[v] for v in search.best])
         raise BudgetError("max_clique", len(lb_w), witness=lb_w)
@@ -471,12 +478,12 @@ def _smallest_nonzero(g) -> int:
     return g.element_of(1) if g.n > 1 else 0
 
 
-def best_clique_split(g, budget: float | None = None, *, use_core: bool | None = None) -> CliqueSplit:
+def best_clique_split(g, budget: float | None = None, *, use_core: bool = True) -> CliqueSplit:
     """Among all maximum cliques, one maximizing the square-zero part."""
     work = _reduce(g, use_core)
     memo = _solved(work)
     if "split" not in memo:
-        deadline = time.monotonic() + solver_budget(budget)
+        deadline = _Deadline(budget)
         base = _clique_search(work, deadline)
         if base.result is None:
             raise BudgetError("best_clique_split", len(base.best))
@@ -541,7 +548,7 @@ def _twin_fuse(n: int, adj: list[int]) -> tuple[list[int], list[int], list[int]]
 
 
 def chromatic_number(
-    g, budget: float | None = None, *, use_core: bool | None = None
+    g, budget: float | None = None, *, use_core: bool = True
 ) -> tuple[int, Coloring]:
     """Exact chromatic number and a proper coloring witness.
 
@@ -558,12 +565,12 @@ def chromatic_number(
     work = _reduce(g, use_core)
     memo = _solved(work)
     if "chromatic" not in memo:
-        memo["chromatic"] = _chromatic_on(work, time.monotonic() + solver_budget(budget))
+        memo["chromatic"] = _chromatic_on(work, _Deadline(budget))
     k, color = memo["chromatic"]
     return _extend_to_full(g, work, color, k)
 
 
-def _chromatic_on(work, deadline: float) -> tuple[int, list[int]]:
+def _chromatic_on(work, deadline: _Deadline) -> tuple[int, list[int]]:
     """chi of `work` and a chi-coloring of its vertices; see chromatic_number."""
     reps, member_group, radj = _twin_fuse(work.n, work.adj)
     rn = len(reps)
@@ -627,15 +634,9 @@ class _MinSSearch:
         self.color = [-1] * n
         self.best: list[int] | None = None
         self.best_s = n + 1
-        self._ticks = 0
-
-    def _tick(self):
-        self._ticks += 1
-        if self._ticks % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _OutOfTime()
 
     def _go(self, idx: int, used: int, class_sq0: int, s: int):
-        self._tick()
+        self.deadline.tick()
         if s >= self.best_s:
             return
         if idx == self.n:
@@ -720,18 +721,20 @@ def min_s_optimal_coloring(
     achieved s is reported with exact=False.
     """
     work = _reduce(g)
-    deadline = time.monotonic() + solver_budget(budget)
+    deadline = _Deadline(budget)
     k, baseline = chromatic_number(g, budget)
     base_s = s_of(g, baseline).s
     if work.n <= exhaustive_cap:
-        s_floor = _sq0_clique_floor(work, deadline)
-        if base_s <= s_floor:
-            return baseline, SZero(base_s)
-        search = _MinSSearch(work.n, work.adj, work.sq0_bits, k, s_floor, deadline)
+        # vertex 0 squares to zero, so some class always bears one
+        s_floor = 1
         try:
+            s_floor = _sq0_clique_floor(work, deadline)
+            if base_s <= s_floor:
+                return baseline, SZero(base_s)
+            search = _MinSSearch(work.n, work.adj, work.sq0_bits, k, s_floor, deadline)
             best, best_s = search.run()
         except _OutOfTime:
-            raise BudgetError("min_s_optimal_coloring", 1, base_s) from None
+            raise BudgetError("min_s_optimal_coloring", s_floor, base_s) from None
         if best is None:
             raise InternalCheckError("min-s search found no proper coloring at chi")
         _, coloring = _extend_to_full(g, work, best, k)
@@ -744,7 +747,7 @@ def min_s_optimal_coloring(
     return coloring, SZero(s, exact=False)
 
 
-def _sq0_clique_floor(work, deadline: float) -> int:
+def _sq0_clique_floor(work, deadline: _Deadline) -> int:
     """Any clique of square-zero vertices forces that many distinct classes."""
     verts = list(_bits(work.sq0_bits))
     if not verts:

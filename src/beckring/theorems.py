@@ -417,12 +417,15 @@ def counterexample_family(
             raise PreconditionError(f"family factor {f!r} is not reduced")
     an = canonical_anderson_naseer()
     chain = [an] + list(reduced_factors)
+    # held through the formula, the chromatic loop and the product colorings,
+    # so that they share each factor's graph and solves
+    factor_graphs = [build_graph(f) for f in chain]
     prediction = omega_product_formula(chain, budget)
     omega = prediction.predicted
 
     colorings = []
-    for f in chain:
-        chi_f, col_f = chromatic_number(build_graph(f), budget)
+    for f, g in zip(chain, factor_graphs):
+        chi_f, col_f = chromatic_number(g, budget)
         colorings.append((f, chi_f, col_f))
     lower = sum(chi_f for _, chi_f, _ in colorings) - (len(chain) - 1)
 

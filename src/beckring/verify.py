@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, field_rings
+from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings
 from .dsl import parse, print_expr, ring_of
 from .errors import BeckringError
 from .graphs import build_graph
@@ -85,19 +85,6 @@ class SuiteResult:
         verdict = "ALL PASS" if self.ok else "FAILURES PRESENT"
         out.append(f"suite: {verdict}")
         return out
-
-
-def _tuples(rings: dict, arity: int, max_product: int) -> list[tuple[str, ...]]:
-    from itertools import combinations_with_replacement
-
-    out = []
-    for names in combinations_with_replacement(sorted(rings), arity):
-        size = 1
-        for name in names:
-            size *= rings[name].size
-        if size <= max_product:
-            out.append(names)
-    return out
 
 
 def run_suite(
@@ -189,7 +176,7 @@ def run_suite(
     # clique number of products
     formula_check = CheckResult("product_omega_formula")
     nil_check = CheckResult("nilradical_bound")
-    tuples = _tuples(ring_map, 2, limit(PRODUCT_SIZE_LIMIT)) + _tuples(
+    tuples = catalog_tuples(ring_map, 2, limit(PRODUCT_SIZE_LIMIT)) + catalog_tuples(
         ring_map, 3, limit(PRODUCT_SIZE_LIMIT)
     )
     for names in tuples:
@@ -210,7 +197,7 @@ def run_suite(
 
     # chromatic sandwich on pairs with small cores
     sandwich = CheckResult("chi_sandwich")
-    for names in _tuples(ring_map, 2, limit(PRODUCT_SIZE_LIMIT)):
+    for names in catalog_tuples(ring_map, 2, limit(PRODUCT_SIZE_LIMIT)):
         factors = [ring_map[n] for n in names]
         label = " x ".join(names)
         product = make_product(factors)
@@ -248,7 +235,7 @@ def run_suite(
     reduced = CheckResult("reduced_equality")
     fields = field_rings()
     for arity in (1, 2, 3):
-        for names in _tuples(dict(fields), arity, limit(400)):
+        for names in catalog_tuples(fields, arity, limit(400)):
             factors = [fields[n] for n in names]
             ring = make_product(factors) if len(factors) > 1 else factors[0]
             res = reduced_theorem_check(ring, budget)

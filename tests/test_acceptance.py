@@ -71,7 +71,7 @@ def test_criterion_2_zn_closed_form():
 
 def test_criterion_3_product_clique_formula(catalog):
     t0 = time.monotonic()
-    tuples = catalog_tuples(2, 256) + catalog_tuples(3, 256)
+    tuples = catalog_tuples(catalog_rings(), 2, 256) + catalog_tuples(catalog_rings(), 3, 256)
     assert len(tuples) > 50
     for names in tuples:
         factors = [catalog[n] for n in names]
@@ -86,7 +86,7 @@ def test_criterion_3_product_clique_formula(catalog):
 def test_criterion_4_chromatic_sandwich(catalog):
     t0 = time.monotonic()
     checked = 0
-    for names in catalog_tuples(2, 256):
+    for names in catalog_tuples(catalog_rings(), 2, 256):
         factors = [catalog[n] for n in names]
         product = make_product(factors)
         core_size = product.size - int(product.unit_mask.sum())
@@ -142,7 +142,7 @@ def test_criterion_7_nilradical_bound(catalog):
     t0 = time.monotonic()
     conditions = {name: an_condition_for(ring).holds for name, ring in catalog.items()}
     equalities = 0
-    for names in catalog_tuples(2, 256) + catalog_tuples(3, 256):
+    for names in catalog_tuples(catalog_rings(), 2, 256) + catalog_tuples(catalog_rings(), 3, 256):
         factors = [catalog[n] for n in names]
         nb = nilradical_bound(factors, direct_cap=0)
         omega = omega_product_formula(factors).predicted

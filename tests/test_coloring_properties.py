@@ -32,7 +32,7 @@ from beckring import (
     verify_coloring,
 )
 from beckring.oracle import CHROMATIC_ORACLE_CAP, exhaustive_chromatic_number
-from beckring.solvers import _CliqueSearch, _KColorSearch
+from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch
 
 AN_PRODUCT_CAP = 1024
 SMALL_GRAPHS = settings(PROPERTY, max_examples=200)
@@ -110,9 +110,9 @@ def test_chromatic_number_matches_partition_oracle(g):
 @given(graphs())
 def test_decision_search_refutes_exactly_below_chi(g):
     chi = exhaustive_chromatic_number(g)
-    clique = _CliqueSearch(g.n, g.adj, float("inf")).run()
+    clique = _CliqueSearch(g.n, g.adj, _Deadline(float("inf"))).run()
     for k in range(len(clique), chi + 1):
-        found = _KColorSearch(g.n, g.adj, k, clique, float("inf")).run()
+        found = _KColorSearch(g.n, g.adj, k, clique, _Deadline(float("inf"))).run()
         assert (found is not None) == (k == chi), k
 
 

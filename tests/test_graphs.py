@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from beckring import DescriptorError, build_graph, core, export_graph, make_product, make_zmod, ring_of
+from beckring import DescriptorError, build_graph, export_graph, make_product, make_zmod, ring_of
 from beckring.catalog import catalog_rings
 
 
@@ -41,18 +41,28 @@ def test_adjacency_matches_multiplication():
 @pytest.mark.parametrize("expr,core_size", [("Z7", 1), ("Z12", 8), ("AN", 16)])
 def test_core_sizes(expr, core_size):
     g = build_graph(ring_of(expr))
-    c = core(g)
+    c = g.core()
     assert c.n == core_size
     assert c.to_ring[0] == 0
 
 
 def test_core_is_induced_subgraph():
     g = build_graph(ring_of("Z12"))
-    c = core(g)
+    c = g.core()
     for i in range(c.n):
         for j in range(c.n):
             if i != j:
                 assert c.has_edge(i, j) == g.has_edge(c.to_ring[i], c.to_ring[j])
+
+
+def test_core_is_its_own_core_with_matching_edges():
+    g = build_graph(ring_of("AN x Z2"))
+    c = g.core()
+    assert c.core() is c
+    for graph in (g, c):
+        assert graph.edges() == [
+            (u, v) for u in range(graph.n) for v in range(u + 1, graph.n) if graph.has_edge(u, v)
+        ]
 
 
 def test_export_dimacs_z2():

@@ -1,15 +1,21 @@
 """Analysis reports, JSON schema stability, CLI behavior, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import beckring
 from beckring.cli import main
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
 from beckring import make_structure_ring, make_zmod
 from beckring.errors import NotARingError
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(beckring.__file__)))
 
 EXPECTED_KEYS = [
     "ring",
@@ -133,6 +139,31 @@ def test_cli_capacity_exit_3(capsys):
 
 def test_cli_budget_exit_4(capsys):
     assert main(["analyze", "Z60", "--budget", "0"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "Z4 x Z2"],
+        ["analyze", "Z4 x Z2", "--s-mode", "min"],
+        ["predict-omega", "Z4 x Z2"],
+        ["bound-chi", "Z4 x Z2"],
+        ["bound-chi", "Z4 x Z2", "--s-mode", "min"],
+        ["zn", "12"],
+        ["counterexample", "Z2"],
+    ],
+    ids=" ".join,
+)
+def test_cli_budget_zero_answers_or_exits_4(argv):
+    # every path answers or raises BudgetError: no private exception may
+    # escape as a traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "beckring.cli", *argv, "--budget", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in (0, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_budget_holds_on_ring_predicates(capsys):

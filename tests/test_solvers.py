@@ -251,6 +251,16 @@ def test_budget_error_chromatic_interval():
     assert exc.value.lower <= 6 <= exc.value.upper
 
 
+def test_min_s_budget_error_carries_bounds():
+    # the square-zero clique floor runs under the min-s deadline too; its
+    # expiry must reach the caller as a BudgetError with certified bounds
+    g = graph("Z8")
+    with pytest.raises(BudgetError) as exc:
+        min_s_optimal_coloring(g, budget=0)
+    _, sz = min_s_optimal_coloring(g, budget=10)
+    assert exc.value.lower <= sz.s <= exc.value.upper
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("BECKRING_BUDGET", "0")
     with pytest.raises(BudgetError):
@@ -329,15 +339,15 @@ def test_twin_fusion_agrees_with_unfused_decision_search():
     # the production path fuses same-neighborhood vertices before the
     # k-coloring decision search; cross-check both directions on a core
     # where the unfused search is still cheap
-    from beckring.solvers import _KColorSearch, _CliqueSearch, _reduce
+    from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch, _reduce
 
     g = build_graph(ring_of("AN x Z2"))
     chi, col = chromatic_number(g)
     assert chi == 7
     work = _reduce(g)
-    clique = _CliqueSearch(work.n, work.adj, float("inf")).run()
-    assert _KColorSearch(work.n, work.adj, 6, clique, float("inf")).run() is None
-    assert _KColorSearch(work.n, work.adj, 7, clique, float("inf")).run() is not None
+    clique = _CliqueSearch(work.n, work.adj, _Deadline(float("inf"))).run()
+    assert _KColorSearch(work.n, work.adj, 6, clique, _Deadline(float("inf"))).run() is None
+    assert _KColorSearch(work.n, work.adj, 7, clique, _Deadline(float("inf"))).run() is not None
 
 
 def test_hard_products_complete_quickly():

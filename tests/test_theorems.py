@@ -296,6 +296,28 @@ def test_family_with_z2_z3_direct_skipped():
     assert rep.direct_omega is None
 
 
+def test_family_builds_each_factor_graph_once(monkeypatch):
+    # the formula, the chromatic loop and the product colorings share the
+    # chain's factor graphs instead of rebuilding them
+    from beckring import graphs
+    from beckring.catalog import canonical_anderson_naseer
+
+    chain = [canonical_anderson_naseer()] + rings_of("Z2", "Z3")
+    built = []
+    init = graphs.BeckGraph.__init__
+
+    def counting_init(self, ring, to_ring=None):
+        built.append((ring, to_ring is None))
+        init(self, ring, to_ring)
+
+    monkeypatch.setattr(graphs.BeckGraph, "__init__", counting_init)
+    rep = counterexample_family(chain[1:])
+    assert (rep.omega, rep.chi) == (7, 8)
+    for f in chain:
+        assert sum(1 for r, full in built if r is f and full) == 1
+        assert sum(1 for r, full in built if r is f and not full) <= 1
+
+
 def test_family_rejects_non_reduced_factor():
     with pytest.raises(PreconditionError):
         counterexample_family(rings_of("Z4"))
