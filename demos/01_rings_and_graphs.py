@@ -2,7 +2,8 @@
 
 Builds a few rings from expressions, inspects their structure, and shows
 how the graph on all elements (edge iff the product vanishes) looks, along
-with the zero-divisor core that the solvers actually work on.
+with the core that the solvers actually work on: 0, the zero-divisors
+and 1, which stands in for every unit.
 """
 
 from beckring import build_graph, export_graph, ring_of
@@ -17,7 +18,8 @@ for expr in ("Z12", "Z2[t]/(t^2)", "Z4 x Z3", "AN"):
     print(f"  units {int(ring.unit_mask.sum())}, "
           f"zero-divisors {int(ring.zero_divisor_mask.sum())}, "
           f"nilradical size {len(profile.ideal)} with index {profile.index_of_nilpotency}")
-    print(f"  graph: {g.n} vertices, {g.edge_count()} edges; core keeps {c.n} vertices")
+    print(f"  graph: {g.n} vertices, {g.edge_count()} edges; core keeps {c.n} vertices "
+          "(0, the zero-divisors and 1)")
 
 print()
 print("Z4 in DIMACS form (vertex 0 is adjacent to everything; 2*2 = 0 is")

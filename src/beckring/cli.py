@@ -91,12 +91,8 @@ def _size_cap(args) -> int:
     return args.max_size if args.max_size is not None else DEFAULT_SIZE_CAP
 
 
-def _s_mode(args) -> str:
-    return "min_s" if args.s_mode == "min" else "any_optimal"
-
-
 def _cmd_analyze(args) -> int:
-    report = analyze(args.expr, budget=args.budget, s_mode=_s_mode(args), size_cap=_size_cap(args))
+    report = analyze(args.expr, budget=args.budget, s_mode=args.s_mode, size_cap=_size_cap(args))
     _emit(report, args.json, render_report(report))
     return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_VERIFY
 
@@ -140,7 +136,7 @@ def _cmd_bound_chi(args) -> int:
     atoms = ast.atoms if isinstance(ast, ProductExpr) else (ast,)
     cap = _size_cap(args)
     factors = [elaborate(a, size_cap=cap) for a in atoms]
-    bounds = chi_bounds(factors, _s_mode(args), args.budget)
+    bounds = chi_bounds(factors, args.s_mode, args.budget)
     product = make_product(factors, size_cap=cap) if len(factors) > 1 else factors[0]
     exact = None
     if product.size <= DEFAULT_DIRECT_CAP:

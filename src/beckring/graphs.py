@@ -2,9 +2,10 @@
 
 One type, `BeckGraph`, is Beck's graph induced on a list of ring elements:
 `build_graph` gives the graph on all elements, and `BeckGraph.core` the
-zero-divisor core on {0} plus the zero-divisors. Dropping the remaining
-vertices (units, which are pendant on 0) preserves both the clique and the
-chromatic number under the max(., 2) rule. A core is its own core.
+core on 0, the zero-divisors and the unity 1. Every unit is adjacent to 0
+alone, so the units are twins of 1, and dropping all of them but 1 leaves
+the clique and the chromatic number exactly as they were. A core is its
+own core.
 
 Adjacency is stored as one machine-word-packed bitset per vertex (a Python
 int), the format the branch-and-bound solvers consume directly. It is
@@ -90,10 +91,12 @@ class BeckGraph:
         return self.to_ring[v]
 
     def core(self) -> BeckGraph:
-        """The zero-divisor core, built on the first call and kept; a core
-        is its own core."""
+        """The core on 0, the zero-divisors and 1, in ring order; built on
+        the first call and kept. A core is its own core."""
         if self._core is None:
-            vs = [0] + [v for v in np.flatnonzero(self.ring.zero_divisor_mask).tolist() if v != 0]
+            keep = self.ring.zero_divisor_mask.copy()
+            keep[[0, self.ring.unity]] = True
+            vs = np.flatnonzero(keep).tolist()
             if vs == self.to_ring:
                 return self
             self._core = BeckGraph(self.ring, vs)

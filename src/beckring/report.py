@@ -27,6 +27,7 @@ from .solvers import (
     verify_coloring,
 )
 from .theorems import (
+    _normalize_s_mode,
     an_condition_for,
     chi_bounds,
     classify_nil_factor,
@@ -46,12 +47,13 @@ def analyze(
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> dict:
     """Analyze the ring denoted by `expr_text` and return the report dict."""
+    s_mode = _normalize_s_mode(s_mode)
     ast = parse(expr_text)
     ring = elaborate(ast, size_cap=size_cap)
     g = build_graph(ring, size_cap=size_cap)
 
     clique = max_clique(g, budget)
-    if s_mode in ("min", "min_s"):
+    if s_mode == "min_s":
         coloring, sz = min_s_optimal_coloring(g, budget)
         chi_val, s_val = coloring.k, sz.s
     else:

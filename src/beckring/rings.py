@@ -328,9 +328,6 @@ class ProductRing(FiniteRing):
             out.append(r)
         return tuple(out)
 
-    def project(self, a: int, i: int) -> int:
-        return self.decode(self._check(a))[i]
-
     def add(self, a, b):
         pa, pb = self.decode(self._check(a)), self.decode(self._check(b))
         return self.encode(tuple(f.add(x, y) for f, x, y in zip(self.factors, pa, pb)))
@@ -590,9 +587,6 @@ class Ideal:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def sorted_elements(self) -> list[int]:
-        return sorted(self.elements)
 
 
 @dataclass(frozen=True)

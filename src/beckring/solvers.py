@@ -8,9 +8,10 @@ one `_Deadline` from its budget, every search it runs ticks that deadline
 once per node, and expiry anywhere comes back to the caller as a
 BudgetError carrying the bounds found so far.
 
-Graphs above CORE_THRESHOLD vertices are reduced to their zero-divisor
-core first; the reduction preserves clique and chromatic numbers under the
-max(., 2) rule, and witnesses are reported in ring-element ids either way.
+Every Beck graph is searched on its core (0, the zero-divisors and 1; see
+`BeckGraph.core`), which has the clique and the chromatic number of the
+whole graph. Witnesses are reported in ring-element ids, and a coloring is
+lifted back by giving every other unit the color of 1.
 
 The k-coloring decision search prunes with Hall's condition on cliques: if
 a clique U of uncolored vertices has fewer colors left in the union of its
@@ -24,11 +25,11 @@ Networks 2017) on the graph where each used color is merged into one vertex.
 Each graph is searched once. The finished maximum-clique search (vertex
 order, remapped adjacency, result), the best split and the chromatic
 number with its coloring are memoised in the `solved` dict of the graph
-they ran on, the full Beck graph or its core, so one analysis that asks for
-omega, the split and chi of the same graph, or solves the same factor for
-two theorem checks, pays for each search once. A search cut short by its
-budget is never memoised: the BudgetError goes to the caller, and a later
-call, with a larger budget, searches again.
+they ran on, the core or, with `use_core=False`, the full Beck graph, so
+one analysis that asks for omega, the split and chi of the same graph, or
+solves the same factor for two theorem checks, pays for each search once.
+A search cut short by its budget is never memoised: the BudgetError goes
+to the caller, and a later call, with a larger budget, searches again.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import BudgetError, ContractError, InternalCheckError
 from .graphs import BeckGraph
 
 DEFAULT_BUDGET = 60.0
-CORE_THRESHOLD = 24
 MIN_S_EXHAUSTIVE_CAP = 20
 
 # decision searches recurse once per vertex; cores can exceed the default limit
@@ -426,7 +426,7 @@ class _KColorSearch:
 
 
 def _reduce(g, use_core: bool = True):
-    if use_core and isinstance(g, BeckGraph) and g.n > CORE_THRESHOLD:
+    if use_core and isinstance(g, BeckGraph):
         return g.core()
     return g
 
@@ -459,8 +459,8 @@ def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
 def max_clique(g, budget: float | None = None, *, use_core: bool = True) -> Clique:
     """Exact maximum clique with witness; deterministic across runs.
 
-    Graphs above CORE_THRESHOLD vertices are searched on their zero-divisor
-    core; `use_core=False` searches the whole graph, the unreduced
+    Beck graphs are searched on their core, which has the same clique
+    number; `use_core=False` searches the whole graph, the unreduced
     reference the core reduction is checked against.
     """
     work = _reduce(g, use_core)
@@ -468,14 +468,7 @@ def max_clique(g, budget: float | None = None, *, use_core: bool = True) -> Cliq
     if search.result is None:
         lb_w = _full_ids(work, [search.order[v] for v in search.best])
         raise BudgetError("max_clique", len(lb_w), witness=lb_w)
-    verts = _full_ids(work, search.result)
-    if work is not g and len(verts) < 2 and g.n >= 2:
-        verts = [0, _smallest_nonzero(g)]
-    return Clique(tuple(verts))
-
-
-def _smallest_nonzero(g) -> int:
-    return g.element_of(1) if g.n > 1 else 0
+    return Clique(tuple(_full_ids(work, search.result)))
 
 
 def best_clique_split(g, budget: float | None = None, *, use_core: bool = True) -> CliqueSplit:
@@ -492,29 +485,22 @@ def best_clique_split(g, budget: float | None = None, *, use_core: bool = True) 
         except _OutOfTime:
             raise BudgetError("best_clique_split", len(base.best)) from None
     verts = _full_ids(work, memo["split"])
-    if work is not g and len(verts) < 2 and g.n >= 2:
-        verts = [0, _smallest_nonzero(g)]
     ring = g.ring
     b = tuple(v for v in verts if ring.square(v) == 0)
     c = tuple(v for v in verts if ring.square(v) != 0)
     return CliqueSplit(Clique(tuple(verts)), b, c)
 
 
-def _extend_to_full(g, work, color: list[int], k: int) -> tuple[int, Coloring]:
-    """Lift a core coloring back to the full vertex set."""
+def _extend_to_full(g, work, color: list[int], k: int) -> Coloring:
+    """Lift a core coloring back to the full vertex set: the units left out
+    of the core are twins of 1 and take its color."""
     if work is g:
-        return k, Coloring(tuple(color), k)
+        return Coloring(tuple(color), k)
     full = [-1] * g.n
     for i, e in enumerate(work.to_ring):
         full[e] = color[i]
-    if k < 2:
-        k = 2
-    zero_class = full[0]
-    unit_class = 0 if zero_class != 0 else 1
-    for v in range(g.n):
-        if full[v] == -1:
-            full[v] = unit_class
-    return k, Coloring(tuple(full), k)
+    one = full[g.ring.unity]
+    return Coloring(tuple(one if c == -1 else c for c in full), k)
 
 
 def _twin_fuse(n: int, adj: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -567,7 +553,7 @@ def chromatic_number(
     if "chromatic" not in memo:
         memo["chromatic"] = _chromatic_on(work, _Deadline(budget))
     k, color = memo["chromatic"]
-    return _extend_to_full(g, work, color, k)
+    return k, _extend_to_full(g, work, color, k)
 
 
 def _chromatic_on(work, deadline: _Deadline) -> tuple[int, list[int]]:
@@ -708,23 +694,21 @@ def _local_min_s(work, color: list[int], k: int) -> tuple[list[int], int]:
     return color, s
 
 
-def min_s_optimal_coloring(
-    g,
-    budget: float | None = None,
-    exhaustive_cap: int = MIN_S_EXHAUSTIVE_CAP,
-) -> tuple[Coloring, SZero]:
+def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZero]:
     """Among proper colorings with exactly chi classes, minimize the number
     of classes containing a square-zero element.
 
     Exact (exhaustive over the core) when the core has at most
-    `exhaustive_cap` vertices; otherwise a best-effort local search whose
-    achieved s is reported with exact=False.
+    MIN_S_EXHAUSTIVE_CAP vertices; otherwise a best-effort local search
+    whose achieved s is reported with exact=False. The units left out of
+    the core are not square-zero and share the class of 1, so the core's
+    s is the whole graph's.
     """
     work = _reduce(g)
     deadline = _Deadline(budget)
     k, baseline = chromatic_number(g, budget)
     base_s = s_of(g, baseline).s
-    if work.n <= exhaustive_cap:
+    if work.n <= MIN_S_EXHAUSTIVE_CAP:
         # vertex 0 squares to zero, so some class always bears one
         s_floor = 1
         try:
@@ -737,14 +721,12 @@ def min_s_optimal_coloring(
             raise BudgetError("min_s_optimal_coloring", s_floor, base_s) from None
         if best is None:
             raise InternalCheckError("min-s search found no proper coloring at chi")
-        _, coloring = _extend_to_full(g, work, best, k)
-        return coloring, SZero(best_s)
+        return _extend_to_full(g, work, best, k), SZero(best_s)
     core_color = [baseline.class_of[work.element_of(v)] for v in range(work.n)]
     improved, s = _local_min_s(work, core_color, k)
     if s >= base_s:
         return baseline, SZero(base_s, exact=False)
-    kk, coloring = _extend_to_full(g, work, improved, k)
-    return coloring, SZero(s, exact=False)
+    return _extend_to_full(g, work, improved, k), SZero(s, exact=False)
 
 
 def _sq0_clique_floor(work, deadline: _Deadline) -> int:

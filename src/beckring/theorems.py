@@ -42,6 +42,8 @@ from .solvers import (
 
 # direct cross-check solves are attempted only below this product size
 DEFAULT_DIRECT_CAP = 512
+# the counterexample family cross-checks omega by a direct solve up to this size
+FAMILY_DIRECT_OMEGA_CAP = 128
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +398,7 @@ class FamilyReport:
 
 
 def counterexample_family(
-    reduced_factors: list[FiniteRing],
-    budget: float | None = None,
-    direct_omega_cap: int = 128,
+    reduced_factors: list[FiniteRing], budget: float | None = None
 ) -> FamilyReport:
     """The built-in local ring times any nonzero reduced rings always has
     chi exactly one above omega.
@@ -406,7 +406,8 @@ def counterexample_family(
     omega comes from the product clique formula; chi is certified by
     pinching: the lower bound sum chi_i - (n-1) meets the size of the
     explicitly constructed product coloring. A direct clique solve
-    cross-checks omega when the product is small enough.
+    cross-checks omega when the product has at most
+    FAMILY_DIRECT_OMEGA_CAP elements.
     """
     from .catalog import canonical_an_variant, canonical_anderson_naseer
 
@@ -441,7 +442,7 @@ def counterexample_family(
     chi = lower
 
     direct_omega = None
-    if prediction.product_size <= direct_omega_cap:
+    if prediction.product_size <= FAMILY_DIRECT_OMEGA_CAP:
         ring = make_product(chain) if len(chain) > 1 else chain[0]
         direct_omega = max_clique(build_graph(ring), budget).size
     return FamilyReport(

@@ -195,10 +195,7 @@ def test_criterion_9_structural_invariants(catalog):
         omega = max_clique(g, use_core=False).size
         chi = chromatic_number(g, use_core=False)[0]
         assert omega <= chi, name
-        if g.n >= 2:
-            omega_core = max_clique(g.core()).size
-            chi_core = chromatic_number(g.core())[0]
-            assert omega == max(omega_core, 2), f"{name}: core broke omega"
-            assert chi == max(chi_core, 2), f"{name}: core broke chi"
+        assert max_clique(g.core()).size == omega, f"{name}: core broke omega"
+        assert chromatic_number(g.core())[0] == chi, f"{name}: core broke chi"
     elapsed = time.monotonic() - t0
     print(f"\nACCEPTANCE 9 PASS: structural invariants on {len(catalog)} rings; {elapsed:.2f}s")

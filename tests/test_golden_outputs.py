@@ -2,7 +2,8 @@
 
 Each case runs `beckring` in-process and compares the sha256 of its stdout
 with a stored digest. The digests pin the witnesses, the colorings and the
-theorem checks of `analyze --json` (both s-modes) and both export formats.
+theorem checks of `analyze --json` (both s-modes), both export formats,
+and the JSON of every theorem command and of `verify-suite`.
 To regenerate them after a deliberate output change, run this file as a
 script from the repository root:
 
@@ -26,6 +27,15 @@ CASES = (
     [("analyze", ring, "--json", "--budget", "60") for ring in ANALYZE_RINGS]
     + [("analyze", ring, "--json", "--budget", "60", "--s-mode", "min") for ring in MIN_S_RINGS]
     + [("export", EXPORT_RING, "--format", fmt) for fmt in ("dimacs", "json")]
+    + [
+        ("bound-chi", "AN x Z2", "--json", "--s-mode", "min"),
+        ("bound-chi", "Z8 x Z9", "--json", "--s-mode", "min"),
+        ("bound-chi", "Z4 x Z6", "--json"),
+        ("predict-omega", "Z8 x Z25", "--json"),
+        ("counterexample", "Z2", "Z3", "--json"),
+        ("zn", "72", "--json"),
+        ("verify-suite", "--json"),
+    ]
 )
 
 DIGESTS = {
@@ -75,6 +85,20 @@ DIGESTS = {
         "acc7fa74aadf00765910d92fac109d7f458a223394de97db7df1595a4b0ef46c",
     "export Z4 x Z256 --format json":
         "c32f23941e2a1f66344241e21acdd481ad89b9169839d0de0e918f1790313e70",
+    "bound-chi AN x Z2 --json --s-mode min":
+        "f3c85d7d884331a4c12c1033c3c348dd0d1ee2f49ec00db31c10e3ff1d84f3ac",
+    "bound-chi Z8 x Z9 --json --s-mode min":
+        "ad86cf2b48e30794e7e5361b2d8f8abd18eaeb5b404bc65db693799b89bf270e",
+    "bound-chi Z4 x Z6 --json":
+        "9c9f5f69b031f61f2de196c39a2d454795336f1c91a2c4f5ea6f1345a427134e",
+    "predict-omega Z8 x Z25 --json":
+        "f41ea328398db2e277a7d29516844bea9a8dee889857a5468e189a10898fa887",
+    "counterexample Z2 Z3 --json":
+        "1294a06777f9cda55e8fb1afc91b7d4619f1f25985bbd68cb1097033a4f00c52",
+    "zn 72 --json":
+        "c562d1f46c99fb5e7027880153f20417336518696697db41ba0ea374e7177424",
+    "verify-suite --json":
+        "312e862647fbb773c64b983993728e71f025df6cf84e20b7e6795d3de01113e1",
 }
 
 

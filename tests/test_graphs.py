@@ -38,12 +38,14 @@ def test_adjacency_matches_multiplication():
             assert g.has_edge(a, b) == expect
 
 
-@pytest.mark.parametrize("expr,core_size", [("Z7", 1), ("Z12", 8), ("AN", 16)])
+@pytest.mark.parametrize("expr,core_size", [("Z7", 2), ("Z12", 9), ("AN", 17)])
 def test_core_sizes(expr, core_size):
+    # 0, the nonzero zero-divisors and 1
     g = build_graph(ring_of(expr))
     c = g.core()
     assert c.n == core_size
     assert c.to_ring[0] == 0
+    assert g.ring.unity in c.to_ring
 
 
 def test_core_is_induced_subgraph():

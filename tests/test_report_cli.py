@@ -13,7 +13,7 @@ from beckring.cli import main
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
 from beckring import make_structure_ring, make_zmod
-from beckring.errors import NotARingError
+from beckring.errors import NotARingError, PreconditionError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(beckring.__file__)))
 
@@ -93,8 +93,7 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     rep = analyze("Z4 x Z256")
     assert all(c["pass"] for c in rep["checks"])
-    # the core and the twin-fused graph of the product and of Z256, the
-    # full and the twin-fused graph of Z4
+    # the core and the twin-fused graph of the product, of Z256 and of Z4
     assert len(searched) == 6
     assert len(set(searched)) == len(searched)
 
@@ -102,6 +101,16 @@ def test_analyze_searches_each_graph_once(monkeypatch):
 def test_analyze_min_s_mode():
     rep = analyze("Z4", s_mode="min_s")
     assert rep["s"] == 2
+
+
+@pytest.mark.parametrize("expr", ["Z4", "Z4 x Z2"])
+def test_analyze_rejects_unknown_s_mode_before_solving(expr, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before s_mode was checked")
+
+    monkeypatch.setattr("beckring.report.max_clique", no_solve)
+    with pytest.raises(PreconditionError):
+        analyze(expr, s_mode="bogus")
 
 
 def test_render_report_mentions_key_numbers():
@@ -205,6 +214,16 @@ def test_cli_bound_chi(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "5 <= chi <= 6" in out and "exact chi = 6" in out
+
+
+@pytest.mark.parametrize("factor,s", [("Z21", 1), ("Z22", 1), ("Z23", 1), ("Z24", 2)])
+def test_cli_bound_chi_min_s_exact_on_small_cores(factor, s, capsys):
+    # 21 to 24 elements, but at most 20 core vertices: the min-s search is exhaustive
+    rc = main(["bound-chi", "--json", "--s-mode", "min", f"{factor} x Z2"])
+    assert rc == 0
+    first = json.loads(capsys.readouterr().out)["factors"][0]
+    assert first["ring"] == factor
+    assert (first["s"], first["s_exact"]) == (s, True)
 
 
 def test_cli_zn(capsys):

@@ -203,6 +203,16 @@ def test_s_of_rejects_improper():
         s_of(g, Coloring((0, 0, 0, 0), 1))  # 0 adjacent to everything
 
 
+@pytest.mark.parametrize(
+    "expr", ["Z1", "Z2", "Z4", "Z7", "Z29", "Z2[t]/(t^2)", "Z2 x Z13", "AN x Z2"]
+)
+def test_core_preserves_omega_and_chi_exactly(expr):
+    g = graph(expr)
+    c = g.core()
+    assert max_clique(c).size == max_clique(g, use_core=False).size
+    assert chromatic_number(c)[0] == chromatic_number(g, use_core=False)[0]
+
+
 def test_min_s_z4():
     g = graph("Z4")
     col, sz = min_s_optimal_coloring(g)
