@@ -68,11 +68,12 @@ def field_rings() -> dict[str, FiniteRing]:
     return {expr: ring_of(expr) for expr in FIELD_EXPRS}
 
 
-def catalog_tuples(rings: dict[str, FiniteRing], arity: int, max_product: int) -> list[tuple[str, ...]]:
-    """Unordered lists of `arity` names from `rings`, in the dict's order,
-    whose rings multiply to at most `max_product` elements."""
-    return [
-        names
+def catalog_tuples(rings: dict[str, FiniteRing], arities, max_product: int) -> dict[str, list]:
+    """Factor lists of each of `arities` in turn, drawn with repeats from `rings` in the
+    dict's order, of at most `max_product` elements; keyed by names joined with " x "."""
+    return {
+        " x ".join(names): [rings[name] for name in names]
+        for arity in arities
         for names in combinations_with_replacement(rings, arity)
         if math.prod(rings[name].size for name in names) <= max_product
-    ]
+    }

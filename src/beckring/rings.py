@@ -293,12 +293,31 @@ class ZmodRing(FiniteRing):
         return str(self._check(a))
 
 
-class ProductRing(FiniteRing):
-    """Direct product with componentwise arithmetic.
+class _MixedRadixRing(FiniteRing):
+    """A ring on coordinate tuples, encoded mixed-radix with coordinate 1
+    fastest-varying: index = c_1 + r_1 * (c_2 + r_2 * (...)) for radices r_i."""
 
-    Encoding is mixed-radix with factor 1 fastest-varying:
-    index = a_1 + |R_1| * (a_2 + |R_2| * (...)).
-    """
+    def _set_radices(self, radices) -> None:
+        self.radices = tuple(radices)
+        self.strides = [math.prod(self.radices[:i]) for i in range(len(self.radices))]
+
+    def encode(self, coords: tuple[int, ...]) -> int:
+        return sum(c * s for c, s in zip(coords, self.strides))
+
+    def decode(self, a: int) -> tuple[int, ...]:
+        out = []
+        for r in self.radices:
+            a, c = divmod(a, r)
+            out.append(c)
+        return tuple(out)
+
+    def coords(self, a):
+        return self.decode(self._check(a))
+
+
+class ProductRing(_MixedRadixRing):
+    """Direct product with componentwise arithmetic, coordinate i in the
+    i-th factor (radix |R_i|)."""
 
     kind = "product"
 
@@ -310,23 +329,9 @@ class ProductRing(FiniteRing):
             raise CapacityError(f"product size {size} exceeds cap {size_cap}")
         self.factors = list(factors)
         self.size = size
-        self.strides = []
-        s = 1
-        for f in factors:
-            self.strides.append(s)
-            s *= f.size
+        self._set_radices(f.size for f in factors)
         self.unity = self.encode(tuple(f.unity for f in factors))
         self.name = " x ".join(repr(f) for f in factors)
-
-    def encode(self, parts: tuple[int, ...]) -> int:
-        return sum(p * s for p, s in zip(parts, self.strides))
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        out = []
-        for f in self.factors:
-            a, r = divmod(a, f.size)
-            out.append(r)
-        return tuple(out)
 
     def add(self, a, b):
         pa, pb = self.decode(self._check(a)), self.decode(self._check(b))
@@ -356,15 +361,12 @@ class ProductRing(FiniteRing):
     def mul_many(self, a, b):
         return self._vec(lambda f, x, y: f.mul_many(x, y), a, b)
 
-    def coords(self, a):
-        return self.decode(self._check(a))
-
     def element_str(self, a):
         parts = self.decode(self._check(a))
         return "(" + ",".join(f.element_str(p) for f, p in zip(self.factors, parts)) + ")"
 
 
-class StructureRing(FiniteRing):
+class StructureRing(_MixedRadixRing):
     """Ring presented by structure constants over a finite additive basis.
 
     Elements are coordinate tuples (c_1, ..., c_k) with c_i modulo the i-th
@@ -395,11 +397,7 @@ class StructureRing(FiniteRing):
         self.orders = orders
         self.k = k
         self.size = size
-        self.strides = []
-        s = 1
-        for o in orders:
-            self.strides.append(s)
-            s *= o
+        self._set_radices(orders)
         if len(unity_coords) != k:
             raise DescriptorError(f"unity has {len(unity_coords)} coords, expected {k}")
         table = {}
@@ -425,16 +423,6 @@ class StructureRing(FiniteRing):
         self.name = name
         if size <= validation_cap:
             self.validate()
-
-    def encode(self, coords: tuple[int, ...]) -> int:
-        return sum(c * s for c, s in zip(coords, self.strides))
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        out = []
-        for o in self.orders:
-            a, r = divmod(a, o)
-            out.append(r)
-        return tuple(out)
 
     def add(self, a, b):
         pa, pb = self.decode(self._check(a)), self.decode(self._check(b))
@@ -473,9 +461,6 @@ class StructureRing(FiniteRing):
         pairs = ca[..., :, None] * cb[..., None, :]
         coords = (pairs.reshape(*pairs.shape[:-2], self.k * self.k) @ self._tensor) % self._orders_arr
         return coords @ self._strides_arr
-
-    def coords(self, a):
-        return self.decode(self._check(a))
 
     def element_str(self, a):
         return "(" + ",".join(str(c) for c in self.decode(self._check(a))) + ")"

@@ -13,6 +13,10 @@ Every Beck graph is searched on its core (0, the zero-divisors and 1; see
 whole graph. Witnesses are reported in ring-element ids, and a coloring is
 lifted back by giving every other unit the color of 1.
 
+One clique branch and bound serves omega, the split and the square-zero
+floor of min-s. It maximises (clique size, square-zero count), and the
+split search reuses the finished maximum-clique search of its graph.
+
 The k-coloring decision search prunes with Hall's condition on cliques: if
 a clique U of uncolored vertices has fewer colors left in the union of its
 domains than it has vertices, the node has no completion, since the members
@@ -90,6 +94,14 @@ def _bits(x: int):
         b = x & -x
         yield b.bit_length() - 1
         x ^= b
+
+
+def _remap(mask: int, pos) -> int:
+    """`mask` with each vertex v moved to bit pos[v]."""
+    m = 0
+    for v in _bits(mask):
+        m |= 1 << pos[v]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +196,34 @@ def verify_coloring(g, coloring: Coloring) -> bool:
 
 
 class _CliqueSearch:
-    """Branch and bound with a greedy-coloring upper bound (bitset sets)."""
+    """Branch and bound for the lexicographically largest (clique size,
+    square-zero count), with a greedy-coloring bound (bitset sets); with no
+    square-zero vertices, a plain maximum-clique search.
 
-    def __init__(self, n: int, adj: list[int], deadline: _Deadline):
+    Candidates come in non-increasing color order and each try shrinks the
+    candidate set, so the first candidate whose bound cannot beat the best
+    ends the node. `seed`, a finished search on the same graph, lends its
+    order, remapped adjacency and best clique.
+    """
+
+    def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
         self.n = n
         self.deadline = deadline
-        self.order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+        if seed is None:
+            self.order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+        else:
+            self.order = seed.order
         pos = [0] * n
         for i, v in enumerate(self.order):
             pos[v] = i
-        radj = [0] * n
-        for i, v in enumerate(self.order):
-            m = 0
-            for u in _bits(adj[v]):
-                m |= 1 << pos[u]
-            radj[i] = m
-        self.radj = radj
-        self.best: list[int] = []
+        self.radj = seed.radj if seed else [_remap(adj[v], pos) for v in self.order]
+        self.sq0 = _remap(sq0_bits, pos)
+        self.best = list(seed.best) if seed else self._greedy_clique()
+        self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
         self.result: list[int] | None = None
 
-    def _greedy_seed(self):
+    def _greedy_clique(self) -> list[int]:
+        best: list[int] = []
         for s in range(min(self.n, 8)):
             clique = [s]
             cand = self.radj[s]
@@ -215,8 +235,9 @@ class _CliqueSearch:
                         pick, best_deg = v, d
                 clique.append(pick)
                 cand &= self.radj[pick]
-            if len(clique) > len(self.best):
-                self.best = clique
+            if len(clique) > len(best):
+                best = clique
+        return best
 
     @staticmethod
     def _color_sort(p: int, radj: list[int]) -> list[tuple[int, int]]:
@@ -235,75 +256,32 @@ class _CliqueSearch:
                 uncolored ^= b
         return out
 
-    def _expand(self, r: list[int], p: int):
-        self.deadline.tick()
-        order = self._color_sort(p, self.radj)
-        for v, c in reversed(order):
-            if len(r) + c <= len(self.best):
-                return
-            r.append(v)
-            np_ = p & self.radj[v]
-            if np_:
-                self._expand(r, np_)
-            elif len(r) > len(self.best):
-                self.best = r.copy()
-            r.pop()
-            p ^= 1 << v
-
-    def run(self) -> list[int]:
-        """A maximum clique in vertex ids, sorted; also kept as `result`."""
-        if self.n:
-            self._greedy_seed()
-            self.deadline.check()
-            self._expand([], (1 << self.n) - 1)
-        self.result = sorted(self.order[v] for v in self.best)
-        return self.result
-
-
-class _SplitSearch(_CliqueSearch):
-    """Lexicographic objective (clique size, then square-zero count), seeded
-    with a finished maximum-clique search whose order and remapped
-    adjacency it reuses."""
-
-    def __init__(self, base: _CliqueSearch, sq0_bits: int, deadline: _Deadline):
-        self.n, self.order, self.radj = base.n, base.order, base.radj
-        self.deadline = deadline
-        pos = [0] * self.n
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        m = 0
-        for v in _bits(sq0_bits):
-            m |= 1 << pos[v]
-        self.sq0 = m
-        self.best = list(base.best)
-        self.best_b = len([v for v in self.best if (self.sq0 >> v) & 1])
-
     def _expand(self, r: list[int], rb: int, p: int):
         self.deadline.tick()
         order = self._color_sort(p, self.radj)
         for v, c in reversed(order):
-            if len(r) + c < len(self.best):
+            bound = len(r) + c
+            if bound < len(self.best) or (
+                bound == len(self.best) and rb + (p & self.sq0).bit_count() <= self.best_b
+            ):
                 return
-            if len(r) + c == len(self.best) and rb + (p & self.sq0).bit_count() <= self.best_b:
-                p ^= 1 << v
-                continue
-            v_b = (self.sq0 >> v) & 1
+            v_b = rb + ((self.sq0 >> v) & 1)
             r.append(v)
             np_ = p & self.radj[v]
             if np_:
-                self._expand(r, rb + v_b, np_)
-            else:
-                cand = (len(r), rb + v_b)
-                if cand > (len(self.best), self.best_b):
-                    self.best = r.copy()
-                    self.best_b = rb + v_b
+                self._expand(r, v_b, np_)
+            elif (len(r), v_b) > (len(self.best), self.best_b):
+                self.best, self.best_b = r.copy(), v_b
             r.pop()
             p ^= 1 << v
 
     def run(self) -> list[int]:
-        self.deadline.check()
-        self._expand([], 0, (1 << self.n) - 1)
-        return sorted(self.order[v] for v in self.best)
+        """The best clique in vertex ids, sorted; also kept as `result`."""
+        if self.n:
+            self.deadline.check()
+            self._expand([], 0, (1 << self.n) - 1)
+        self.result = sorted(self.order[v] for v in self.best)
+        return self.result
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +459,8 @@ def best_clique_split(g, budget: float | None = None, *, use_core: bool = True) 
         if base.result is None:
             raise BudgetError("best_clique_split", len(base.best))
         try:
-            memo["split"] = _SplitSearch(base, work.sq0_bits, deadline).run()
+            search = _CliqueSearch(work.n, work.adj, deadline, work.sq0_bits, seed=base)
+            memo["split"] = search.run()
         except _OutOfTime:
             raise BudgetError("best_clique_split", len(base.best)) from None
     verts = _full_ids(work, memo["split"])
@@ -524,13 +503,7 @@ def _twin_fuse(n: int, adj: list[int]) -> tuple[list[int], list[int], list[int]]
     for v in reps:
         rep_mask |= 1 << v
     pos = {v: i for i, v in enumerate(reps)}
-    radj = []
-    for v in reps:
-        m = 0
-        for u in _bits(adj[v] & rep_mask):
-            m |= 1 << pos[u]
-        radj.append(m)
-    return reps, member_group, radj
+    return reps, member_group, [_remap(adj[v] & rep_mask, pos) for v in reps]
 
 
 def chromatic_number(
@@ -548,10 +521,14 @@ def chromatic_number(
     since a clique needs as many distinct colors as it has vertices, and it
     refutes k = 18 and k = 19 on AN x AN, whose chi is 20.
     """
-    work = _reduce(g, use_core)
+    return _chromatic(g, _reduce(g, use_core), _Deadline(budget))
+
+
+def _chromatic(g, work, deadline: _Deadline) -> tuple[int, Coloring]:
+    """chi of `g` from the memo of `work`, solving there first if needed."""
     memo = _solved(work)
     if "chromatic" not in memo:
-        memo["chromatic"] = _chromatic_on(work, _Deadline(budget))
+        memo["chromatic"] = _chromatic_on(work, deadline)
     k, color = memo["chromatic"]
     return k, _extend_to_full(g, work, color, k)
 
@@ -589,7 +566,8 @@ def _chromatic_on(work, deadline: _Deadline) -> tuple[int, list[int]]:
     return lift(greedy, ub)
 
 
-def _class_sq0_flags(g, coloring: Coloring) -> list[bool]:
+def class_sq0_flags(g, coloring: Coloring) -> list[bool]:
+    """Per class of the coloring, whether it holds a square-zero element."""
     flags = [False] * coloring.k
     mask = g.ring.square_zero_mask
     for v in range(g.n):
@@ -602,7 +580,7 @@ def s_of(g, coloring: Coloring) -> SZero:
     """Number of classes of a proper coloring containing a square-zero element."""
     if not verify_coloring(g, coloring):
         raise ContractError("s_of requires a proper coloring of the given graph")
-    return SZero(sum(_class_sq0_flags(g, coloring)))
+    return SZero(sum(class_sq0_flags(g, coloring)))
 
 
 class _MinSSearch:
@@ -655,9 +633,10 @@ class _MinSSearch:
         return self.best, self.best_s
 
 
-def _local_min_s(work, color: list[int], k: int) -> tuple[list[int], int]:
+def _local_min_s(work, color: list[int], k: int, deadline: _Deadline) -> tuple[list[int], int]:
     """Greedy improvement: try to empty whole classes of their square-zero
-    members by recoloring; never increases the class count."""
+    members by recoloring; never increases the class count. Reads the
+    deadline once per vertex it tries to move."""
     color = color.copy()
     sq0 = work.sq0_bits
     improved = True
@@ -673,6 +652,7 @@ def _local_min_s(work, color: list[int], k: int) -> tuple[list[int], int]:
             plan = {}
             ok = True
             for v in movers:
+                deadline.check()
                 choice = -1
                 for d in bearing:
                     if d == c or flags[d] == 0:
@@ -702,11 +682,12 @@ def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZ
     MIN_S_EXHAUSTIVE_CAP vertices; otherwise a best-effort local search
     whose achieved s is reported with exact=False. The units left out of
     the core are not square-zero and share the class of 1, so the core's
-    s is the whole graph's.
+    s is the whole graph's. One deadline covers the chromatic solve and
+    either search.
     """
     work = _reduce(g)
     deadline = _Deadline(budget)
-    k, baseline = chromatic_number(g, budget)
+    k, baseline = _chromatic(g, work, deadline)
     base_s = s_of(g, baseline).s
     if work.n <= MIN_S_EXHAUSTIVE_CAP:
         # vertex 0 squares to zero, so some class always bears one
@@ -723,7 +704,10 @@ def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZ
             raise InternalCheckError("min-s search found no proper coloring at chi")
         return _extend_to_full(g, work, best, k), SZero(best_s)
     core_color = [baseline.class_of[work.element_of(v)] for v in range(work.n)]
-    improved, s = _local_min_s(work, core_color, k)
+    try:
+        improved, s = _local_min_s(work, core_color, k, deadline)
+    except _OutOfTime:
+        raise BudgetError("min_s_optimal_coloring", 1, base_s) from None
     if s >= base_s:
         return baseline, SZero(base_s, exact=False)
     return _extend_to_full(g, work, improved, k), SZero(s, exact=False)
@@ -735,8 +719,5 @@ def _sq0_clique_floor(work, deadline: _Deadline) -> int:
     if not verts:
         return 0
     idx = {v: i for i, v in enumerate(verts)}
-    sub = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in _bits(work.adj[v] & work.sq0_bits):
-            sub[i] |= 1 << idx[u]
+    sub = [_remap(work.adj[v] & work.sq0_bits, idx) for v in verts]
     return len(_CliqueSearch(len(verts), sub, deadline).run())

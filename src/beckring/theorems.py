@@ -26,7 +26,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .errors import ContractError, InternalCheckError, InvalidModulusError, PreconditionError
-from .graphs import build_graph
+from .graphs import BeckGraph, build_graph
 from .rings import FiniteRing, field_factor_count, ideal_power, make_product
 from .solvers import (
     Clique,
@@ -34,6 +34,7 @@ from .solvers import (
     Coloring,
     best_clique_split,
     chromatic_number,
+    class_sq0_flags,
     max_clique,
     min_s_optimal_coloring,
     s_of,
@@ -151,23 +152,26 @@ def chi_bounds(
     return ChiBounds(cols, lower, upper, mode)
 
 
-def product_coloring(
-    r1: FiniteRing, c1: Coloring, r2: FiniteRing, c2: Coloring
-) -> Coloring:
+def product_coloring(r1: FiniteRing, c1: Coloring, r2: FiniteRing, c2: Coloring) -> Coloring:
     """The explicit proper coloring of r1 x r2 with exactly
     s1*s2 + (k1 - s1) + (k2 - s2) colors built from proper colorings of the
     factors; square-zero-bearing classes are moved to the front first
     (stably by original index), and the result is re-verified before return.
     """
-    g1, g2 = build_graph(r1), build_graph(r2)
+    return _product_coloring(build_graph(r1), c1, build_graph(r2), c2)[1]
+
+
+def _product_coloring(g1, c1: Coloring, g2, c2: Coloring) -> tuple[BeckGraph, Coloring]:
+    """product_coloring on the factors' graphs; also returns the graph of
+    the product it verified against."""
     if not verify_coloring(g1, c1):
         raise ContractError("first coloring is not proper for its ring")
     if not verify_coloring(g2, c2):
         raise ContractError("second coloring is not proper for its ring")
-    perm1, s1 = _bearing_first(r1, c1)
-    perm2, s2 = _bearing_first(r2, c2)
+    perm1, s1 = _bearing_first(g1, c1)
+    perm2, s2 = _bearing_first(g2, c2)
     k1, k2 = c1.k, c2.k
-    rp = make_product([r1, r2])
+    rp = make_product([g1.ring, g2.ring])
     total = s1 * s2 + (k1 - s1) + (k2 - s2)
     assign = [0] * rp.size
     for a in range(rp.size):
@@ -182,18 +186,15 @@ def product_coloring(
             color = s1 * s2 + (k2 - s2) + (i - s1)
         assign[a] = color
     coloring = Coloring(tuple(assign), total)
-    if not verify_coloring(build_graph(rp), coloring):
+    gp = build_graph(rp)
+    if not verify_coloring(gp, coloring):
         raise InternalCheckError("product coloring construction produced an improper coloring")
-    return coloring
+    return gp, coloring
 
 
-def _bearing_first(ring: FiniteRing, c: Coloring) -> tuple[list[int], int]:
+def _bearing_first(g, c: Coloring) -> tuple[list[int], int]:
     """Map old class index -> new, square-zero-bearing classes first."""
-    bearing = [False] * c.k
-    mask = ring.square_zero_mask
-    for v, cls in enumerate(c.class_of):
-        if mask[v]:
-            bearing[cls] = True
+    bearing = class_sq0_flags(g, c)
     order = [i for i in range(c.k) if bearing[i]] + [i for i in range(c.k) if not bearing[i]]
     perm = [0] * c.k
     for new, old in enumerate(order):
@@ -405,9 +406,9 @@ def counterexample_family(
 
     omega comes from the product clique formula; chi is certified by
     pinching: the lower bound sum chi_i - (n-1) meets the size of the
-    explicitly constructed product coloring. A direct clique solve
-    cross-checks omega when the product has at most
-    FAMILY_DIRECT_OMEGA_CAP elements.
+    explicitly constructed product coloring. A direct clique solve on the
+    graph that coloring was verified on cross-checks omega when the product
+    has at most FAMILY_DIRECT_OMEGA_CAP elements.
     """
     from .catalog import canonical_an_variant, canonical_anderson_naseer
 
@@ -424,16 +425,14 @@ def counterexample_family(
     prediction = omega_product_formula(chain, budget)
     omega = prediction.predicted
 
-    colorings = []
-    for f, g in zip(chain, factor_graphs):
-        chi_f, col_f = chromatic_number(g, budget)
-        colorings.append((f, chi_f, col_f))
-    lower = sum(chi_f for _, chi_f, _ in colorings) - (len(chain) - 1)
+    colorings = [chromatic_number(g, budget) for g in factor_graphs]
+    lower = sum(chi_f for chi_f, _ in colorings) - (len(chain) - 1)
 
-    cur_ring, _, cur_col = colorings[0]
-    for f, _, col_f in colorings[1:]:
-        cur_col = product_coloring(cur_ring, cur_col, f, col_f)
-        cur_ring = make_product([cur_ring, f])
+    # each partial product's graph is built once, by the coloring step that
+    # verifies on it, and held for the next step; the last is the product's
+    cur_g, (_, cur_col) = factor_graphs[0], colorings[0]
+    for g, (_, col_f) in zip(factor_graphs[1:], colorings[1:]):
+        cur_g, cur_col = _product_coloring(cur_g, cur_col, g, col_f)
     constructed = cur_col.k
     if constructed != lower:
         raise InternalCheckError(
@@ -443,8 +442,7 @@ def counterexample_family(
 
     direct_omega = None
     if prediction.product_size <= FAMILY_DIRECT_OMEGA_CAP:
-        ring = make_product(chain) if len(chain) > 1 else chain[0]
-        direct_omega = max_clique(build_graph(ring), budget).size
+        direct_omega = max_clique(cur_g, budget).size
     return FamilyReport(
         canonical_an_variant(),
         tuple(repr(f) for f in reduced_factors),

@@ -7,6 +7,11 @@ These properties check that the pruning never cuts a colorable branch:
 on random small graphs against the set-partition oracle, which shares no
 code with the solver, and on Anderson-Naseer products against chi = omega + 1
 (reduced co-factors) and the chi sandwich (any co-factors).
+
+The clique search that supplies the k-coloring search's pre-colored clique
+also finds the best split: among maximum cliques, one with the most
+square-zero vertices. It is checked on random graphs with random
+square-zero sets against subset enumeration.
 """
 
 import math
@@ -35,6 +40,7 @@ from beckring.oracle import CHROMATIC_ORACLE_CAP, exhaustive_chromatic_number
 from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch
 
 AN_PRODUCT_CAP = 1024
+SPLIT_ORACLE_CAP = 14
 SMALL_GRAPHS = settings(PROPERTY, max_examples=200)
 
 
@@ -87,6 +93,39 @@ def graphs(draw):
 
 
 @st.composite
+def split_graphs(draw):
+    """Random graphs of up to SPLIT_ORACLE_CAP vertices, each with a random
+    set of vertices marked square-zero (a bitmask)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, SPLIT_ORACLE_CAP))
+    density = draw(st.sampled_from((0.3, 0.5, 0.7, 0.85)))
+    marked = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    sq0 = sum(1 << v for v in range(n) if rng.random() < marked)
+    return Graph(n, adj), sq0
+
+
+def _best_split_by_enumeration(g, sq0: int) -> tuple[int, int]:
+    """The largest (clique size, square-zero count) over every vertex subset:
+    a subset is a clique when it is one without its lowest vertex and that
+    vertex is adjacent to the rest."""
+    is_clique = [True] * (1 << g.n)
+    best = (0, 0)
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        is_clique[mask] = is_clique[rest] and g.adj[low.bit_length() - 1] & rest == rest
+        if is_clique[mask]:
+            best = max(best, (mask.bit_count(), (mask & sq0).bit_count()))
+    return best
+
+
+@st.composite
 def an_products(draw, atom):
     """AN times one to four atoms, at most AN_PRODUCT_CAP elements; an atom
     that would pass the cap is skipped."""
@@ -114,6 +153,20 @@ def test_decision_search_refutes_exactly_below_chi(g):
     for k in range(len(clique), chi + 1):
         found = _KColorSearch(g.n, g.adj, k, clique, _Deadline(float("inf"))).run()
         assert (found is not None) == (k == chi), k
+
+
+@SMALL_GRAPHS
+@given(split_graphs())
+def test_clique_search_maximises_size_then_square_zero_count(case):
+    # unseeded, and seeded with a finished plain search as the split is
+    g, sq0 = case
+    want = _best_split_by_enumeration(g, sq0)
+    plain = _CliqueSearch(g.n, g.adj, _Deadline(float("inf")))
+    assert len(plain.run()) == want[0]
+    for seed in (None, plain):
+        found = _CliqueSearch(g.n, g.adj, _Deadline(float("inf")), sq0, seed=seed).run()
+        assert all(g.adj[u] >> v & 1 for u in found for v in found if u != v)
+        assert (len(found), sum(sq0 >> v & 1 for v in found)) == want
 
 
 @PROPERTY

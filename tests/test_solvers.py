@@ -271,6 +271,18 @@ def test_min_s_budget_error_carries_bounds():
     assert exc.value.lower <= sz.s <= exc.value.upper
 
 
+def test_min_s_local_search_honours_the_budget():
+    # one deadline covers the chromatic solve and the local search run on
+    # a core too large for the exhaustive scan (3585 vertices)
+    import time
+
+    g = graph("Z16 x Z16 x Z16")
+    t0 = time.monotonic()
+    with pytest.raises(BudgetError):
+        min_s_optimal_coloring(g, budget=0.05)
+    assert time.monotonic() - t0 < 0.3
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("BECKRING_BUDGET", "0")
     with pytest.raises(BudgetError):
@@ -316,9 +328,11 @@ def test_each_work_graph_is_searched_once(monkeypatch):
     searched = []
     init = solvers._CliqueSearch.__init__
 
-    def counting_init(self, n, adj, deadline):
-        searched.append((n, tuple(adj)))
-        init(self, n, adj, deadline)
+    def counting_init(self, n, adj, deadline, sq0_bits=0, seed=None):
+        # a split search seeded with a finished search does not search anew
+        if seed is None:
+            searched.append((n, tuple(adj)))
+        init(self, n, adj, deadline, sq0_bits, seed)
 
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     g = graph("Z8 x Z9")

@@ -318,6 +318,28 @@ def test_family_builds_each_factor_graph_once(monkeypatch):
         assert sum(1 for r, full in built if r is f and not full) <= 1
 
 
+@pytest.mark.parametrize("names", [("Z2", "Z3"), ("Z2", "Z2")], ids=" x ".join)
+def test_family_builds_each_product_graph_once(monkeypatch, names):
+    # each partial product's graph is built by the coloring step that
+    # verifies on it and held for the next step; the direct omega solve
+    # (AN x Z2 x Z2 has 128 elements) reuses the last one
+    from beckring import graphs
+
+    built = []
+    init = graphs.BeckGraph.__init__
+
+    def counting_init(self, ring, to_ring=None):
+        if to_ring is None:
+            built.append(ring.size)
+        init(self, ring, to_ring)
+
+    monkeypatch.setattr(graphs.BeckGraph, "__init__", counting_init)
+    rep = counterexample_family(rings_of(*names))
+    assert rep.gap == 1
+    products = [size for size in built if size > 32]  # AN alone has 32 elements
+    assert len(products) == len(set(products)) == len(names)
+
+
 def test_family_rejects_non_reduced_factor():
     with pytest.raises(PreconditionError):
         counterexample_family(rings_of("Z4"))
