@@ -2,8 +2,8 @@
 
 Builds a few rings from expressions, inspects their structure, and shows
 how the graph on all elements (edge iff the product vanishes) looks, along
-with the core that the solvers actually work on: 0, the zero-divisors
-and 1, which stands in for every unit.
+with the core that the chromatic solver works on: one element of each
+class with the same neighbours and the same square-zero flag.
 """
 
 from beckring import build_graph, export_graph, ring_of
@@ -19,7 +19,7 @@ for expr in ("Z12", "Z2[t]/(t^2)", "Z4 x Z3", "AN"):
           f"zero-divisors {int(ring.zero_divisor_mask.sum())}, "
           f"nilradical size {len(profile.ideal)} with index {profile.index_of_nilpotency}")
     print(f"  graph: {g.n} vertices, {g.edge_count()} edges; core keeps {c.n} vertices "
-          "(0, the zero-divisors and 1)")
+          "(one per class of twins)")
 
 print()
 print("Z4 in DIMACS form (vertex 0 is adjacent to everything; 2*2 = 0 is")

@@ -1,11 +1,12 @@
 """Beck's graph of a ring: elements as vertices, edges where products vanish.
 
 One type, `BeckGraph`, is Beck's graph induced on a list of ring elements:
-`build_graph` gives the graph on all elements, and `BeckGraph.core` the
-core on 0, the zero-divisors and the unity 1. Every unit is adjacent to 0
-alone, so the units are twins of 1, and dropping all of them but 1 leaves
-the clique and the chromatic number exactly as they were. A core is its
-own core.
+`build_graph` gives the graph on all elements, and `BeckGraph.core` its twin
+quotient, on one element of each class with the same neighbours and the
+same square-zero flag (Mulay 2002; Spiroff and Wickham 2011). Twins are
+never adjacent, so a clique meets a class at most once and one color serves
+a class: the quotient keeps omega, chi and the least number of
+square-zero-bearing classes of a chi-coloring. A core is its own core.
 
 Adjacency is stored as one machine-word-packed bitset per vertex (a Python
 int), the format the branch-and-bound solvers consume directly. It is
@@ -69,10 +70,10 @@ class BeckGraph:
             self.adj.extend(_pack_rows(block))
         self.sq0_bits = _pack_mask(ring.square_zero_mask[self.to_ring])
         self.solved: dict = {}
+        # the core (None while unbuilt or if the graph is its own) and
+        # `group`, the core vertex of each vertex
         self._core: BeckGraph | None = None
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        self.group: list[int] | None = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -91,16 +92,23 @@ class BeckGraph:
         return self.to_ring[v]
 
     def core(self) -> BeckGraph:
-        """The core on 0, the zero-divisors and 1, in ring order; built on
-        the first call and kept. A core is its own core."""
-        if self._core is None:
-            keep = self.ring.zero_divisor_mask.copy()
-            keep[[0, self.ring.unity]] = True
-            vs = np.flatnonzero(keep).tolist()
-            if vs == self.to_ring:
-                return self
-            self._core = BeckGraph(self.ring, vs)
-        return self._core
+        """The twin quotient: Beck's graph on the first vertex, in order, of
+        each class of vertices with the same neighbours and the same
+        square-zero flag; `group` maps each vertex to its class's vertex.
+        Built on the first call and kept. A core is its own core."""
+        if self.group is None:
+            class_of: dict[tuple[int, int], int] = {}
+            reps: list[int] = []
+            self.group = []
+            for v, row in enumerate(self.adj):
+                c = class_of.setdefault((row, (self.sq0_bits >> v) & 1), len(reps))
+                if c == len(reps):
+                    reps.append(v)
+                self.group.append(c)
+            if len(reps) < self.n:
+                self._core = BeckGraph(self.ring, [self.to_ring[v] for v in reps])
+                self._core.group = list(range(len(reps)))
+        return self._core or self
 
 
 def build_graph(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> BeckGraph:

@@ -18,6 +18,7 @@ from .errors import InternalCheckError
 from .graphs import build_graph
 from .rings import DEFAULT_SIZE_CAP, field_factor_count
 from .solvers import (
+    _Deadline,
     best_clique_split,
     chromatic_number,
     max_clique,
@@ -46,20 +47,24 @@ def analyze(
     s_mode: str = "any_optimal",
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> dict:
-    """Analyze the ring denoted by `expr_text` and return the report dict."""
+    """Analyze the ring denoted by `expr_text` and return the report dict.
+
+    The whole call runs on one budget: each solve and theorem check gets
+    the time left of it."""
+    deadline = _Deadline(budget)
     s_mode = _normalize_s_mode(s_mode)
     ast = parse(expr_text)
     ring = elaborate(ast, size_cap=size_cap)
     g = build_graph(ring, size_cap=size_cap)
 
-    clique = max_clique(g, budget)
+    clique = max_clique(g, deadline.left())
     if s_mode == "min_s":
-        coloring, sz = min_s_optimal_coloring(g, budget)
+        coloring, sz = min_s_optimal_coloring(g, deadline.left())
         chi_val, s_val = coloring.k, sz.s
     else:
-        chi_val, coloring = chromatic_number(g, budget)
+        chi_val, coloring = chromatic_number(g, deadline.left())
         s_val = s_of(g, coloring).s
-    split = best_clique_split(g, budget)
+    split = best_clique_split(g, deadline.left())
 
     if not verify_clique(g, clique.vertices):
         raise InternalCheckError("clique witness failed re-verification")
@@ -99,11 +104,11 @@ def analyze(
         factors = ring.factors
         # held through both checks, so that they share each factor's graph and solves
         factor_graphs = [build_graph(f) for f in factors]  # noqa: F841
-        pred = omega_product_formula(factors, budget)
+        pred = omega_product_formula(factors, deadline.left())
         checks.append(
             _check("product_omega_formula", pred.predicted, omega_val, pred.predicted == omega_val)
         )
-        bounds = chi_bounds(factors, s_mode, budget)
+        bounds = chi_bounds(factors, s_mode, deadline.left())
         checks.append(_check("chi_lower_bound", bounds.lower, chi_val, chi_val >= bounds.lower))
         checks.append(_check("chi_upper_bound", bounds.upper, chi_val, chi_val <= bounds.upper))
 

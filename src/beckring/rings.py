@@ -102,6 +102,10 @@ class FiniteRing:
             return self._kron("zero_rel_matrix")
         n = self.size
         v = np.arange(n, dtype=np.int64)
+        if isinstance(self, ZmodRing):
+            # a*b = 0 in Z_N iff gcd(a, N)*b = 0: one row per divisor of N
+            divisors, row_of = np.unique(np.gcd(v, n), return_inverse=True)
+            return (self.mul_many(divisors[:, None], v[None, :]) == 0)[row_of]
         out = np.empty((n, n), dtype=bool)
         for lo in range(0, n, _BLOCK):
             out[lo:lo + _BLOCK] = self.mul_many(v[lo:lo + _BLOCK, None], v[None, :]) == 0
@@ -149,12 +153,6 @@ class FiniteRing:
             return self._kron("idempotent_mask")
         v = np.arange(self.size, dtype=np.int64)
         return self.mul_many(v, v) == v
-
-    def units(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.unit_mask).tolist())
-
-    def zero_divisors(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.zero_divisor_mask).tolist())
 
     # -- predicates ---------------------------------------------------------
 

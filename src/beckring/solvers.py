@@ -5,13 +5,16 @@ with ties broken by id, candidate sets are walked lowest-bit-first, and no
 result depends on timing. Budgets abort a search with the bounds certified
 so far instead of returning an unproven answer: each public entry builds
 one `_Deadline` from its budget, every search it runs ticks that deadline
-once per node, and expiry anywhere comes back to the caller as a
-BudgetError carrying the bounds found so far.
+once per node, as DSATUR does once per pick and the clique search's set-up
+once per row and per greedy start, and expiry anywhere comes back to the
+caller as a BudgetError carrying the bounds found so far.
 
-Every Beck graph is searched on its core (0, the zero-divisors and 1; see
-`BeckGraph.core`), which has the clique and the chromatic number of the
-whole graph. Witnesses are reported in ring-element ids, and a coloring is
-lifted back by giving every other unit the color of 1.
+The chromatic number and min-s are searched on the core of a Beck graph,
+its twin quotient (see `BeckGraph.core`), and the coloring is lifted back
+by giving each vertex the color of its class. The maximum clique and the
+split are searched on the graph given, and witnesses are its vertex ids,
+which for the graph of a whole ring are ring-element ids. Graph-likes that
+carry only `n` and `adj` are searched as given.
 
 One clique branch and bound serves omega, the split and the square-zero
 floor of min-s. It maximises (clique size, square-zero count), and the
@@ -29,9 +32,9 @@ Networks 2017) on the graph where each used color is merged into one vertex.
 Each graph is searched once. The finished maximum-clique search (vertex
 order, remapped adjacency, result), the best split and the chromatic
 number with its coloring are memoised in the `solved` dict of the graph
-they ran on, the core or, with `use_core=False`, the full Beck graph, so
-one analysis that asks for omega, the split and chi of the same graph, or
-solves the same factor for two theorem checks, pays for each search once.
+they ran on, so one analysis that asks for omega, the split and chi of the
+same graph, or solves the same factor for two theorem checks, pays for
+each search once; chi reuses the core's maximum-clique search.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again.
 """
@@ -72,7 +75,8 @@ class _Deadline:
     `tick()` is called once per search node and reads the clock every 64
     ticks, often enough for the k-coloring search, whose Hall check can take
     milliseconds a node; `check()` reads it at once. Both raise _OutOfTime
-    once the budget is spent.
+    once the budget is spent. `left()` is the budget still unspent, which a
+    caller that runs several solves under one budget hands to each.
     """
 
     def __init__(self, budget: float | None):
@@ -87,6 +91,9 @@ class _Deadline:
     def check(self) -> None:
         if time.monotonic() > self.at:
             raise _OutOfTime()
+
+    def left(self) -> float:
+        return self.at - time.monotonic()
 
 
 def _bits(x: int):
@@ -111,7 +118,8 @@ def _remap(mask: int, pos) -> int:
 
 @dataclass(frozen=True)
 class Clique:
-    """Pairwise-annihilating vertex set, sorted by ring-element id."""
+    """Pairwise-adjacent vertex set, sorted by vertex id (ring-element id on
+    the graph of a whole ring)."""
 
     vertices: tuple[int, ...]
 
@@ -207,24 +215,32 @@ class _CliqueSearch:
     """
 
     def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
-        self.n = n
-        self.deadline = deadline
-        if seed is None:
-            self.order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+        self.n, self.adj, self.sq0_bits, self.deadline, self.seed = n, adj, sq0_bits, deadline, seed
+        # vertex 0 alone is the clique known until run() has set up
+        self.order, self.best, self.result = range(n), [0] if n else [], None
+
+    def _setup(self) -> None:
+        """Order and remapped adjacency, lent by the seed or built reading
+        the deadline once per row, then a first best clique."""
+        if self.seed:
+            self.order, self.pos, self.radj = self.seed.order, self.seed.pos, self.seed.radj
         else:
-            self.order = seed.order
-        pos = [0] * n
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        self.radj = seed.radj if seed else [_remap(adj[v], pos) for v in self.order]
-        self.sq0 = _remap(sq0_bits, pos)
-        self.best = list(seed.best) if seed else self._greedy_clique()
+            self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
+            self.pos = [0] * self.n
+            for i, v in enumerate(self.order):
+                self.pos[v] = i
+            self.radj = []
+            for v in self.order:
+                self.deadline.tick()
+                self.radj.append(_remap(self.adj[v], self.pos))
+        self.sq0 = _remap(self.sq0_bits, self.pos)
+        self.best = list(self.seed.best) if self.seed else self._greedy_clique()
         self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
-        self.result: list[int] | None = None
 
     def _greedy_clique(self) -> list[int]:
         best: list[int] = []
         for s in range(min(self.n, 8)):
+            self.deadline.check()
             clique = [s]
             cand = self.radj[s]
             while cand:
@@ -278,6 +294,7 @@ class _CliqueSearch:
     def run(self) -> list[int]:
         """The best clique in vertex ids, sorted; also kept as `result`."""
         if self.n:
+            self._setup()
             self.deadline.check()
             self._expand([], 0, (1 << self.n) - 1)
         self.result = sorted(self.order[v] for v in self.best)
@@ -289,11 +306,13 @@ class _CliqueSearch:
 # ---------------------------------------------------------------------------
 
 
-def _dsatur(n: int, adj: list[int]) -> list[int]:
+def _dsatur(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
+    """Greedy DSATUR coloring; reads the deadline once per pick."""
     color = [-1] * n
     neigh = [0] * n
     deg = [adj[v].bit_count() for v in range(n)]
     for _ in range(n):
+        deadline.tick()
         pick, key = -1, None
         for v in range(n):
             if color[v] == -1:
@@ -403,20 +422,24 @@ class _KColorSearch:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(g, use_core: bool = True):
-    if use_core and isinstance(g, BeckGraph):
-        return g.core()
-    return g
-
-
-def _full_ids(work, raw: list[int]) -> list[int]:
-    return sorted(work.element_of(v) for v in raw)
-
-
 def _solved(work) -> dict:
     """The memo of finished solves on a graph; a throwaway dict for
     graph-likes that carry none."""
     return getattr(work, "solved", {})
+
+
+def _core(g):
+    """The core of `g` and the map of its vertices onto it: the twin
+    quotient of a Beck graph; any other graph-like is its own core."""
+    if isinstance(g, BeckGraph):
+        return g.core(), g.group
+    return g, range(g.n)
+
+
+def _lift(color: list[int], group, k: int) -> Coloring:
+    """A coloring of the core lifted to the graph: each vertex takes the
+    color of its class."""
+    return Coloring(tuple(color[c] for c in group), k)
 
 
 def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
@@ -434,136 +457,87 @@ def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
     return memo["clique"]
 
 
-def max_clique(g, budget: float | None = None, *, use_core: bool = True) -> Clique:
-    """Exact maximum clique with witness; deterministic across runs.
-
-    Beck graphs are searched on their core, which has the same clique
-    number; `use_core=False` searches the whole graph, the unreduced
-    reference the core reduction is checked against.
-    """
-    work = _reduce(g, use_core)
-    search = _clique_search(work, _Deadline(budget))
+def max_clique(g, budget: float | None = None) -> Clique:
+    """Exact maximum clique of the graph given, with witness; deterministic
+    across runs."""
+    search = _clique_search(g, _Deadline(budget))
     if search.result is None:
-        lb_w = _full_ids(work, [search.order[v] for v in search.best])
+        lb_w = sorted(search.order[v] for v in search.best)
         raise BudgetError("max_clique", len(lb_w), witness=lb_w)
-    return Clique(tuple(_full_ids(work, search.result)))
+    return Clique(tuple(search.result))
 
 
-def best_clique_split(g, budget: float | None = None, *, use_core: bool = True) -> CliqueSplit:
-    """Among all maximum cliques, one maximizing the square-zero part."""
-    work = _reduce(g, use_core)
-    memo = _solved(work)
+def best_clique_split(g, budget: float | None = None) -> CliqueSplit:
+    """Among all maximum cliques of the graph given, one maximizing the
+    square-zero part."""
+    memo = _solved(g)
     if "split" not in memo:
         deadline = _Deadline(budget)
-        base = _clique_search(work, deadline)
+        base = _clique_search(g, deadline)
         if base.result is None:
             raise BudgetError("best_clique_split", len(base.best))
         try:
-            search = _CliqueSearch(work.n, work.adj, deadline, work.sq0_bits, seed=base)
+            search = _CliqueSearch(g.n, g.adj, deadline, g.sq0_bits, seed=base)
             memo["split"] = search.run()
         except _OutOfTime:
             raise BudgetError("best_clique_split", len(base.best)) from None
-    verts = _full_ids(work, memo["split"])
-    ring = g.ring
-    b = tuple(v for v in verts if ring.square(v) == 0)
-    c = tuple(v for v in verts if ring.square(v) != 0)
+    verts = memo["split"]
+    b = tuple(v for v in verts if (g.sq0_bits >> v) & 1)
+    c = tuple(v for v in verts if not (g.sq0_bits >> v) & 1)
     return CliqueSplit(Clique(tuple(verts)), b, c)
 
 
-def _extend_to_full(g, work, color: list[int], k: int) -> Coloring:
-    """Lift a core coloring back to the full vertex set: the units left out
-    of the core are twins of 1 and take its color."""
-    if work is g:
-        return Coloring(tuple(color), k)
-    full = [-1] * g.n
-    for i, e in enumerate(work.to_ring):
-        full[e] = color[i]
-    one = full[g.ring.unity]
-    return Coloring(tuple(one if c == -1 else c for c in full), k)
-
-
-def _twin_fuse(n: int, adj: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Fuse vertices with identical neighborhoods.
-
-    Equal adjacency rows imply non-adjacency, so fused vertices can always
-    share a color and can never sit in a clique together: both the
-    chromatic and the clique number survive the fusion exactly.
-    """
-    group_of_row: dict[int, int] = {}
-    reps: list[int] = []
-    member_group = [0] * n
-    for v in range(n):
-        gi = group_of_row.get(adj[v])
-        if gi is None:
-            gi = len(reps)
-            group_of_row[adj[v]] = gi
-            reps.append(v)
-        member_group[v] = gi
-    rep_mask = 0
-    for v in reps:
-        rep_mask |= 1 << v
-    pos = {v: i for i, v in enumerate(reps)}
-    return reps, member_group, [_remap(adj[v] & rep_mask, pos) for v in reps]
-
-
-def chromatic_number(
-    g, budget: float | None = None, *, use_core: bool = True
-) -> tuple[int, Coloring]:
+def chromatic_number(g, budget: float | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number and a proper coloring witness.
 
-    DSATUR supplies the upper bound, a maximum clique the lower bound, and
-    any gap is closed by iterated k-coloring decision searches on the core
-    (with same-neighborhood vertices fused), symmetry-broken by
-    pre-coloring the clique. Each search prunes a node when a greedily grown
-    clique of uncolored vertices has more members than colors left in the
-    union of their domains (Hall's condition; the clique bound of San
-    Segundo 2012 and Furini, Gabrel and Ternier 2017). That cut is sound,
-    since a clique needs as many distinct colors as it has vertices, and it
-    refutes k = 18 and k = 19 on AN x AN, whose chi is 20.
+    The search runs on the core of `g` and its coloring is lifted back, each
+    vertex taking the color of its class. DSATUR supplies the upper bound,
+    a maximum clique the lower bound, and any gap is closed by iterated
+    k-coloring decision searches, symmetry-broken by pre-coloring the
+    clique. Each search prunes a node when a greedily grown clique of
+    uncolored vertices has more members than colors left in the union of
+    their domains (Hall's condition; the clique bound of San Segundo 2012
+    and Furini, Gabrel and Ternier 2017). That cut is sound, since a clique
+    needs as many distinct colors as it has vertices, and it refutes k = 18
+    and k = 19 on AN x AN, whose chi is 20.
     """
-    return _chromatic(g, _reduce(g, use_core), _Deadline(budget))
+    work, group = _core(g)
+    k, color = _chromatic(work, _Deadline(budget))
+    return k, _lift(color, group, k)
 
 
-def _chromatic(g, work, deadline: _Deadline) -> tuple[int, Coloring]:
-    """chi of `g` from the memo of `work`, solving there first if needed."""
+def _chromatic(work, deadline: _Deadline) -> tuple[int, list[int]]:
+    """chi of `work` and a chi-coloring of its vertices, memoised on `work`;
+    see chromatic_number."""
     memo = _solved(work)
     if "chromatic" not in memo:
         memo["chromatic"] = _chromatic_on(work, deadline)
-    k, color = memo["chromatic"]
-    return k, _extend_to_full(g, work, color, k)
+    return memo["chromatic"]
 
 
 def _chromatic_on(work, deadline: _Deadline) -> tuple[int, list[int]]:
-    """chi of `work` and a chi-coloring of its vertices; see chromatic_number."""
-    reps, member_group, radj = _twin_fuse(work.n, work.adj)
-    rn = len(reps)
-    greedy = _dsatur(rn, radj)
-    ub = max(greedy) + 1 if greedy else 0
-    clique_search = _CliqueSearch(rn, radj, deadline)
-
-    def lift(colors: list[int], k: int) -> tuple[int, list[int]]:
-        return k, [colors[member_group[v]] for v in range(work.n)]
-
     try:
-        clique_raw = clique_search.run()
+        greedy = _dsatur(work.n, work.adj, deadline)
     except _OutOfTime:
+        raise BudgetError("chromatic_number", 1) from None
+    ub = max(greedy) + 1 if greedy else 0
+    clique_search = _clique_search(work, deadline)
+    if clique_search.result is None:
         if len(clique_search.best) == ub:
             # the partial clique already pins chi even though the
             # clique search itself was cut short
-            return lift(greedy, ub)
-        raise BudgetError("chromatic_number", len(clique_search.best), ub) from None
-    lb = len(clique_raw)
-    if lb == ub:
-        return lift(greedy, ub)
+            return ub, greedy
+        raise BudgetError("chromatic_number", len(clique_search.best), ub)
+    lb = len(clique_search.result)
     for k in range(lb, ub):
-        search = _KColorSearch(rn, radj, k, clique_raw, deadline)
+        search = _KColorSearch(work.n, work.adj, k, clique_search.result, deadline)
         try:
             found = search.run()
         except _OutOfTime:
             raise BudgetError("chromatic_number", k, ub) from None
         if found is not None:
-            return lift(found, k)
-    return lift(greedy, ub)
+            return k, found
+    return ub, greedy
 
 
 def class_sq0_flags(g, coloring: Coloring) -> list[bool]:
@@ -680,14 +654,15 @@ def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZ
 
     Exact (exhaustive over the core) when the core has at most
     MIN_S_EXHAUSTIVE_CAP vertices; otherwise a best-effort local search
-    whose achieved s is reported with exact=False. The units left out of
-    the core are not square-zero and share the class of 1, so the core's
-    s is the whole graph's. One deadline covers the chromatic solve and
-    either search.
+    whose achieved s is reported with exact=False. A class of the core
+    shares its square-zero flag and, lifted, its color, so the core's s is
+    the whole graph's. One deadline covers the chromatic solve and either
+    search.
     """
-    work = _reduce(g)
+    work, group = _core(g)
     deadline = _Deadline(budget)
-    k, baseline = _chromatic(g, work, deadline)
+    k, color = _chromatic(work, deadline)
+    baseline = _lift(color, group, k)
     base_s = s_of(g, baseline).s
     if work.n <= MIN_S_EXHAUSTIVE_CAP:
         # vertex 0 squares to zero, so some class always bears one
@@ -702,15 +677,14 @@ def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZ
             raise BudgetError("min_s_optimal_coloring", s_floor, base_s) from None
         if best is None:
             raise InternalCheckError("min-s search found no proper coloring at chi")
-        return _extend_to_full(g, work, best, k), SZero(best_s)
-    core_color = [baseline.class_of[work.element_of(v)] for v in range(work.n)]
+        return _lift(best, group, k), SZero(best_s)
     try:
-        improved, s = _local_min_s(work, core_color, k, deadline)
+        improved, s = _local_min_s(work, color, k, deadline)
     except _OutOfTime:
         raise BudgetError("min_s_optimal_coloring", 1, base_s) from None
     if s >= base_s:
         return baseline, SZero(base_s, exact=False)
-    return _extend_to_full(g, work, improved, k), SZero(s, exact=False)
+    return _lift(improved, group, k), SZero(s, exact=False)
 
 
 def _sq0_clique_floor(work, deadline: _Deadline) -> int:

@@ -29,6 +29,7 @@ from .errors import ContractError, InternalCheckError, InvalidModulusError, Prec
 from .graphs import BeckGraph, build_graph
 from .rings import FiniteRing, field_factor_count, ideal_power, make_product
 from .solvers import (
+    _Deadline,
     Clique,
     CliqueSplit,
     Coloring,
@@ -68,10 +69,12 @@ class OmegaPrediction:
 def omega_product_formula(
     factors: list[FiniteRing], budget: float | None = None
 ) -> OmegaPrediction:
-    """Evaluate prod |B_i| + sum |C_i| and materialize the witness clique."""
+    """Evaluate prod |B_i| + sum |C_i| and materialize the witness clique;
+    the factors' splits share one budget."""
     if not factors:
         raise PreconditionError("omega_product_formula needs at least one factor")
-    splits = tuple(best_clique_split(build_graph(f), budget) for f in factors)
+    deadline = _Deadline(budget)
+    splits = tuple(best_clique_split(build_graph(f), deadline.left()) for f in factors)
     predicted = math.prod(s.b_size for s in splits) + sum(s.c_size for s in splits)
     ring = make_product(list(factors)) if len(factors) > 1 else factors[0]
     witness = _materialize_witness(ring, factors, splits)
@@ -142,10 +145,13 @@ def chi_bounds(
     s_mode: str = "any_optimal",
     budget: float | None = None,
 ) -> ChiBounds:
+    """The sandwich bounds from each factor's coloring; the factors share
+    one budget."""
     if not factors:
         raise PreconditionError("chi_bounds needs at least one factor")
     mode = _normalize_s_mode(s_mode)
-    cols = tuple(factor_coloring(f, mode, budget) for f in factors)
+    deadline = _Deadline(budget)
+    cols = tuple(factor_coloring(f, mode, deadline.left()) for f in factors)
     n = len(cols)
     lower = sum(c.chi for c in cols) - (n - 1)
     upper = sum(c.chi - c.s for c in cols) + math.prod(c.s for c in cols)

@@ -112,17 +112,15 @@ def graph_invariants(graphs: dict[str, BeckGraph]) -> CheckResult:
     return check
 
 
-def _omega_chi(g: BeckGraph, budget: float | None, use_core: bool = True) -> tuple[int, int]:
-    """(omega, chi) of g, solved on its core unless use_core is False."""
-    omega = max_clique(g, budget, use_core=use_core).size
-    return omega, chromatic_number(g, budget, use_core=use_core)[0]
+def _omega_chi(g: BeckGraph, budget: float | None) -> tuple[int, int]:
+    return max_clique(g, budget).size, chromatic_number(g, budget)[0]
 
 
 def core_preservation(graphs: dict[str, BeckGraph], budget: float | None = None) -> CheckResult:
-    """The core has exactly the (omega, chi) of the unreduced graph."""
+    """The core, the twin quotient, has exactly the (omega, chi) of the graph."""
     check = CheckResult("core_preservation")
     for name, g in graphs.items():
-        same = _omega_chi(g, budget) == _omega_chi(g, budget, use_core=False)
+        same = _omega_chi(g.core(), budget) == _omega_chi(g, budget)
         check.require(same, f"{name}: core reduction changed (omega, chi)")
     return check
 
@@ -130,7 +128,7 @@ def core_preservation(graphs: dict[str, BeckGraph], budget: float | None = None)
 def omega_le_chi(graphs: dict[str, BeckGraph], budget: float | None = None) -> CheckResult:
     check = CheckResult("omega_le_chi")
     for name, g in graphs.items():
-        omega, chi = _omega_chi(g, budget, use_core=False)
+        omega, chi = _omega_chi(g, budget)
         check.require(omega <= chi, f"{name}: omega > chi")
     return check
 
@@ -142,12 +140,12 @@ def oracle_equivalence(graphs: dict[str, BeckGraph], budget: float | None = None
     check = CheckResult("oracle_equivalence")
     for name, g in graphs.items():
         if g.n <= ORACLE_CLIQUE_LIMIT:
-            omega = max_clique(g, budget, use_core=False).size
+            omega = max_clique(g, budget).size
             check.require(exhaustive_max_clique(g)[0] == omega, f"{name}: clique oracle mismatch")
             same = best_clique_split(g, budget).b_size == max_b_over_maximum_cliques(g)
             check.require(same, f"{name}: split |B| differs from enumeration")
         if g.n <= ORACLE_CHI_LIMIT:
-            same = exhaustive_chromatic_number(g) == chromatic_number(g, budget, use_core=False)[0]
+            same = exhaustive_chromatic_number(g) == chromatic_number(g, budget)[0]
             check.require(same, f"{name}: chromatic oracle mismatch")
     return check
 

@@ -38,14 +38,16 @@ def test_adjacency_matches_multiplication():
             assert g.has_edge(a, b) == expect
 
 
-@pytest.mark.parametrize("expr,core_size", [("Z7", 2), ("Z12", 9), ("AN", 17)])
+@pytest.mark.parametrize("expr,core_size", [("Z7", 2), ("Z12", 6), ("AN", 13)])
 def test_core_sizes(expr, core_size):
-    # 0, the nonzero zero-divisors and 1
+    # the first element of each class of same neighbours and square-zero
+    # flag: Z12 has {0}, the units, {2, 10}, {3, 9}, {4, 8} and {6}
     g = build_graph(ring_of(expr))
     c = g.core()
     assert c.n == core_size
     assert c.to_ring[0] == 0
     assert g.ring.unity in c.to_ring
+    assert [g.group.index(i) for i in range(c.n)] == c.to_ring
 
 
 def test_core_is_induced_subgraph():

@@ -79,8 +79,9 @@ def test_analyze_product_checks_present():
 
 
 def test_analyze_searches_each_graph_once(monkeypatch):
-    # omega, the split and chi of the ring share one clique search on its
-    # core, and the two product checks share each factor's solves
+    # omega and the split of the ring share one clique search on its graph,
+    # chi runs one on its core, and the two product checks share each
+    # factor's solves
     from beckring import solvers
 
     searched = []
@@ -95,9 +96,28 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     rep = analyze("Z4 x Z256")
     assert all(c["pass"] for c in rep["checks"])
-    # the core and the twin-fused graph of the product, of Z256 and of Z4
+    # the graph and the core of the product, of Z256 and of Z4
     assert len(searched) == 6
     assert len(set(searched)) == len(searched)
+
+
+def test_analyze_runs_on_one_budget(monkeypatch):
+    # every solve and theorem check of one call shares the call's end time
+    from beckring import solvers
+    from beckring.catalog import canonical_anderson_naseer
+
+    canonical_anderson_naseer()
+    ends = []
+    init = solvers._Deadline.__init__
+
+    def recording_init(self, budget):
+        init(self, budget)
+        ends.append(self.at)
+
+    monkeypatch.setattr(solvers._Deadline, "__init__", recording_init)
+    analyze("AN x AN", budget=5)
+    assert len(ends) > 1
+    assert max(abs(at - ends[0]) for at in ends) < 0.005
 
 
 def test_analyze_min_s_mode():

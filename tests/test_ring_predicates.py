@@ -49,20 +49,22 @@ def reduced_atoms():
 
 
 @st.composite
-def products(draw, atom=None):
-    """Products of two to five atoms, at most MAX_SIZE elements; an atom that
+def products(draw, atom=None, max_size=MAX_SIZE):
+    """Products of two to five atoms, at most max_size elements; an atom that
     would pass the cap is skipped."""
     atom = atoms() if atom is None else atom
     factors = [draw(atom)]
     for _ in range(draw(st.integers(1, 4))):
         f = draw(atom)
-        if np.prod([g.size for g in factors]) * f.size <= MAX_SIZE:
+        if np.prod([g.size for g in factors]) * f.size <= max_size:
             factors.append(f)
     return make_product(factors)
 
 
-def rings():
-    return st.one_of(atoms(), products())
+def rings(max_size=MAX_SIZE):
+    """Atoms and products of at most max_size elements."""
+    rings = st.one_of(atoms(), products(max_size=max_size))
+    return rings if max_size == MAX_SIZE else rings.filter(lambda ring: ring.size <= max_size)
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -134,6 +136,17 @@ def test_nilpotents_match_repeated_squaring(ring):
 def test_field_factor_count_matches_primitive_idempotents(ring):
     assert ring.is_reduced()
     assert field_factor_count(ring) == primitive_idempotent_count(ring)
+
+
+def test_zmod_zero_relation_matches_the_table():
+    # Z_N builds one row per divisor of N and gathers; checked row block by
+    # row block, as the 4096-element table would not fit in one piece
+    for n in [*range(1, 301), 4096]:
+        ring = make_zmod(n)
+        v = np.arange(n, dtype=np.int64)
+        for lo in range(0, n, BLOCK):
+            table = ring.mul_many(v[lo:lo + BLOCK, None], v[None, :])
+            assert np.array_equal(ring.zero_rel_matrix[lo:lo + BLOCK], table == 0), n
 
 
 def test_kronecker_layout_puts_the_first_factor_innermost():

@@ -209,8 +209,8 @@ def test_s_of_rejects_improper():
 def test_core_preserves_omega_and_chi_exactly(expr):
     g = graph(expr)
     c = g.core()
-    assert max_clique(c).size == max_clique(g, use_core=False).size
-    assert chromatic_number(c)[0] == chromatic_number(g, use_core=False)[0]
+    assert max_clique(c).size == max_clique(g).size
+    assert chromatic_number(c)[0] == chromatic_number(g)[0]
 
 
 def test_min_s_z4():
@@ -235,7 +235,7 @@ def test_min_s_reduced_ring_is_1(expr):
 
 
 def test_min_s_large_core_flagged():
-    g = graph("Z8 x Z9")  # 48 core vertices, above the exhaustive cap
+    g = graph("AN x Z2")  # 23 core vertices, above the exhaustive cap
     col, sz = min_s_optimal_coloring(g)
     assert not sz.exact
     assert verify_coloring(g, col)
@@ -273,13 +273,28 @@ def test_min_s_budget_error_carries_bounds():
 
 def test_min_s_local_search_honours_the_budget():
     # one deadline covers the chromatic solve and the local search run on
-    # a core too large for the exhaustive scan (3585 vertices)
+    # a core too large for the exhaustive scan (729 vertices)
     import time
 
-    g = graph("Z16 x Z16 x Z16")
+    g = graph("Z4 x Z4 x Z4 x Z4 x Z4 x Z4")
     t0 = time.monotonic()
     with pytest.raises(BudgetError):
         min_s_optimal_coloring(g, budget=0.05)
+    assert time.monotonic() - t0 < 0.3
+
+
+@pytest.mark.parametrize("solve", [chromatic_number, min_s_optimal_coloring, max_clique])
+def test_search_set_up_honours_the_budget(solve):
+    # DSATUR and the clique search's set-up read the deadline too: Z2^12 is
+    # its own core, 4096 vertices
+    import time
+
+    g = graph(" x ".join(["Z2"] * 12))
+    t0 = time.monotonic()
+    try:
+        solve(g, budget=0.05)
+    except BudgetError:
+        pass
     assert time.monotonic() - t0 < 0.3
 
 
@@ -337,7 +352,7 @@ def test_each_work_graph_is_searched_once(monkeypatch):
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     g = graph("Z8 x Z9")
     first = (max_clique(g), best_clique_split(g), chromatic_number(g))
-    assert len(searched) == 2  # the core, then its twin-fused graph
+    assert len(searched) == 2  # the graph, for omega and the split, then its core
     assert (max_clique(g), best_clique_split(g), chromatic_number(g)) == first
     assert len(searched) == 2
 
@@ -360,18 +375,17 @@ def test_verify_clique_rejects_non_cliques():
 
 
 def test_twin_fusion_agrees_with_unfused_decision_search():
-    # the production path fuses same-neighborhood vertices before the
-    # k-coloring decision search; cross-check both directions on a core
-    # where the unfused search is still cheap
-    from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch, _reduce
+    # the production path runs the k-coloring decision search on the twin
+    # quotient; cross-check both directions on the whole graph, where the
+    # unfused search is still cheap
+    from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch
 
     g = build_graph(ring_of("AN x Z2"))
     chi, col = chromatic_number(g)
     assert chi == 7
-    work = _reduce(g)
-    clique = _CliqueSearch(work.n, work.adj, _Deadline(float("inf"))).run()
-    assert _KColorSearch(work.n, work.adj, 6, clique, _Deadline(float("inf"))).run() is None
-    assert _KColorSearch(work.n, work.adj, 7, clique, _Deadline(float("inf"))).run() is not None
+    clique = _CliqueSearch(g.n, g.adj, _Deadline(float("inf"))).run()
+    assert _KColorSearch(g.n, g.adj, 6, clique, _Deadline(float("inf"))).run() is None
+    assert _KColorSearch(g.n, g.adj, 7, clique, _Deadline(float("inf"))).run() is not None
 
 
 def test_hard_products_complete_quickly():
