@@ -6,7 +6,7 @@ result depends on timing. Budgets abort a search with the bounds certified
 so far instead of returning an unproven answer: each public entry builds
 one `_Deadline` from its budget, every search it runs ticks that deadline
 once per node, as DSATUR does once per pick and the clique search's set-up
-once per row and per greedy start, and expiry anywhere comes back to the
+once per vertex and per greedy start, and expiry anywhere comes back to the
 caller as a BudgetError carrying the bounds found so far.
 
 The chromatic number and min-s are searched on the core of a Beck graph,
@@ -18,7 +18,14 @@ carry only `n` and `adj` are searched as given.
 
 One clique branch and bound serves omega, the split and the square-zero
 floor of min-s. It maximises (clique size, square-zero count), and the
-split search reuses the finished maximum-clique search of its graph.
+split search reuses the finished maximum-clique search of its graph. Its
+set-up works per twin class: vertices with equal rows share their degree,
+their remapped row and their greedy score, so a graph of 1024 vertices and
+a hundred distinct rows is set up at the cost of its classes.
+
+DSATUR keeps the uncolored vertices of each saturation level as one bitmask
+over their rank in (degree desc, id) order, so a pick is the lowest bit of
+the highest nonempty level and each neighbour update moves one bit.
 
 The k-coloring decision search prunes with Hall's condition on cliques: if
 a clique U of uncolored vertices has fewer colors left in the union of its
@@ -212,6 +219,14 @@ class _CliqueSearch:
     candidate set, so the first candidate whose bound cannot beat the best
     ends the node. `seed`, a finished search on the same graph, lends its
     order, remapped adjacency and best clique.
+
+    The graph must be simple (symmetric rows, no loops). Its set-up works
+    one twin class, a class of vertices with equal rows, at a time: each
+    class's degree is taken once for the order, each distinct row is
+    remapped once by walking its classes, and the greedy first clique
+    scores one member per class. The order, the remapped rows and the
+    greedy clique are those of a vertex-by-vertex set-up, so the search
+    and its witnesses do not change.
     """
 
     def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
@@ -221,23 +236,62 @@ class _CliqueSearch:
 
     def _setup(self) -> None:
         """Order and remapped adjacency, lent by the seed or built reading
-        the deadline once per row, then a first best clique."""
+        the deadline once per vertex of the order, then a first best clique."""
         if self.seed:
             self.order, self.pos, self.radj = self.seed.order, self.seed.pos, self.seed.radj
+            self.best = list(self.seed.best)
         else:
-            self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
-            self.pos = [0] * self.n
-            for i, v in enumerate(self.order):
-                self.pos[v] = i
-            self.radj = []
-            for v in self.order:
-                self.deadline.tick()
-                self.radj.append(_remap(self.adj[v], self.pos))
+            twins = self._order_by_twin_class()
+            self.best = self._greedy_clique([twins[v] for v in self.order])
         self.sq0 = _remap(self.sq0_bits, self.pos)
-        self.best = list(self.seed.best) if self.seed else self._greedy_clique()
         self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
 
-    def _greedy_clique(self) -> list[int]:
+    def _order_by_twin_class(self) -> list[int]:
+        """Set `order`, `pos` and `radj`, one class of equal rows at a time,
+        and return each vertex's class remapped to positions.
+
+        Vertices with equal rows are twins, and in a simple graph every row
+        is a union of such classes (u ~ x and N(x) = N(x') give u ~ x'), so
+        each distinct row is remapped by walking its classes, and the order
+        by (degree desc, id) takes each class's degree once.
+        """
+        members: dict[int, int] = {}
+        for v, row in enumerate(self.adj):
+            members[row] = members.get(row, 0) | (1 << v)
+        by_degree: dict[int, int] = {}
+        for row, mask in members.items():
+            d = row.bit_count()
+            by_degree[d] = by_degree.get(d, 0) | mask
+        self.order = [v for d in sorted(by_degree, reverse=True) for v in _bits(by_degree[d])]
+        self.pos = [0] * self.n
+        for i, v in enumerate(self.order):
+            self.pos[v] = i
+        cls = [0] * self.n  # the members of each vertex's class, as vertices
+        twins = [0] * self.n  # the same, as positions
+        for mask in members.values():
+            moved = _remap(mask, self.pos)
+            for v in _bits(mask):
+                cls[v], twins[v] = mask, moved
+        remapped: dict[int, int] = {}
+        self.radj = []
+        for v in self.order:
+            self.deadline.tick()
+            row = self.adj[v]
+            if row not in remapped:
+                m, rest = 0, row
+                while rest:
+                    u = (rest & -rest).bit_length() - 1
+                    m |= twins[u]
+                    rest ^= cls[u]
+                remapped[row] = m
+            self.radj.append(remapped[row])
+        return twins
+
+    def _greedy_clique(self, twins: list[int]) -> list[int]:
+        """From each of the first 8 vertices, add the candidate with the
+        most candidate neighbours, the first in order on ties. Candidates
+        are unions of twin classes (`twins`, by position) and twins tie, so
+        only the first member of each class is scored."""
         best: list[int] = []
         for s in range(min(self.n, 8)):
             self.deadline.check()
@@ -245,10 +299,13 @@ class _CliqueSearch:
             cand = self.radj[s]
             while cand:
                 pick, best_deg = -1, -1
-                for v in _bits(cand):
+                rest = cand
+                while rest:
+                    v = (rest & -rest).bit_length() - 1
                     d = (self.radj[v] & cand).bit_count()
                     if d > best_deg:
                         pick, best_deg = v, d
+                    rest &= ~twins[v]
                 clique.append(pick)
                 cand &= self.radj[pick]
             if len(clique) > len(best):
@@ -307,26 +364,43 @@ class _CliqueSearch:
 
 
 def _dsatur(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
-    """Greedy DSATUR coloring; reads the deadline once per pick."""
+    """Greedy DSATUR coloring: each pick is an uncolored vertex of the
+    highest saturation, then the highest degree, then the lowest id. The
+    uncolored vertices of each saturation level are kept as a bitmask over
+    their rank in (degree desc, id) order, so a pick is the lowest bit of
+    the highest nonempty level. Reads the deadline once per pick."""
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
     color = [-1] * n
     neigh = [0] * n
-    deg = [adj[v].bit_count() for v in range(n)]
+    level = [(1 << n) - 1] + [0] * n  # saturation -> uncolored ranks
+    sat = [0] * n
+    top = 0
+    uncolored = (1 << n) - 1
     for _ in range(n):
         deadline.tick()
-        pick, key = -1, None
-        for v in range(n):
-            if color[v] == -1:
-                k = (neigh[v].bit_count(), deg[v], -v)
-                if pick == -1 or k > key:
-                    pick, key = v, k
+        while not level[top]:
+            top -= 1
+        low = level[top] & -level[top]
+        level[top] ^= low
+        pick = order[low.bit_length() - 1]
+        uncolored ^= 1 << pick
         c = 0
         used = neigh[pick]
         while (used >> c) & 1:
             c += 1
         color[pick] = c
-        for u in _bits(adj[pick]):
-            if color[u] == -1:
-                neigh[u] |= 1 << c
+        bit = 1 << c
+        for u in _bits(adj[pick] & uncolored):
+            if not neigh[u] & bit:
+                neigh[u] |= bit
+                r = 1 << rank[u]
+                level[sat[u]] ^= r
+                sat[u] += 1
+                level[sat[u]] |= r
+                top = max(top, sat[u])
     return color
 
 

@@ -11,7 +11,10 @@ code with the solver, and on Anderson-Naseer products against chi = omega + 1
 The clique search that supplies the k-coloring search's pre-colored clique
 also finds the best split: among maximum cliques, one with the most
 square-zero vertices. It is checked on random graphs with random
-square-zero sets against subset enumeration.
+square-zero sets against subset enumeration. Its set-up works one class of
+equal rows at a time, and DSATUR keeps one bucket per saturation level;
+both are checked against the vertex-by-vertex versions they replace, kept
+here as references.
 """
 
 import math
@@ -37,10 +40,12 @@ from beckring import (
     verify_coloring,
 )
 from beckring.oracle import CHROMATIC_ORACLE_CAP, exhaustive_chromatic_number
-from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch
+from beckring.solvers import _CliqueSearch, _Deadline, _dsatur, _KColorSearch
 
 AN_PRODUCT_CAP = 1024
 SPLIT_ORACLE_CAP = 14
+TWIN_GRAPH_CAP = 30
+FOREVER = float("inf")
 SMALL_GRAPHS = settings(PROPERTY, max_examples=200)
 
 
@@ -126,6 +131,91 @@ def _best_split_by_enumeration(g, sq0: int) -> tuple[int, int]:
 
 
 @st.composite
+def twin_graphs(draw):
+    """Random graphs of up to TWIN_GRAPH_CAP vertices with planted twins:
+    each clone copies the row of an earlier vertex, clones included, and is
+    not adjacent to it; vertices are then relabelled at random. Each comes
+    with a random square-zero mask."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = draw(st.integers(0, 12))
+    n = base + (draw(st.integers(0, TWIN_GRAPH_CAP - base)) if base else 0)
+    density = draw(st.sampled_from((0.3, 0.5, 0.7, 0.85)))
+    rows = [0] * n
+    for u in range(base):
+        for v in range(u + 1, base):
+            if rng.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for y in range(base, n):
+        x = rng.randrange(y)
+        rows[y] = rows[x]
+        for u in range(y):
+            if rows[x] >> u & 1:
+                rows[u] |= 1 << y
+    label = list(range(n))
+    rng.shuffle(label)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if rows[u] >> v & 1:
+                adj[label[u]] |= 1 << label[v]
+    sq0 = sum(1 << v for v in range(n) if rng.random() < 0.5)
+    return Graph(n, adj), sq0
+
+
+def _vertex_by_vertex_set_up(n: int, adj: list[int]):
+    """The clique search's set-up one vertex at a time: order by (degree
+    desc, id), each row remapped to positions, and the greedy clique from
+    each of the first 8 positions, adding the first candidate with the most
+    candidate neighbours."""
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    radj = [sum(1 << pos[u] for u in range(n) if adj[v] >> u & 1) for v in order]
+    best: list[int] = []
+    for s in range(min(n, 8)):
+        clique, cand = [s], radj[s]
+        while cand:
+            members = [v for v in range(n) if cand >> v & 1]
+            pick = max(members, key=lambda v: ((radj[v] & cand).bit_count(), -v))
+            clique.append(pick)
+            cand &= radj[pick]
+        if len(clique) > len(best):
+            best = clique
+    return order, pos, radj, best
+
+
+class _VertexByVertexSearch(_CliqueSearch):
+    """The clique search on the vertex-by-vertex set-up."""
+
+    def _order_by_twin_class(self):
+        self.order, self.pos, self.radj, self.first = _vertex_by_vertex_set_up(self.n, self.adj)
+        return [0] * self.n
+
+    def _greedy_clique(self, twins):
+        return self.first
+
+
+def _dsatur_by_scan(n: int, adj: list[int]) -> list[int]:
+    """DSATUR scanning every uncolored vertex for each pick: the highest
+    (saturation, degree), then the lowest id, takes the lowest free color."""
+    color = [-1] * n
+    neigh = [0] * n
+    for _ in range(n):
+        pick = max((v for v in range(n) if color[v] == -1),
+                   key=lambda v: (neigh[v].bit_count(), adj[v].bit_count(), -v))
+        c = 0
+        while neigh[pick] >> c & 1:
+            c += 1
+        color[pick] = c
+        for u in range(n):
+            if adj[pick] >> u & 1:
+                neigh[u] |= 1 << c
+    return color
+
+
+@st.composite
 def an_products(draw, atom):
     """AN times one to four atoms, at most AN_PRODUCT_CAP elements; an atom
     that would pass the cap is skipped."""
@@ -167,6 +257,30 @@ def test_clique_search_maximises_size_then_square_zero_count(case):
         found = _CliqueSearch(g.n, g.adj, _Deadline(float("inf")), sq0, seed=seed).run()
         assert all(g.adj[u] >> v & 1 for u in found for v in found if u != v)
         assert (len(found), sum(sq0 >> v & 1 for v in found)) == want
+
+
+@SMALL_GRAPHS
+@given(twin_graphs())
+def test_twin_class_set_up_matches_the_vertex_by_vertex_set_up(case):
+    g, sq0 = case
+    search = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER))
+    if g.n:
+        search._setup()
+        got = list(search.order), search.pos, search.radj, search.best
+        assert got == _vertex_by_vertex_set_up(g.n, g.adj)
+    # the searches, and the splits they seed, find the same cliques
+    found = []
+    for kind in (_CliqueSearch, _VertexByVertexSearch):
+        plain = kind(g.n, g.adj, _Deadline(FOREVER))
+        plain.run()
+        found.append((plain.result, _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), sq0, seed=plain).run()))
+    assert found[0] == found[1]
+
+
+@SMALL_GRAPHS
+@given(st.one_of(graphs(), twin_graphs().map(lambda case: case[0])))
+def test_dsatur_buckets_match_the_scan(g):
+    assert _dsatur(g.n, g.adj, _Deadline(FOREVER)) == _dsatur_by_scan(g.n, g.adj)
 
 
 @PROPERTY

@@ -18,7 +18,7 @@ from beckring.cli import main
 
 ANALYZE_RINGS = (
     "Z1", "Z2", "Z4", "Z12", "Z29", "Z2[t]/(t^2)", "AN", "AN0", "AN x Z2",
-    "AN x AN", "Z4 x Z256", "Z8 x Z64 x Z8",
+    "AN x AN", "Z4 x Z256", "Z8 x Z64 x Z8", "AN2 x Z36", "Z5 x Z2 x Z2 x Z2 x Z3 x Z3 x Z3",
 )
 MIN_S_RINGS = ("Z1", "Z2", "Z4", "Z12", "Z29", "Z2[t]/(t^2)", "AN", "AN0", "AN x Z2")
 EXPORT_RING = "Z4 x Z256"
@@ -63,6 +63,10 @@ DIGESTS = {
         "0a2119de032ea581460a20a3d1d7b2b1d8f559ef7cb8fe812f1966491f918853",
     "analyze Z8 x Z64 x Z8 --json --budget 60":
         "b069f147ca80f3f3ffcf94bdbea10bc7693208538110e6650803d43b0cb0a842",
+    "analyze AN2 x Z36 --json --budget 60":
+        "ed3c23492b863a2a6c72e1618ed31d9e780efbf6550973c10d24dace1bd9d9d9",
+    "analyze Z5 x Z2 x Z2 x Z2 x Z3 x Z3 x Z3 --json --budget 60":
+        "88563428573a94a3d4845aceccf1d9e40e8c7b607ec6e8e8dcb7f05a6e41c410",
     "analyze Z1 --json --budget 60 --s-mode min":
         "fd7d8ed71d4972c572eb804983c2f1b1afd9bd525e3963642ecf3fdc7028fd33",
     "analyze Z2 --json --budget 60 --s-mode min":

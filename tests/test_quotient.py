@@ -4,7 +4,8 @@
 square-zero flag; chi and min-s are searched on it and lifted back. These
 checks run the unreduced searches on the whole graph instead, and compare
 omega and the lifted colorings with networkx on graphs above the size of
-the brute-force oracles.
+the brute-force oracles, and make sure `verify.core_preservation` fails on
+a quotient that changes chi.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given
 from test_ring_predicates import PROPERTY, rings
 
 from beckring import (
+    BeckGraph,
     build_graph,
     chromatic_number,
     max_clique,
@@ -24,6 +26,7 @@ from beckring import (
     verify_coloring,
 )
 from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch, _MinSSearch
+from beckring.verify import core_preservation
 
 FOREVER = float("inf")
 
@@ -71,3 +74,33 @@ def test_networkx_agrees_on_omega_and_the_lifted_coloring(expr):
     assert nx.max_weight_clique(G, weight=None)[1] == max_clique(g).size
     _, col = chromatic_number(g)
     assert not any(col.class_of[a] == col.class_of[b] for a, b in G.edges())
+
+
+def _closed_twin_core(self):
+    """A wrong quotient: it also fuses square-zero true twins (adjacent
+    vertices with the same other neighbours), which a clique can hold both
+    of. On AN it keeps omega = 5 but has chi 5, not 6."""
+    if self.group is None:
+        class_of, reps, self.group = {}, [], []
+        for v, row in enumerate(self.adj):
+            sq = (self.sq0_bits >> v) & 1
+            c = class_of.setdefault((row | sq << v, sq), len(reps))
+            if c == len(reps):
+                reps.append(v)
+            self.group.append(c)
+        if len(reps) < self.n:
+            self._core = BeckGraph(self.ring, [self.to_ring[v] for v in reps])
+            self._core.group = list(range(len(reps)))
+    return self._core or self
+
+
+def test_core_preservation_fails_on_a_quotient_that_changes_chi(monkeypatch):
+    ring = ring_of("AN")
+    assert core_preservation({"AN": BeckGraph(ring)}).failed == 0
+    monkeypatch.setattr(BeckGraph, "core", _closed_twin_core)
+    # a fresh graph: the ring's live one keeps its true core
+    g = BeckGraph(ring)
+    assert (max_clique(g.core()).size, chromatic_number(g.core())[0]) == (5, 5)
+    check = core_preservation({"AN": g})
+    assert check.failed == 1
+    assert "AN: core reduction changed (omega, chi)" in check.failures

@@ -1,5 +1,7 @@
 """Product formulas, bounds, constructions, and the counterexample family."""
 
+import gc
+
 import pytest
 
 from beckring import (
@@ -301,6 +303,10 @@ def test_family_builds_each_factor_graph_once(monkeypatch):
     # chain's factor graphs instead of rebuilding them
     from beckring import graphs
     from beckring.catalog import canonical_anderson_naseer
+
+    # the cached AN ring's graph may still be held by a reference cycle, such
+    # as an earlier test's exception traceback; free it so AN is built here
+    gc.collect()
 
     chain = [canonical_anderson_naseer()] + rings_of("Z2", "Z3")
     built = []
