@@ -8,6 +8,7 @@ from --budget, else the BECKRING_BUDGET environment variable, else 60 s.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -44,7 +45,11 @@ def _add_common(p: _Parser):
                    help="pick s from any optimal coloring or minimize it")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: argparse reads the
+    terminal size on every add_argument, which costs each in-process call
+    of main() milliseconds. Parsing leaves it unchanged."""
     parser = _Parser(prog="beckring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -70,10 +70,6 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def try_lit(self, lit: str) -> bool:
         self.skip_ws()
         if self.text.startswith(lit, self.pos):

@@ -5,8 +5,9 @@ One type, `BeckGraph`, is Beck's graph induced on a list of ring elements:
 quotient, on one element of each class with the same neighbours and the
 same square-zero flag (Mulay 2002; Spiroff and Wickham 2011). Twins are
 never adjacent, so a clique meets a class at most once and one color serves
-a class: the quotient keeps omega, chi and the least number of
-square-zero-bearing classes of a chi-coloring. A core is its own core.
+a class: the quotient keeps omega, the largest square-zero part of a
+maximum clique, chi and the least number of square-zero-bearing classes of
+a chi-coloring. A core is its own core.
 
 Adjacency is stored as one machine-word-packed bitset per vertex (a Python
 int), the format the branch-and-bound solvers consume directly. It is
@@ -70,10 +71,12 @@ class BeckGraph:
             self.adj.extend(_pack_rows(block))
         self.sq0_bits = _pack_mask(ring.square_zero_mask[self.to_ring])
         self.solved: dict = {}
-        # the core (None while unbuilt or if the graph is its own) and
-        # `group`, the core vertex of each vertex
+        # the core (None while unbuilt or if the graph is its own),
+        # `group`, the core vertex of each vertex, and `reps`, the vertex
+        # that stands for each core vertex (the first of its class)
         self._core: BeckGraph | None = None
         self.group: list[int] | None = None
+        self.reps: list[int] | None = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -94,20 +97,21 @@ class BeckGraph:
     def core(self) -> BeckGraph:
         """The twin quotient: Beck's graph on the first vertex, in order, of
         each class of vertices with the same neighbours and the same
-        square-zero flag; `group` maps each vertex to its class's vertex.
+        square-zero flag; `group` maps each vertex to its class's vertex,
+        and `reps` each class's vertex back to the class's first vertex.
         Built on the first call and kept. A core is its own core."""
         if self.group is None:
             class_of: dict[tuple[int, int], int] = {}
-            reps: list[int] = []
+            self.reps = []
             self.group = []
             for v, row in enumerate(self.adj):
-                c = class_of.setdefault((row, (self.sq0_bits >> v) & 1), len(reps))
-                if c == len(reps):
-                    reps.append(v)
+                c = class_of.setdefault((row, (self.sq0_bits >> v) & 1), len(self.reps))
+                if c == len(self.reps):
+                    self.reps.append(v)
                 self.group.append(c)
-            if len(reps) < self.n:
-                self._core = BeckGraph(self.ring, [self.to_ring[v] for v in reps])
-                self._core.group = list(range(len(reps)))
+            if len(self.reps) < self.n:
+                self._core = BeckGraph(self.ring, [self.to_ring[v] for v in self.reps])
+                self._core.group = self._core.reps = list(range(len(self.reps)))
         return self._core or self
 
 

@@ -9,19 +9,17 @@ once per node, as DSATUR does once per pick and the clique search's set-up
 once per vertex and per greedy start, and expiry anywhere comes back to the
 caller as a BudgetError carrying the bounds found so far.
 
-The chromatic number and min-s are searched on the core of a Beck graph,
-its twin quotient (see `BeckGraph.core`), and the coloring is lifted back
-by giving each vertex the color of its class. The maximum clique and the
-split are searched on the graph given, and witnesses are its vertex ids,
-which for the graph of a whole ring are ring-element ids. Graph-likes that
-carry only `n` and `adj` are searched as given.
+Every search on a Beck graph runs on its core, the twin quotient (see
+`BeckGraph.core`). A coloring of the core is lifted back by giving each
+vertex the color of its class. A clique of the core, for omega, the split
+or a budget-cut partial clique, is lifted through the class
+representatives: each member becomes the first vertex, in order, of its
+class, which on the graph of a whole ring is the class's first ring
+element. Graph-likes that carry only `n` and `adj` are searched as given.
 
 One clique branch and bound serves omega, the split and the square-zero
 floor of min-s. It maximises (clique size, square-zero count), and the
-split search reuses the finished maximum-clique search of its graph. Its
-set-up works per twin class: vertices with equal rows share their degree,
-their remapped row and their greedy score, so a graph of 1024 vertices and
-a hundred distinct rows is set up at the cost of its classes.
+split search reuses the finished maximum-clique search of its graph.
 
 DSATUR keeps the uncolored vertices of each saturation level as one bitmask
 over their rank in (degree desc, id) order, so a pick is the lowest bit of
@@ -38,10 +36,11 @@ Networks 2017) on the graph where each used color is merged into one vertex.
 
 Each graph is searched once. The finished maximum-clique search (vertex
 order, remapped adjacency, result), the best split and the chromatic
-number with its coloring are memoised in the `solved` dict of the graph
+number with its coloring are memoised in the `solved` dict of the core
 they ran on, so one analysis that asks for omega, the split and chi of the
 same graph, or solves the same factor for two theorem checks, pays for
-each search once; chi reuses the core's maximum-clique search.
+one clique search: omega, the seed of the split and chi's lower bound
+share it.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again.
 """
@@ -220,13 +219,11 @@ class _CliqueSearch:
     ends the node. `seed`, a finished search on the same graph, lends its
     order, remapped adjacency and best clique.
 
-    The graph must be simple (symmetric rows, no loops). Its set-up works
-    one twin class, a class of vertices with equal rows, at a time: each
-    class's degree is taken once for the order, each distinct row is
-    remapped once by walking its classes, and the greedy first clique
-    scores one member per class. The order, the remapped rows and the
-    greedy clique are those of a vertex-by-vertex set-up, so the search
-    and its witnesses do not change.
+    The set-up orders the vertices by (degree desc, id), remaps each row to
+    positions in that order and grows a greedy first clique, one vertex at
+    a time. The public entries run it on the twin quotient of a Beck graph,
+    where equal rows come at most in pairs (one square-zero vertex, one
+    not), so a set-up per class of equal rows would save nothing there.
     """
 
     def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
@@ -236,62 +233,25 @@ class _CliqueSearch:
 
     def _setup(self) -> None:
         """Order and remapped adjacency, lent by the seed or built reading
-        the deadline once per vertex of the order, then a first best clique."""
+        the deadline once per vertex, then a first best clique."""
         if self.seed:
             self.order, self.pos, self.radj = self.seed.order, self.seed.pos, self.seed.radj
-            self.best = list(self.seed.best)
         else:
-            twins = self._order_by_twin_class()
-            self.best = self._greedy_clique([twins[v] for v in self.order])
+            self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
+            self.pos = [0] * self.n
+            for i, v in enumerate(self.order):
+                self.pos[v] = i
+            self.radj = []
+            for v in self.order:
+                self.deadline.tick()
+                self.radj.append(_remap(self.adj[v], self.pos))
         self.sq0 = _remap(self.sq0_bits, self.pos)
+        self.best = list(self.seed.best) if self.seed else self._greedy_clique()
         self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
 
-    def _order_by_twin_class(self) -> list[int]:
-        """Set `order`, `pos` and `radj`, one class of equal rows at a time,
-        and return each vertex's class remapped to positions.
-
-        Vertices with equal rows are twins, and in a simple graph every row
-        is a union of such classes (u ~ x and N(x) = N(x') give u ~ x'), so
-        each distinct row is remapped by walking its classes, and the order
-        by (degree desc, id) takes each class's degree once.
-        """
-        members: dict[int, int] = {}
-        for v, row in enumerate(self.adj):
-            members[row] = members.get(row, 0) | (1 << v)
-        by_degree: dict[int, int] = {}
-        for row, mask in members.items():
-            d = row.bit_count()
-            by_degree[d] = by_degree.get(d, 0) | mask
-        self.order = [v for d in sorted(by_degree, reverse=True) for v in _bits(by_degree[d])]
-        self.pos = [0] * self.n
-        for i, v in enumerate(self.order):
-            self.pos[v] = i
-        cls = [0] * self.n  # the members of each vertex's class, as vertices
-        twins = [0] * self.n  # the same, as positions
-        for mask in members.values():
-            moved = _remap(mask, self.pos)
-            for v in _bits(mask):
-                cls[v], twins[v] = mask, moved
-        remapped: dict[int, int] = {}
-        self.radj = []
-        for v in self.order:
-            self.deadline.tick()
-            row = self.adj[v]
-            if row not in remapped:
-                m, rest = 0, row
-                while rest:
-                    u = (rest & -rest).bit_length() - 1
-                    m |= twins[u]
-                    rest ^= cls[u]
-                remapped[row] = m
-            self.radj.append(remapped[row])
-        return twins
-
-    def _greedy_clique(self, twins: list[int]) -> list[int]:
+    def _greedy_clique(self) -> list[int]:
         """From each of the first 8 vertices, add the candidate with the
-        most candidate neighbours, the first in order on ties. Candidates
-        are unions of twin classes (`twins`, by position) and twins tie, so
-        only the first member of each class is scored."""
+        most candidate neighbours, the first in order on ties."""
         best: list[int] = []
         for s in range(min(self.n, 8)):
             self.deadline.check()
@@ -299,13 +259,10 @@ class _CliqueSearch:
             cand = self.radj[s]
             while cand:
                 pick, best_deg = -1, -1
-                rest = cand
-                while rest:
-                    v = (rest & -rest).bit_length() - 1
+                for v in _bits(cand):
                     d = (self.radj[v] & cand).bit_count()
                     if d > best_deg:
                         pick, best_deg = v, d
-                    rest &= ~twins[v]
                 clique.append(pick)
                 cand &= self.radj[pick]
             if len(clique) > len(best):
@@ -503,11 +460,12 @@ def _solved(work) -> dict:
 
 
 def _core(g):
-    """The core of `g` and the map of its vertices onto it: the twin
+    """The core of `g`, the map of its vertices onto it (`group`) and the
+    vertex of `g` that stands for each core vertex (`reps`): the twin
     quotient of a Beck graph; any other graph-like is its own core."""
     if isinstance(g, BeckGraph):
-        return g.core(), g.group
-    return g, range(g.n)
+        return g.core(), g.group, g.reps
+    return g, range(g.n), range(g.n)
 
 
 def _lift(color: list[int], group, k: int) -> Coloring:
@@ -532,33 +490,36 @@ def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
 
 
 def max_clique(g, budget: float | None = None) -> Clique:
-    """Exact maximum clique of the graph given, with witness; deterministic
-    across runs."""
-    search = _clique_search(g, _Deadline(budget))
+    """Exact maximum clique, with witness; deterministic across runs. On a
+    Beck graph it is searched on the core, and each witness member is the
+    first vertex of its twin class."""
+    work, _, reps = _core(g)
+    search = _clique_search(work, _Deadline(budget))
     if search.result is None:
-        lb_w = sorted(search.order[v] for v in search.best)
+        lb_w = sorted(reps[search.order[v]] for v in search.best)
         raise BudgetError("max_clique", len(lb_w), witness=lb_w)
-    return Clique(tuple(search.result))
+    return Clique(tuple(reps[v] for v in search.result))
 
 
 def best_clique_split(g, budget: float | None = None) -> CliqueSplit:
-    """Among all maximum cliques of the graph given, one maximizing the
-    square-zero part."""
-    memo = _solved(g)
+    """Among all maximum cliques, one maximizing the square-zero part; on a
+    Beck graph searched on the core and lifted as max_clique's witness."""
+    work, _, reps = _core(g)
+    memo = _solved(work)
     if "split" not in memo:
         deadline = _Deadline(budget)
-        base = _clique_search(g, deadline)
+        base = _clique_search(work, deadline)
         if base.result is None:
             raise BudgetError("best_clique_split", len(base.best))
         try:
-            search = _CliqueSearch(g.n, g.adj, deadline, g.sq0_bits, seed=base)
+            search = _CliqueSearch(work.n, work.adj, deadline, work.sq0_bits, seed=base)
             memo["split"] = search.run()
         except _OutOfTime:
             raise BudgetError("best_clique_split", len(base.best)) from None
-    verts = memo["split"]
+    verts = tuple(reps[v] for v in memo["split"])
     b = tuple(v for v in verts if (g.sq0_bits >> v) & 1)
     c = tuple(v for v in verts if not (g.sq0_bits >> v) & 1)
-    return CliqueSplit(Clique(tuple(verts)), b, c)
+    return CliqueSplit(Clique(verts), b, c)
 
 
 def chromatic_number(g, budget: float | None = None) -> tuple[int, Coloring]:
@@ -575,7 +536,7 @@ def chromatic_number(g, budget: float | None = None) -> tuple[int, Coloring]:
     needs as many distinct colors as it has vertices, and it refutes k = 18
     and k = 19 on AN x AN, whose chi is 20.
     """
-    work, group = _core(g)
+    work, group, _ = _core(g)
     k, color = _chromatic(work, _Deadline(budget))
     return k, _lift(color, group, k)
 
@@ -733,7 +694,7 @@ def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZ
     the whole graph's. One deadline covers the chromatic solve and either
     search.
     """
-    work, group = _core(g)
+    work, group, _ = _core(g)
     deadline = _Deadline(budget)
     k, color = _chromatic(work, deadline)
     baseline = _lift(color, group, k)

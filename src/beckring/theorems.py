@@ -91,12 +91,15 @@ def _materialize_witness(ring, factors, splits) -> Clique:
                 coords = [0] * len(factors)
                 coords[i] = c
                 verts.append(ring.encode(tuple(coords)))
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if ring.mul(u, v) != 0:
-                raise InternalCheckError(
-                    f"witness clique has nonzero product {ring.element_str(u)}*{ring.element_str(v)}"
-                )
+    # every pair at once, in the order of a pair-by-pair scan
+    ids = np.array(verts, dtype=np.int64)
+    left, right = np.triu_indices(len(verts), k=1)
+    bad = np.flatnonzero(ring.mul_many(ids[left], ids[right]))
+    if bad.size:
+        u, v = verts[left[bad[0]]], verts[right[bad[0]]]
+        raise InternalCheckError(
+            f"witness clique has nonzero product {ring.element_str(u)}*{ring.element_str(v)}"
+        )
     return Clique(tuple(sorted(verts)))
 
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from . import theorems
 from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings
 from .dsl import parse, print_expr, ring_of
-from .errors import BeckringError
+from .errors import BeckringError, BudgetError
 from .graphs import BeckGraph, build_graph
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
 from .report import analyze
 from .rings import FiniteRing, ProductRing, make_product
 from .solvers import (
     _chromatic,
+    _clique_search,
     _Deadline,
     best_clique_split,
     chromatic_number,
@@ -126,11 +127,15 @@ def _omega_chi(g: BeckGraph, budget: float | None) -> tuple[int, int]:
 
 def core_preservation(graphs: dict[str, BeckGraph], budget: float | None = None) -> CheckResult:
     """The core, the twin quotient, has exactly the (omega, chi) of the graph.
-    The graph's chi comes from the unreduced search, since chromatic_number
-    itself searches the core."""
+    The graph's omega and chi come from the unreduced searches, since
+    max_clique and chromatic_number themselves search the core."""
     check = CheckResult("core_preservation")
     for name, g in graphs.items():
-        whole = max_clique(g, budget).size, _chromatic(g, _Deadline(budget))[0]
+        deadline = _Deadline(budget)
+        search = _clique_search(g, deadline)
+        if search.result is None:
+            raise BudgetError("core_preservation", len(search.best))
+        whole = len(search.result), _chromatic(g, deadline)[0]
         same = _omega_chi(g.core(), budget) == whole
         check.require(same, f"{name}: core reduction changed (omega, chi)")
     return check

@@ -11,10 +11,9 @@ code with the solver, and on Anderson-Naseer products against chi = omega + 1
 The clique search that supplies the k-coloring search's pre-colored clique
 also finds the best split: among maximum cliques, one with the most
 square-zero vertices. It is checked on random graphs with random
-square-zero sets against subset enumeration. Its set-up works one class of
-equal rows at a time, and DSATUR keeps one bucket per saturation level;
-both are checked against the vertex-by-vertex versions they replace, kept
-here as references.
+square-zero sets against subset enumeration. DSATUR keeps one bucket per
+saturation level; it is checked against the scan it replaced, kept here as
+a reference.
 """
 
 import math
@@ -134,8 +133,7 @@ def _best_split_by_enumeration(g, sq0: int) -> tuple[int, int]:
 def twin_graphs(draw):
     """Random graphs of up to TWIN_GRAPH_CAP vertices with planted twins:
     each clone copies the row of an earlier vertex, clones included, and is
-    not adjacent to it; vertices are then relabelled at random. Each comes
-    with a random square-zero mask."""
+    not adjacent to it; vertices are then relabelled at random."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     base = draw(st.integers(0, 12))
     n = base + (draw(st.integers(0, TWIN_GRAPH_CAP - base)) if base else 0)
@@ -159,42 +157,7 @@ def twin_graphs(draw):
         for v in range(n):
             if rows[u] >> v & 1:
                 adj[label[u]] |= 1 << label[v]
-    sq0 = sum(1 << v for v in range(n) if rng.random() < 0.5)
-    return Graph(n, adj), sq0
-
-
-def _vertex_by_vertex_set_up(n: int, adj: list[int]):
-    """The clique search's set-up one vertex at a time: order by (degree
-    desc, id), each row remapped to positions, and the greedy clique from
-    each of the first 8 positions, adding the first candidate with the most
-    candidate neighbours."""
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    radj = [sum(1 << pos[u] for u in range(n) if adj[v] >> u & 1) for v in order]
-    best: list[int] = []
-    for s in range(min(n, 8)):
-        clique, cand = [s], radj[s]
-        while cand:
-            members = [v for v in range(n) if cand >> v & 1]
-            pick = max(members, key=lambda v: ((radj[v] & cand).bit_count(), -v))
-            clique.append(pick)
-            cand &= radj[pick]
-        if len(clique) > len(best):
-            best = clique
-    return order, pos, radj, best
-
-
-class _VertexByVertexSearch(_CliqueSearch):
-    """The clique search on the vertex-by-vertex set-up."""
-
-    def _order_by_twin_class(self):
-        self.order, self.pos, self.radj, self.first = _vertex_by_vertex_set_up(self.n, self.adj)
-        return [0] * self.n
-
-    def _greedy_clique(self, twins):
-        return self.first
+    return Graph(n, adj)
 
 
 def _dsatur_by_scan(n: int, adj: list[int]) -> list[int]:
@@ -260,25 +223,7 @@ def test_clique_search_maximises_size_then_square_zero_count(case):
 
 
 @SMALL_GRAPHS
-@given(twin_graphs())
-def test_twin_class_set_up_matches_the_vertex_by_vertex_set_up(case):
-    g, sq0 = case
-    search = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER))
-    if g.n:
-        search._setup()
-        got = list(search.order), search.pos, search.radj, search.best
-        assert got == _vertex_by_vertex_set_up(g.n, g.adj)
-    # the searches, and the splits they seed, find the same cliques
-    found = []
-    for kind in (_CliqueSearch, _VertexByVertexSearch):
-        plain = kind(g.n, g.adj, _Deadline(FOREVER))
-        plain.run()
-        found.append((plain.result, _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), sq0, seed=plain).run()))
-    assert found[0] == found[1]
-
-
-@SMALL_GRAPHS
-@given(st.one_of(graphs(), twin_graphs().map(lambda case: case[0])))
+@given(st.one_of(graphs(), twin_graphs()))
 def test_dsatur_buckets_match_the_scan(g):
     assert _dsatur(g.n, g.adj, _Deadline(FOREVER)) == _dsatur_by_scan(g.n, g.adj)
 

@@ -52,13 +52,13 @@ DIGESTS = {
     "analyze Z2[t]/(t^2) --json --budget 60":
         "06e746e52101681826dc2ebd933e4e3bba6671808c5ee54ff8ce965e98e7ef03",
     "analyze AN --json --budget 60":
-        "0d093e83d1a8908c110620129934e8d814e04140f8724abf1720dc22b8db26b6",
+        "d216f85635b8a67f327d9e825242e2a2d70ce1e5ca4e018ee8472ccf3c06bc7a",
     "analyze AN0 --json --budget 60":
-        "e1c13070eb54efe2ef749433b6f20d19faf6d7a047581b08a042107a768463d4",
+        "b4ff1621df23d3207d22a45d43956565d8d7d431f5bf9c2a7bbf6ad0bf3ca346",
     "analyze AN x Z2 --json --budget 60":
-        "252907f8b2044c81755ae20b0df993ad0ba922019e61fe60941dab0522baf7ed",
+        "dcda831d14ca58bedeb11e2ffe065ea87ecf2c91bc644ed9bd3a0a9462774192",
     "analyze AN x AN --json --budget 60":
-        "9ebc4e48d70fef9650883bc32cdd8d3383830cbdcf1a8cc0c3144d5bf8721dcc",
+        "486a6dd56951c059662cd628b6980e16bf01dfbb6153a9bfdc42fd8e1f69cc4a",
     "analyze Z4 x Z256 --json --budget 60":
         "0a2119de032ea581460a20a3d1d7b2b1d8f559ef7cb8fe812f1966491f918853",
     "analyze Z8 x Z64 x Z8 --json --budget 60":
@@ -80,11 +80,11 @@ DIGESTS = {
     "analyze Z2[t]/(t^2) --json --budget 60 --s-mode min":
         "06e746e52101681826dc2ebd933e4e3bba6671808c5ee54ff8ce965e98e7ef03",
     "analyze AN --json --budget 60 --s-mode min":
-        "b00b1fa1a0e5f4e36127b9f37be61eac2a63e8d23fc3fe370df09e8be89648ed",
+        "14882e5080238443f0d82e37e83b9c97bedb9cf63a322c917d945b5c68dc8174",
     "analyze AN0 --json --budget 60 --s-mode min":
-        "295b143f146183ed229b7d1a00c51293d80b79cf71d6ad4f93aad1b966857579",
+        "682fd1cd382fffce952f4d39554bd61bf9ad9436d06bde6b3ae98700e0c17e9b",
     "analyze AN x Z2 --json --budget 60 --s-mode min":
-        "252907f8b2044c81755ae20b0df993ad0ba922019e61fe60941dab0522baf7ed",
+        "dcda831d14ca58bedeb11e2ffe065ea87ecf2c91bc644ed9bd3a0a9462774192",
     "export Z4 x Z256 --format dimacs":
         "acc7fa74aadf00765910d92fac109d7f458a223394de97db7df1595a4b0ef46c",
     "export Z4 x Z256 --format json":

@@ -1,31 +1,38 @@
 """The twin quotient against unreduced searches and an independent solver.
 
 `BeckGraph.core` fuses the vertices with the same neighbours and the same
-square-zero flag; chi and min-s are searched on it and lifted back. These
-checks run the unreduced searches on the whole graph instead, and compare
-omega and the lifted colorings with networkx on graphs above the size of
-the brute-force oracles, and make sure `verify.core_preservation` fails on
-a quotient that changes chi.
+square-zero flag; omega, the split, chi and min-s are searched on it and
+lifted back. These checks run the unreduced searches on the whole graph
+instead, and compare omega and the lifted colorings with networkx on graphs
+above the size of the brute-force oracles, and make sure
+`verify.core_preservation` fails on a quotient that changes omega or chi.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given
+from hypothesis import strategies as st
 from test_ring_predicates import PROPERTY, rings
 
 from beckring import (
     BeckGraph,
+    BudgetError,
+    best_clique_split,
     build_graph,
     chromatic_number,
     max_clique,
     min_s_optimal_coloring,
     ring_of,
     s_of,
+    verify_clique,
     verify_coloring,
 )
-from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch, _MinSSearch
+from beckring import solvers
+from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch, _MinSSearch, _OutOfTime
 from beckring.verify import core_preservation
 
 FOREVER = float("inf")
@@ -43,6 +50,52 @@ def test_quotient_keeps_omega_and_chi(ring):
     if chi > len(clique):
         assert _KColorSearch(g.n, g.adj, chi - 1, clique, _Deadline(FOREVER)).run() is None
     assert _KColorSearch(g.n, g.adj, chi, clique, _Deadline(FOREVER)).run() is not None
+
+
+class _CutDeadline(_Deadline):
+    """A deadline that runs out at its `cut`-th tick or check."""
+
+    def __init__(self, cut, budget):
+        super().__init__(FOREVER)
+        self.cut = cut
+
+    def tick(self):
+        self.check()
+
+    def check(self):
+        self.cut -= 1
+        if self.cut < 0:
+            raise _OutOfTime()
+
+
+@PROPERTY
+@given(rings(max_size=128), st.integers(0, 12))
+def test_clique_witnesses_lift_to_class_representatives(ring, after_set_up):
+    # the maximum clique and the split, searched on the core, against the
+    # unreduced searches on the whole graph
+    g = build_graph(ring)
+    whole = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER))
+    whole.run()
+    whole_split = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), g.sq0_bits, seed=whole).run()
+    clique, split = max_clique(g), best_clique_split(g)
+    assert clique.size == len(whole.result)
+    whole_b = sum(g.sq0_bits >> v & 1 for v in whole_split)
+    assert (split.clique.size, split.b_size) == (len(whole_split), whole_b)
+    # the partial clique of a search cut short, on a fresh graph with no
+    # memo: the set-up ticks once per vertex, so the cut falls in the greedy
+    # starts or the branch and bound
+    fresh = BeckGraph(ring)
+    cut = fresh.core().n + after_set_up
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_Deadline", functools.partial(_CutDeadline, cut))
+        try:
+            partial = max_clique(fresh).vertices
+        except BudgetError as e:
+            partial = tuple(e.witness)
+            assert e.lower == len(partial)
+    for vertices in (clique.vertices, split.clique.vertices, partial):
+        assert verify_clique(g, vertices)
+        assert all(g.reps[g.group[v]] == v for v in vertices)
 
 
 @PROPERTY
@@ -88,9 +141,10 @@ def _closed_twin_core(self):
             if c == len(reps):
                 reps.append(v)
             self.group.append(c)
+        self.reps = reps
         if len(reps) < self.n:
             self._core = BeckGraph(self.ring, [self.to_ring[v] for v in reps])
-            self._core.group = list(range(len(reps)))
+            self._core.group = self._core.reps = list(range(len(reps)))
     return self._core or self
 
 
@@ -101,6 +155,34 @@ def test_core_preservation_fails_on_a_quotient_that_changes_chi(monkeypatch):
     # a fresh graph: the ring's live one keeps its true core
     g = BeckGraph(ring)
     assert (max_clique(g.core()).size, chromatic_number(g.core())[0]) == (5, 5)
+    check = core_preservation({"AN": g})
+    assert check.failed == 1
+    assert "AN: core reduction changed (omega, chi)" in check.failures
+
+
+_true_core = BeckGraph.core
+
+
+def _doubled_core(self):
+    """A wrong quotient: the true one with a second vertex for its last
+    square-zero element, adjacent to the first since the element squares to
+    zero. On AN it has omega 6 but keeps chi 6, so only omega tells it from
+    the graph's (5, 6)."""
+    if "_doubled" not in vars(self):
+        core = _true_core(self)
+        last = max(v for v in range(core.n) if core.sq0_bits >> v & 1)
+        doubled = BeckGraph(self.ring, core.to_ring + [core.to_ring[last]])
+        doubled.group = doubled.reps = list(range(doubled.n))
+        doubled._doubled = doubled
+        self._doubled = doubled
+        self.reps = self.reps + [self.reps[last]]
+    return self._doubled
+
+
+def test_core_preservation_fails_on_a_quotient_that_changes_omega(monkeypatch):
+    monkeypatch.setattr(BeckGraph, "core", _doubled_core)
+    g = BeckGraph(ring_of("AN"))
+    assert (max_clique(g.core()).size, chromatic_number(g.core())[0]) == (6, 6)
     check = core_preservation({"AN": g})
     assert check.failed == 1
     assert "AN: core reduction changed (omega, chi)" in check.failures

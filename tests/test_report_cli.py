@@ -9,7 +9,7 @@ import time
 import pytest
 
 import beckring
-from beckring.cli import main
+from beckring.cli import build_parser, main
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
 from beckring import make_structure_ring, make_zmod
@@ -79,9 +79,8 @@ def test_analyze_product_checks_present():
 
 
 def test_analyze_searches_each_graph_once(monkeypatch):
-    # omega and the split of the ring share one clique search on its graph,
-    # chi runs one on its core, and the two product checks share each
-    # factor's solves
+    # omega, the split and chi of the ring share one clique search on its
+    # core, and the two product checks share each factor's solves
     from beckring import solvers
 
     searched = []
@@ -96,8 +95,8 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     rep = analyze("Z4 x Z256")
     assert all(c["pass"] for c in rep["checks"])
-    # the graph and the core of the product, of Z256 and of Z4
-    assert len(searched) == 6
+    # the core of the product, of Z256 and of Z4
+    assert len(searched) == 3
     assert len(set(searched)) == len(searched)
 
 
@@ -216,6 +215,19 @@ def test_cli_usage_exit_1(capsys):
     assert main(["predict-omega", "Z2"]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["zn"]) == 1
+
+
+def test_cli_parses_after_a_usage_error(capsys):
+    # one parser serves every call; an error halfway through a subcommand's
+    # options leaves it, and its defaults, as they were
+    parser = build_parser()
+    assert main(["export", "Z4", "--budget", "3", "--format", "png"]) == 1
+    assert build_parser() is parser
+    args = parser.parse_args(["export", "Z4"])
+    assert (args.command, args.expr, args.format) == ("export", "Z4", "dimacs")
+    assert (args.budget, args.s_mode, args.output, args.json) == (None, "any", None, False)
+    assert main(["export", "Z4"]) == 0
+    assert capsys.readouterr().out == "p edge 4 3\ne 1 2\ne 1 3\ne 1 4\n"
 
 
 def test_cli_predict_omega(capsys):

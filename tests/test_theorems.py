@@ -1,11 +1,13 @@
 """Product formulas, bounds, constructions, and the counterexample family."""
 
 import gc
+import re
 
 import pytest
 
 from beckring import (
     ContractError,
+    InternalCheckError,
     InvalidModulusError,
     PreconditionError,
     build_graph,
@@ -26,7 +28,8 @@ from beckring import (
     zn_formula,
 )
 from beckring.oracle import exhaustive_max_clique
-from beckring.theorems import an_condition_for
+from beckring.solvers import Clique, CliqueSplit, best_clique_split
+from beckring.theorems import _materialize_witness, an_condition_for
 
 
 def rings_of(*texts):
@@ -75,6 +78,25 @@ def test_omega_formula_witness_is_a_clique_in_the_product():
     assert verify_clique(g, pred.witness.vertices)
     assert len(pred.witness.vertices) == pred.predicted
     assert pred.predicted == max_clique(g).size
+
+
+def test_a_corrupted_split_fails_the_witness_check():
+    # Z8's split with the unit 1 put into its square-zero part: 1 times a
+    # non-zero element is not zero, so the product box is no clique
+    factors = rings_of("Z8", "Z9")
+    splits = [best_clique_split(build_graph(f)) for f in factors]
+    first = splits[0]
+    b_part = first.b_part + (1,)
+    splits[0] = CliqueSplit(Clique(first.clique.vertices + (1,)), b_part, first.c_part)
+    product = make_product(factors)
+    witness = [product.encode((b, c)) for b in b_part for c in splits[1].b_part]
+    witness += [product.encode((c, 0)) for c in first.c_part]
+    witness += [product.encode((0, c)) for c in splits[1].c_part]
+    u, v = next((u, v) for i, u in enumerate(witness) for v in witness[i + 1:]
+                 if product.mul(u, v) != 0)
+    message = f"nonzero product {product.element_str(u)}*{product.element_str(v)}"
+    with pytest.raises(InternalCheckError, match=re.escape(message) + "$"):
+        _materialize_witness(product, factors, splits)
 
 
 # -- chromatic bounds ---------------------------------------------------------
