@@ -85,11 +85,16 @@ class BeckGraph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges (u, v) with u < v, sorted lexicographically."""
-        rel = self.ring.zero_rel_matrix
-        if self.n < self.ring.size:
-            rel = rel[np.ix_(self.to_ring, self.to_ring)]
-        return [(int(u), int(v)) for u, v in np.argwhere(np.triu(rel, k=1))]
+        """All edges (u, v) with u < v, sorted lexicographically: the bits
+        above u of each row u, lowest first."""
+        out = []
+        for u, row in enumerate(self.adj):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                out.append((u, u + low.bit_length()))
+                row ^= low
+        return out
 
     def element_of(self, v: int) -> int:
         return self.to_ring[v]

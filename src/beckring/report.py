@@ -58,20 +58,13 @@ def analyze(
     g = build_graph(ring, size_cap=size_cap)
 
     clique = max_clique(g, deadline.left())
-    if s_mode == "min_s":
-        coloring, sz = min_s_optimal_coloring(g, deadline.left())
-        chi_val, s_val = coloring.k, sz.s
-    else:
-        chi_val, coloring = chromatic_number(g, deadline.left())
-        s_val = s_of(g, coloring).s
+    chi_val, coloring = chromatic_number(g, deadline.left())
     split = best_clique_split(g, deadline.left())
 
     if not verify_clique(g, clique.vertices):
         raise InternalCheckError("clique witness failed re-verification")
     if not verify_clique(g, split.clique.vertices):
         raise InternalCheckError("split witness failed re-verification")
-    if not verify_coloring(g, coloring):
-        raise InternalCheckError("coloring witness failed re-verification")
 
     profile = ring.nilradical()
     omega_val = clique.size
@@ -111,6 +104,17 @@ def analyze(
         bounds = chi_bounds(factors, s_mode, deadline.left())
         checks.append(_check("chi_lower_bound", bounds.lower, chi_val, chi_val >= bounds.lower))
         checks.append(_check("chi_upper_bound", bounds.upper, chi_val, chi_val <= bounds.upper))
+
+    # min-s last: cut short by the budget it still answers, with the
+    # chi-coloring and an upper bound on s, so it must not take the time
+    # of the checks above
+    if s_mode == "min_s":
+        coloring, sz = min_s_optimal_coloring(g, deadline.left())
+        s_val = sz.s
+    else:
+        s_val = s_of(g, coloring).s
+    if not verify_coloring(g, coloring):
+        raise InternalCheckError("coloring witness failed re-verification")
 
     els = ring.element_str
     return {

@@ -33,6 +33,11 @@ branch and bound (San Segundo, "A new DSATUR-based algorithm for exact
 vertex coloring", 2012; Furini, Gabrel and Ternier, "An improved
 DSATUR-based branch-and-bound algorithm for the vertex coloring problem",
 Networks 2017) on the graph where each used color is merged into one vertex.
+The same search decides min-s: "is s <= t" asks for a chi-coloring whose
+square-zero vertices all take colors below t, so their domains start as
+[0, t), the lowest-fresh-color rule runs apart in [0, t) and [t, k), and
+the pre-colored clique is a largest square-zero clique, whose size is also
+the floor of s.
 
 Each graph is searched once. The finished maximum-clique search (vertex
 order, remapped adjacency, result), the best split and the chromatic
@@ -42,7 +47,9 @@ same graph, or solves the same factor for two theorem checks, pays for
 one clique search: omega, the seed of the split and chi's lower bound
 share it.
 A search cut short by its budget is never memoised: the BudgetError goes
-to the caller, and a later call, with a larger budget, searches again.
+to the caller, and a later call, with a larger budget, searches again. The
+one answer short of its goal is min-s once chi is known: it comes back with
+the interval of s proved so far.
 """
 
 from __future__ import annotations
@@ -52,11 +59,10 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .errors import BudgetError, ContractError, InternalCheckError
+from .errors import BudgetError, ContractError
 from .graphs import BeckGraph
 
 DEFAULT_BUDGET = 60.0
-MIN_S_EXHAUSTIVE_CAP = 20
 
 # decision searches recurse once per vertex; cores can exceed the default limit
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -167,11 +173,16 @@ class Coloring:
 
 @dataclass(frozen=True)
 class SZero:
-    """Count of color classes containing a square-zero element; `exact` is False
-    when it is only a best-effort upper bound from local search."""
+    """Count s of the color classes containing a square-zero element, and
+    `lower`, a certified lower bound on the least s over the colorings in
+    question: `exact` when the two meet."""
 
     s: int
-    exact: bool = True
+    lower: int
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.s
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +373,29 @@ def _dsatur(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
 
 
 class _KColorSearch:
-    """Decision search for a proper k-coloring, symmetry-broken by a
-    pre-colored maximum clique plus a lowest-fresh-color rule, and pruned
-    by Hall's condition on cliques of uncolored vertices."""
+    """Decision search for a proper k-coloring whose square-zero vertices
+    (`sq0_bits`) use only the colors below t (t = k: any proper k-coloring),
+    pruned by Hall's condition on cliques of uncolored vertices.
 
-    def __init__(self, n, adj, k, clique, deadline):
+    Symmetry is broken by a pre-colored clique, colored 0, 1, ... in vertex
+    order, and a lowest-fresh-color rule kept apart in [0, t) and [t, k):
+    the unused colors of one range are interchangeable at every node, those
+    of two ranges are not. With t < k the clique must be square-zero and
+    have at most t vertices, so that its colors lie below t. `_solve`
+    carries the bitmask of the colors used.
+    """
+
+    def __init__(self, n, adj, k, clique, deadline, sq0_bits=0, t=None):
         self.n = n
         self.adj = adj
         self.k = k
+        self.t = k if t is None else t
         self.deadline = deadline
         self.deg = [adj[v].bit_count() for v in range(n)]
         self.color = [-1] * n
-        self.dom = [(1 << k) - 1] * n
+        self.dom = [(1 << (self.t if (sq0_bits >> v) & 1 else k)) - 1 for v in range(n)]
         self.free = (1 << n) - 1
-        self.start_used = len(clique)
+        self.start_used = (1 << len(clique)) - 1
         for i, v in enumerate(sorted(clique)):
             self.color[v] = i
             self.free ^= 1 << v
@@ -422,8 +442,9 @@ class _KColorSearch:
         if v == -1:
             return True
         self.free ^= 1 << v
-        allowed = self.dom[v] & ((1 << min(used + 1, self.k)) - 1)
-        for c in _bits(allowed):
+        t, low = self.t, (1 << self.t) - 1
+        fresh = ((used & low) + 1) & low | (((used >> t) + 1) << t) & ((1 << self.k) - 1)
+        for c in _bits(self.dom[v] & (used | fresh)):
             self.color[v] = c
             bit = 1 << c
             changed = []
@@ -431,7 +452,7 @@ class _KColorSearch:
                 if self.dom[u] & bit:
                     self.dom[u] &= ~bit
                     changed.append(u)
-            if not self._hall_violated(changed) and self._solve(max(used, c + 1)):
+            if not self._hall_violated(changed) and self._solve(used | bit):
                 return True
             for u in changed:
                 self.dom[u] |= bit
@@ -589,144 +610,49 @@ def s_of(g, coloring: Coloring) -> SZero:
     """Number of classes of a proper coloring containing a square-zero element."""
     if not verify_coloring(g, coloring):
         raise ContractError("s_of requires a proper coloring of the given graph")
-    return SZero(sum(class_sq0_flags(g, coloring)))
-
-
-class _MinSSearch:
-    """Exhaustive scan of all proper k-colorings of a small graph, keeping
-    one with the fewest square-zero-bearing classes."""
-
-    def __init__(self, n, adj, sq0_bits, k, s_floor, deadline):
-        self.n = n
-        self.adj = adj
-        self.sq0 = sq0_bits
-        self.k = k
-        self.s_floor = s_floor
-        self.deadline = deadline
-        self.order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-        self.color = [-1] * n
-        self.best: list[int] | None = None
-        self.best_s = n + 1
-
-    def _go(self, idx: int, used: int, class_sq0: int, s: int):
-        self.deadline.tick()
-        if s >= self.best_s:
-            return
-        if idx == self.n:
-            self.best = self.color.copy()
-            self.best_s = s
-            return
-        v = self.order[idx]
-        sq = (self.sq0 >> v) & 1
-        forbidden = 0
-        for u in _bits(self.adj[v]):
-            if self.color[u] != -1:
-                forbidden |= 1 << self.color[u]
-        for c in range(min(used + 1, self.k)):
-            if (forbidden >> c) & 1:
-                continue
-            marks = sq and not ((class_sq0 >> c) & 1)
-            self.color[v] = c
-            self._go(
-                idx + 1,
-                max(used, c + 1),
-                class_sq0 | (1 << c) if marks else class_sq0,
-                s + (1 if marks else 0),
-            )
-            self.color[v] = -1
-            if self.best_s <= self.s_floor:
-                return
-
-    def run(self):
-        self._go(0, 0, 0, 0)
-        return self.best, self.best_s
-
-
-def _local_min_s(work, color: list[int], k: int, deadline: _Deadline) -> tuple[list[int], int]:
-    """Greedy improvement: try to empty whole classes of their square-zero
-    members by recoloring; never increases the class count. Reads the
-    deadline once per vertex it tries to move."""
-    color = color.copy()
-    sq0 = work.sq0_bits
-    improved = True
-    while improved:
-        improved = False
-        flags = [0] * k
-        for v in range(work.n):
-            if (sq0 >> v) & 1:
-                flags[color[v]] += 1
-        bearing = [c for c in range(k) if flags[c] > 0]
-        for c in sorted(bearing, key=lambda c: flags[c]):
-            movers = [v for v in range(work.n) if color[v] == c and (sq0 >> v) & 1]
-            plan = {}
-            ok = True
-            for v in movers:
-                deadline.check()
-                choice = -1
-                for d in bearing:
-                    if d == c or flags[d] == 0:
-                        continue
-                    if all(color[u] != d or u in plan for u in _bits(work.adj[v])):
-                        if all(plan.get(u) != d for u in _bits(work.adj[v])):
-                            choice = d
-                            break
-                if choice == -1:
-                    ok = False
-                    break
-                plan[v] = choice
-            if ok and movers and any(color[u] == c for u in range(work.n) if u not in plan):
-                for v, d in plan.items():
-                    color[v] = d
-                improved = True
-                break
-    s = len({color[v] for v in range(work.n) if (sq0 >> v) & 1})
-    return color, s
+    s = sum(class_sq0_flags(g, coloring))
+    return SZero(s, s)
 
 
 def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZero]:
     """Among proper colorings with exactly chi classes, minimize the number
-    of classes containing a square-zero element.
+    s of classes containing a square-zero element.
 
-    Exact (exhaustive over the core) when the core has at most
-    MIN_S_EXHAUSTIVE_CAP vertices; otherwise a best-effort local search
-    whose achieved s is reported with exact=False. A class of the core
-    shares its square-zero flag and, lifted, its color, so the core's s is
-    the whole graph's. One deadline covers the chromatic solve and either
-    search.
+    s lies between the size of a largest square-zero clique, whose members
+    need distinct classes, and the s of the chi-coloring. Each t from the
+    floor up is decided by the k-coloring search with the square-zero
+    vertices held to colors below t, the floor clique pre-colored: a
+    refutation proves s > t, the first coloring found has s = t. A class
+    of the core shares its square-zero flag and, lifted, its color, so the
+    core's s is the whole graph's.
+
+    One deadline covers the chromatic solve and the searches for s. Expiry
+    before chi is known raises a BudgetError; after it, the best coloring
+    comes back with the interval proved so far (`SZero.lower` < s).
     """
     work, group, _ = _core(g)
     deadline = _Deadline(budget)
-    k, color = _chromatic(work, deadline)
-    baseline = _lift(color, group, k)
-    base_s = s_of(g, baseline).s
-    if work.n <= MIN_S_EXHAUSTIVE_CAP:
-        # vertex 0 squares to zero, so some class always bears one
-        s_floor = 1
-        try:
-            s_floor = _sq0_clique_floor(work, deadline)
-            if base_s <= s_floor:
-                return baseline, SZero(base_s)
-            search = _MinSSearch(work.n, work.adj, work.sq0_bits, k, s_floor, deadline)
-            best, best_s = search.run()
-        except _OutOfTime:
-            raise BudgetError("min_s_optimal_coloring", s_floor, base_s) from None
-        if best is None:
-            raise InternalCheckError("min-s search found no proper coloring at chi")
-        return _lift(best, group, k), SZero(best_s)
+    k, best = _chromatic(work, deadline)
+    hi = len({best[v] for v in _bits(work.sq0_bits)})
+    lo = min(hi, 1)  # a square-zero vertex bears a class
     try:
-        improved, s = _local_min_s(work, color, k, deadline)
+        floor = _sq0_clique_floor(work, deadline)
+        lo = len(floor)
+        while lo < hi:
+            found = _KColorSearch(work.n, work.adj, k, floor, deadline, work.sq0_bits, lo).run()
+            if found is None:
+                lo += 1
+            else:
+                best, hi = found, lo
     except _OutOfTime:
-        raise BudgetError("min_s_optimal_coloring", 1, base_s) from None
-    if s >= base_s:
-        return baseline, SZero(base_s, exact=False)
-    return _lift(improved, group, k), SZero(s, exact=False)
+        pass
+    return _lift(best, group, k), SZero(hi, lo)
 
 
-def _sq0_clique_floor(work, deadline: _Deadline) -> int:
-    """Any clique of square-zero vertices forces that many distinct classes."""
+def _sq0_clique_floor(work, deadline: _Deadline) -> list[int]:
+    """A largest clique of square-zero vertices: every coloring gives its
+    members distinct classes."""
     verts = list(_bits(work.sq0_bits))
-    if not verts:
-        return 0
     idx = {v: i for i, v in enumerate(verts)}
     sub = [_remap(work.adj[v] & work.sq0_bits, idx) for v in verts]
-    return len(_CliqueSearch(len(verts), sub, deadline).run())
+    return [verts[i] for i in _CliqueSearch(len(verts), sub, deadline).run()]

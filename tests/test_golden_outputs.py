@@ -30,6 +30,7 @@ CASES = (
     + [
         ("bound-chi", "AN x Z2", "--json", "--s-mode", "min"),
         ("bound-chi", "Z8 x Z9", "--json", "--s-mode", "min"),
+        ("bound-chi", "Z144 x Z2", "--json", "--s-mode", "min"),
         ("bound-chi", "Z4 x Z6", "--json"),
         ("predict-omega", "Z8 x Z25", "--json"),
         ("counterexample", "Z2", "Z3", "--json"),
@@ -80,9 +81,9 @@ DIGESTS = {
     "analyze Z2[t]/(t^2) --json --budget 60 --s-mode min":
         "06e746e52101681826dc2ebd933e4e3bba6671808c5ee54ff8ce965e98e7ef03",
     "analyze AN --json --budget 60 --s-mode min":
-        "14882e5080238443f0d82e37e83b9c97bedb9cf63a322c917d945b5c68dc8174",
+        "d216f85635b8a67f327d9e825242e2a2d70ce1e5ca4e018ee8472ccf3c06bc7a",
     "analyze AN0 --json --budget 60 --s-mode min":
-        "682fd1cd382fffce952f4d39554bd61bf9ad9436d06bde6b3ae98700e0c17e9b",
+        "b4ff1621df23d3207d22a45d43956565d8d7d431f5bf9c2a7bbf6ad0bf3ca346",
     "analyze AN x Z2 --json --budget 60 --s-mode min":
         "dcda831d14ca58bedeb11e2ffe065ea87ecf2c91bc644ed9bd3a0a9462774192",
     "export Z4 x Z256 --format dimacs":
@@ -93,6 +94,8 @@ DIGESTS = {
         "f3c85d7d884331a4c12c1033c3c348dd0d1ee2f49ec00db31c10e3ff1d84f3ac",
     "bound-chi Z8 x Z9 --json --s-mode min":
         "ad86cf2b48e30794e7e5361b2d8f8abd18eaeb5b404bc65db693799b89bf270e",
+    "bound-chi Z144 x Z2 --json --s-mode min":
+        "f3665f986cb1a538a3c5783ccf934e7505490d4a5984cac1e8e9e60df9ab2067",
     "bound-chi Z4 x Z6 --json":
         "9c9f5f69b031f61f2de196c39a2d454795336f1c91a2c4f5ea6f1345a427134e",
     "predict-omega Z8 x Z25 --json":

@@ -6,9 +6,15 @@ lifted back. These checks run the unreduced searches on the whole graph
 instead, and compare omega and the lifted colorings with networkx on graphs
 above the size of the brute-force oracles, and make sure
 `verify.core_preservation` fails on a quotient that changes omega or chi.
+
+Min-s is checked against an exhaustive scan of all chi-colorings kept
+here, on whole graphs of small rings and, for each t, against the
+restricted k-coloring decision that min-s runs, on random graphs with
+random square-zero sets.
 """
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
+from test_coloring_properties import SMALL_GRAPHS, split_graphs
 from test_ring_predicates import PROPERTY, rings
 
 from beckring import (
@@ -32,7 +39,13 @@ from beckring import (
     verify_coloring,
 )
 from beckring import solvers
-from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch, _MinSSearch, _OutOfTime
+from beckring.solvers import (
+    _CliqueSearch,
+    _Deadline,
+    _KColorSearch,
+    _OutOfTime,
+    _sq0_clique_floor,
+)
 from beckring.verify import core_preservation
 
 FOREVER = float("inf")
@@ -98,15 +111,82 @@ def test_clique_witnesses_lift_to_class_representatives(ring, after_set_up):
         assert all(g.reps[g.group[v]] == v for v in vertices)
 
 
+class _MinSSearch:
+    """Exhaustive scan of all proper k-colorings of a small graph, keeping
+    one with the fewest classes that hold a square-zero vertex (`sq0_bits`).
+    Symmetry is broken by one lowest-fresh-color rule over all k colors,
+    which is sound here since no color is set apart."""
+
+    def __init__(self, n, adj, sq0_bits, k):
+        self.n = n
+        self.adj = adj
+        self.sq0 = sq0_bits
+        self.k = k
+        self.order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+        self.color = [-1] * n
+        self.best: list[int] | None = None
+        self.best_s = n + 1
+
+    def _go(self, idx: int, used: int, class_sq0: int, s: int):
+        if s >= self.best_s:
+            return
+        if idx == self.n:
+            self.best = self.color.copy()
+            self.best_s = s
+            return
+        v = self.order[idx]
+        sq = (self.sq0 >> v) & 1
+        forbidden = 0
+        for u in range(self.n):
+            if (self.adj[v] >> u) & 1 and self.color[u] != -1:
+                forbidden |= 1 << self.color[u]
+        for c in range(min(used + 1, self.k)):
+            if (forbidden >> c) & 1:
+                continue
+            marks = sq and not ((class_sq0 >> c) & 1)
+            self.color[v] = c
+            self._go(
+                idx + 1,
+                max(used, c + 1),
+                class_sq0 | (1 << c) if marks else class_sq0,
+                s + (1 if marks else 0),
+            )
+            self.color[v] = -1
+
+    def run(self):
+        self._go(0, 0, 0, 0)
+        return self.best, self.best_s
+
+
 @PROPERTY
 @given(rings(max_size=16))
 def test_min_s_on_the_quotient_matches_the_unreduced_scan(ring):
     g = build_graph(ring)
     col, sz = min_s_optimal_coloring(g)
     assert sz.exact and verify_coloring(g, col) and col.k == chromatic_number(g)[0]
-    best, best_s = _MinSSearch(g.n, g.adj, g.sq0_bits, col.k, 0, _Deadline(FOREVER)).run()
+    best, best_s = _MinSSearch(g.n, g.adj, g.sq0_bits, col.k).run()
     assert best is not None
     assert sz.s == best_s == s_of(g, col).s
+
+
+@SMALL_GRAPHS
+@given(split_graphs())
+def test_restricted_decision_search_matches_the_min_s_scan(case):
+    # "is there a chi-coloring whose square-zero vertices use only colors
+    # below t?" holds exactly from the scan's least s on, with no clique
+    # pre-colored and with a largest square-zero clique pre-colored
+    g, sq0 = case
+    k, _ = chromatic_number(g)
+    _, least = _MinSSearch(g.n, g.adj, sq0, k).run()
+    floor = _sq0_clique_floor(SimpleNamespace(adj=g.adj, sq0_bits=sq0), _Deadline(FOREVER))
+    for clique in ([], floor):
+        for t in range(len(clique), k + 1):
+            found = _KColorSearch(g.n, g.adj, k, clique, _Deadline(FOREVER), sq0, t).run()
+            assert (found is not None) == (t >= least), (clique, t)
+            if found is not None:
+                assert not any(g.adj[v] >> u & 1 and found[u] == found[v]
+                               for v in range(g.n) for u in range(g.n))
+                assert all(0 <= found[v] < (t if sq0 >> v & 1 else k) for v in range(g.n))
 
 
 @pytest.mark.parametrize(

@@ -234,11 +234,31 @@ def test_min_s_reduced_ring_is_1(expr):
     assert sz.s == 1
 
 
-def test_min_s_large_core_flagged():
-    g = graph("AN x Z2")  # 23 core vertices, above the exhaustive cap
+@pytest.mark.parametrize("expr, s", [("AN x Z2", 5), ("Z144", 12)])
+def test_min_s_exact_on_cores_above_20_vertices(expr, s):
+    # 23 and 21 core vertices; the restricted search refutes s - 1 on
+    # AN x Z2, and on Z144 the square-zero clique floor meets the
+    # chi-coloring's s
+    g = graph(expr)
+    assert g.core().n > 20
     col, sz = min_s_optimal_coloring(g)
-    assert not sz.exact
+    assert (sz.s, sz.lower) == (s, s) and sz.exact
     assert verify_coloring(g, col)
+    assert s_of(g, col).s == sz.s
+
+
+def test_min_s_cut_short_returns_the_interval_proved():
+    # AN x AN: chi = 20 is proved well inside the budget, the square-zero
+    # clique floor is 16 and the chi-coloring has s = 18; the search of
+    # s <= 16 or s <= 17 does not end within it
+    import time
+
+    g = graph("AN x AN")
+    t0 = time.monotonic()
+    col, sz = min_s_optimal_coloring(g, budget=0.5)
+    assert time.monotonic() - t0 < 1.5
+    assert 16 <= sz.lower < sz.s == 18 and not sz.exact
+    assert verify_coloring(g, col) and col.k == 20
     assert s_of(g, col).s == sz.s
 
 
@@ -262,8 +282,8 @@ def test_budget_error_chromatic_interval():
 
 
 def test_min_s_budget_error_carries_bounds():
-    # the square-zero clique floor runs under the min-s deadline too; its
-    # expiry must reach the caller as a BudgetError with certified bounds
+    # expiry before chi is known reaches the caller as a BudgetError with
+    # certified bounds on s
     g = graph("Z8")
     with pytest.raises(BudgetError) as exc:
         min_s_optimal_coloring(g, budget=0)
@@ -271,15 +291,18 @@ def test_min_s_budget_error_carries_bounds():
     assert exc.value.lower <= sz.s <= exc.value.upper
 
 
-def test_min_s_local_search_honours_the_budget():
-    # one deadline covers the chromatic solve and the local search run on
-    # a core too large for the exhaustive scan (729 vertices)
+def test_min_s_honours_the_budget():
+    # one deadline covers the chromatic solve and the searches for s on a
+    # 729-vertex core: either a BudgetError or a coloring with its interval
     import time
 
     g = graph("Z4 x Z4 x Z4 x Z4 x Z4 x Z4")
     t0 = time.monotonic()
-    with pytest.raises(BudgetError):
-        min_s_optimal_coloring(g, budget=0.05)
+    try:
+        col, sz = min_s_optimal_coloring(g, budget=0.05)
+        assert verify_coloring(g, col) and sz.lower <= sz.s
+    except BudgetError:
+        pass
     assert time.monotonic() - t0 < 0.3
 
 
