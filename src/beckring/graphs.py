@@ -11,8 +11,9 @@ a chi-coloring. A core is its own core.
 
 Adjacency is stored as one machine-word-packed bitset per vertex (a Python
 int), the format the branch-and-bound solvers consume directly. It is
-packed from the ring's zero relation, which the ring keeps; the graph keeps
-no matrix of its own.
+packed on first use from the ring's zero relation, which the ring keeps as
+one row per annihilator class, once per class; the graph keeps no matrix
+of its own, and its quotient is read from the classes.
 
 Each graph is built once per ring and reduced once: `build_graph` returns
 the ring's live graph while anything holds it, and `BeckGraph.core` keeps
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from functools import cached_property
 
 import numpy as np
 
@@ -31,19 +33,9 @@ from .errors import CapacityError, DescriptorError
 from .rings import DEFAULT_SIZE_CAP, FiniteRing
 
 
-# rows of the zero relation packed at a time: a core cut out in one n x n
-# fancy index is several times slower, and no block larger than this many
-# rows is held at once
-_ROWS = 256
-
-
 def _pack_rows(mat: np.ndarray) -> list[int]:
     packed = np.packbits(mat, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _pack_mask(mask: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 class BeckGraph:
@@ -54,22 +46,11 @@ class BeckGraph:
     """
 
     def __init__(self, ring: FiniteRing, to_ring: list[int] | None = None):
-        full = to_ring is None
         self.ring = ring
-        self.to_ring = list(range(ring.size)) if full else to_ring
+        self._whole = to_ring is None
+        self.to_ring = list(range(ring.size)) if self._whole else to_ring
         self.n = len(self.to_ring)
-        rel = ring.zero_rel_matrix
-        self.adj = []
-        for lo in range(0, self.n, _ROWS):
-            if full:
-                # plain row slices: gathering columns as well doubles the build
-                block = rel[lo:lo + _ROWS].copy()
-            else:
-                block = rel.take(self.to_ring[lo:lo + _ROWS], axis=0).take(self.to_ring, axis=1)
-            rows = np.arange(len(block))
-            block[rows, lo + rows] = False
-            self.adj.extend(_pack_rows(block))
-        self.sq0_bits = _pack_mask(ring.square_zero_mask[self.to_ring])
+        self.sq0_bits = _pack_rows(self._of(ring.square_zero_mask)[None])[0]
         self.solved: dict = {}
         # the core (None while unbuilt or if the graph is its own),
         # `group`, the core vertex of each vertex, and `reps`, the vertex
@@ -77,6 +58,23 @@ class BeckGraph:
         self._core: BeckGraph | None = None
         self.group: list[int] | None = None
         self.reps: list[int] | None = None
+
+    def _of(self, per_element: np.ndarray) -> np.ndarray:
+        """A ring-ordered array read at the vertices' elements."""
+        return per_element if self._whole else per_element.take(self.to_ring)
+
+    @cached_property
+    def adj(self) -> list[int]:
+        """Rows packed once per annihilator class; a square-zero vertex clears its own bit."""
+        cls, rows = self.ring.ann_classes
+        own = self._of(cls).tolist()
+        if self._whole:
+            packed = _pack_rows(rows)
+        else:
+            used = sorted(set(own))
+            packed = dict(zip(used, _pack_rows(rows.take(used, 0).take(self.to_ring, 1))))
+        sq0 = self._of(self.ring.square_zero_mask).tolist()
+        return [packed[c] ^ (1 << v) if s else packed[c] for v, (c, s) in enumerate(zip(own, sq0))]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -104,13 +102,25 @@ class BeckGraph:
         each class of vertices with the same neighbours and the same
         square-zero flag; `group` maps each vertex to its class's vertex,
         and `reps` each class's vertex back to the class's first vertex.
-        Built on the first call and kept. A core is its own core."""
+        Built on the first call and kept. A core is its own core.
+
+        The classes are read from the ring's annihilator classes, not from
+        `adj`. A vertex x with x^2 != 0 has the neighbours Ann(x), so its
+        twins are the other such vertices of its class. A square-zero
+        vertex has no twin: let x != y square to zero with the same
+        neighbours. Then xy != 0, or x would neighbour y but not itself, so
+        N(x) = Ann(x) & Ann(y) is an additive subgroup of Ann(x), which is
+        N(x) and x, of index |Ann(x)| / (|Ann(x)| - 1). So Ann(x) = {0, x}
+        and Ann(y) = {0, y}; xy != 0 lies in both, as x(xy) = x^2 y = 0 and
+        likewise for y, so xy = x = y. On a graph induced on other elements
+        these classes are still twins."""
         if self.group is None:
-            class_of: dict[tuple[int, int], int] = {}
-            self.reps = []
-            self.group = []
-            for v, row in enumerate(self.adj):
-                c = class_of.setdefault((row, (self.sq0_bits >> v) & 1), len(self.reps))
+            cls = self._of(self.ring.ann_classes[0]).tolist()
+            sq0 = self._of(self.ring.square_zero_mask).tolist()
+            class_of, self.reps, self.group = {}, [], []
+            for v, (c, s) in enumerate(zip(cls, sq0)):
+                # a square-zero vertex is a class of its own: key ~v < 0
+                c = class_of.setdefault(~v if s else c, len(self.reps))
                 if c == len(self.reps):
                     self.reps.append(v)
                 self.group.append(c)

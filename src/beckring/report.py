@@ -116,7 +116,7 @@ def analyze(
     if not verify_coloring(g, coloring):
         raise InternalCheckError("coloring witness failed re-verification")
 
-    els = ring.element_str
+    els = ring.element_strs
     return {
         "ring": print_expr(ast),
         "size": ring.size,
@@ -129,9 +129,9 @@ def analyze(
             "index": profile.index_of_nilpotency,
             "power_sizes": list(profile.power_sizes),
         },
-        "omega": {"value": omega_val, "witness": [els(v) for v in clique.vertices]},
-        "chi": {"value": chi_val, "classes": [[els(v) for v in cls] for cls in coloring.classes()]},
-        "split": {"B": [els(v) for v in split.b_part], "C": [els(v) for v in split.c_part]},
+        "omega": {"value": omega_val, "witness": [els[v] for v in clique.vertices]},
+        "chi": {"value": chi_val, "classes": [[els[v] for v in cls] for cls in coloring.classes()]},
+        "split": {"B": [els[v] for v in split.b_part], "C": [els[v] for v in split.c_part]},
         "s": s_val,
         "checks": checks,
     }

@@ -3,15 +3,17 @@
 Every ring enumerates its elements as indices 0..size-1 through a
 mixed-radix encoding of coordinate tuples; index 0 is always the additive
 zero. Three concrete kinds exist: Z_n, direct products, and rings given by
-structure constants over a finite basis. The bulk predicates (zero-product
-relation, unit, nilpotent and idempotent masks) are vectorized over numpy;
-a product assembles each one from its factors' predicates as a Kronecker
-product, and units follow from zero divisors, so graphs of rings up to the
-size cap build quickly.
+structure constants over a finite basis. The bulk predicates are
+vectorized over numpy. The zero-product relation is kept as one row per
+annihilator class (`ann_classes`), not as an n x n matrix; a product
+builds its classes and its other predicates from its factors' by
+Kronecker products, and units follow from zero divisors, so graphs of
+rings up to the size cap build quickly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +77,15 @@ class FiniteRing:
     def element_str(self, a: int) -> str:
         raise NotImplementedError
 
+    @cached_property
+    def element_strs(self) -> list[str]:
+        """element_str of every element, in ring order; a product's is the
+        Cartesian product of its factors', factor 1 innermost."""
+        if self.factors:
+            tables = [f.element_strs for f in reversed(self.factors)]
+            return ["(" + ",".join(parts[::-1]) + ")" for parts in itertools.product(*tables)]
+        return [self.element_str(a) for a in self.elements()]
+
     def elements(self) -> range:
         return range(self.size)
 
@@ -96,20 +107,38 @@ class FiniteRing:
         return out
 
     @cached_property
-    def zero_rel_matrix(self) -> np.ndarray:
-        """Boolean matrix Z[a, b] = (a*b == 0), diagonal included."""
+    def ann_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The zero relation as one row per annihilator class, `(cls, rows)`:
+        `cls[a]` numbers Ann(a), and `rows[i, b]` is whether class i times b
+        is 0. The rows are pairwise distinct, c x n for c classes."""
         if self.factors:
-            return self._kron("zero_rel_matrix")
+            # Ann((x_i)) = prod Ann(x_i): a tuple of factor classes, factor 1 innermost
+            cls, rows = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=bool)
+            for f in self.factors:
+                f_cls, f_rows = f.ann_classes
+                cls = (f_cls[:, None] * len(rows) + cls[None, :]).ravel()
+                rows = np.kron(f_rows, rows)
+            return cls, rows
         n = self.size
         v = np.arange(n, dtype=np.int64)
         if isinstance(self, ZmodRing):
             # a*b = 0 in Z_N iff gcd(a, N)*b = 0: one row per divisor of N
-            divisors, row_of = np.unique(np.gcd(v, n), return_inverse=True)
-            return (self.mul_many(divisors[:, None], v[None, :]) == 0)[row_of]
-        out = np.empty((n, n), dtype=bool)
+            divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+            cls = np.searchsorted(divisors, np.gcd(v, n))
+            return cls, self.mul_many(divisors[:, None], v[None, :]) == 0
+        # the distinct rows of the relation, scanned in blocks of rows
+        class_of: dict[bytes, int] = {}
+        cls = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _BLOCK):
-            out[lo:lo + _BLOCK] = self.mul_many(v[lo:lo + _BLOCK, None], v[None, :]) == 0
-        return out
+            for a, row in enumerate(self.mul_many(v[lo:lo + _BLOCK, None], v[None, :]) == 0, lo):
+                cls[a] = class_of.setdefault(row.tobytes(), len(class_of))
+        return cls, np.frombuffer(b"".join(class_of), dtype=bool).reshape(-1, n)
+
+    @cached_property
+    def zero_rel_matrix(self) -> np.ndarray:
+        """Z[a, b] = (a*b == 0), n x n: for tests and oracles; the program reads ann_classes."""
+        cls, rows = self.ann_classes
+        return rows[cls]
 
     @cached_property
     def unit_mask(self) -> np.ndarray:
@@ -126,15 +155,15 @@ class FiniteRing:
     @cached_property
     def zero_divisor_mask(self) -> np.ndarray:
         """a != 0 annihilated by some nonzero b (b = a allowed)."""
-        z = self.zero_rel_matrix.copy()
-        z[:, 0] = False
-        mask = z.any(axis=1)
+        cls, rows = self.ann_classes
+        mask = rows[:, 1:].any(axis=1)[cls]
         mask[0] = False
         return mask
 
     @cached_property
     def square_zero_mask(self) -> np.ndarray:
-        return self.zero_rel_matrix.diagonal().copy()
+        cls, rows = self.ann_classes
+        return rows[cls, np.arange(self.size)]
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:

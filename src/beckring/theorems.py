@@ -342,8 +342,8 @@ def check_an_condition(ring: FiniteRing, kind: str, param: int) -> ANConditionRe
         in_jp1 = np.zeros(ring.size, dtype=bool)
         in_jp1[list(jp1.elements)] = True
     # both checks fail at an x with a zero-product partner outside J^p
-    rel, outside = ring.zero_rel_matrix, ~in_jp
-    has_bad = (rel & outside).any(axis=1)
+    (cls, rows), outside = ring.ann_classes, ~in_jp
+    has_bad = (rows & outside).any(axis=1)[cls]
     failing = has_bad & outside
     membership_ok = not failing.any()
     boundary_ok = None
@@ -354,7 +354,7 @@ def check_an_condition(ring: FiniteRing, kind: str, param: int) -> ANConditionRe
     witness = None
     if failing.any():
         x = int(np.argmax(failing))
-        witness = (x, int(np.argmax(rel[x] & outside)))
+        witness = (x, int(np.argmax(rows[cls[x]] & outside)))
     holds = membership_ok and (boundary_ok is not False)
     return ANConditionResult(kind, param, holds, membership_ok, boundary_ok, witness)
 

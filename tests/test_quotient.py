@@ -1,8 +1,10 @@
 """The twin quotient against unreduced searches and an independent solver.
 
 `BeckGraph.core` fuses the vertices with the same neighbours and the same
-square-zero flag; omega, the split, chi and min-s are searched on it and
-lifted back. These checks run the unreduced searches on the whole graph
+square-zero flag, read from the ring's annihilator classes; omega, the
+split, chi and min-s are searched on it and lifted back. It is checked
+against the classes of equal rows of the multiplication table on random
+rings. Other checks run the unreduced searches on the whole graph
 instead, and compare omega and the lifted colorings with networkx on graphs
 above the size of the brute-force oracles, and make sure
 `verify.core_preservation` fails on a quotient that changes omega or chi.
@@ -207,6 +209,39 @@ def test_networkx_agrees_on_omega_and_the_lifted_coloring(expr):
     assert nx.max_weight_clique(G, weight=None)[1] == max_clique(g).size
     _, col = chromatic_number(g)
     assert not any(col.class_of[a] == col.class_of[b] for a, b in G.edges())
+
+
+def row_hashing_quotient(ring):
+    """The twin quotient by its definition, from the multiplication table:
+    the packed neighbour rows, and the classes of equal rows and equal
+    square-zero flags, each named by its first vertex."""
+    v = np.arange(ring.size, dtype=np.int64)
+    zero = ring.mul_many(v[:, None], v[None, :]) == 0
+    sq0 = zero.diagonal().tolist()
+    np.fill_diagonal(zero, False)
+    adj = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(zero, axis=1, bitorder="little")]
+    class_of, reps, group = {}, [], []
+    for u, row in enumerate(adj):
+        c = class_of.setdefault((row, sq0[u]), len(reps))
+        if c == len(reps):
+            reps.append(u)
+        group.append(c)
+    return adj, sq0, group, reps
+
+
+@PROPERTY
+@given(rings(max_size=128))
+def test_annihilator_classes_give_the_row_hashing_quotient(ring):
+    adj, sq0, group, reps = row_hashing_quotient(ring)
+    g = BeckGraph(ring)
+    core = g.core()
+    assert g.adj == adj
+    assert (g.group, g.reps) == (group, reps)
+    assert core.to_ring == reps
+    assert core.adj == [sum((adj[r] >> s & 1) << j for j, s in enumerate(reps)) for r in reps]
+    # a square-zero vertex has no twin
+    sq0_rows = [row for row, s in zip(adj, sq0) if s]
+    assert len(set(sq0_rows)) == len(sq0_rows)
 
 
 def _closed_twin_core(self):

@@ -13,6 +13,7 @@ from beckring.cli import build_parser, main
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
 from beckring import make_structure_ring, make_zmod
+from beckring.rings import ProductRing, StructureRing, ZmodRing
 from beckring.errors import NotARingError, PreconditionError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(beckring.__file__)))
@@ -264,6 +265,27 @@ def test_cli_zn(capsys):
     rc = main(["zn", "72"])
     assert rc == 0
     assert "formula 7, solver omega 7, solver chi 7 ... PASS" in capsys.readouterr().out
+
+
+def _recording(init, built):
+    def record(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    return record
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "Z8 x Z64 x Z8"], ["zn", "1500"], ["predict-omega", "Z8 x Z25"]]
+)
+def test_cli_builds_no_n_by_n_zero_relation(argv, monkeypatch, capsys):
+    # products and Z_N read the zero relation by annihilator class: no ring
+    # built on the way holds the n x n matrix
+    built = []
+    for kind in (ZmodRing, ProductRing, StructureRing):
+        monkeypatch.setattr(kind, "__init__", _recording(kind.__init__, built))
+    assert main(argv) == 0
+    assert built
+    assert not [ring for ring in built if "zero_rel_matrix" in vars(ring)]
 
 
 def test_cli_counterexample(capsys):

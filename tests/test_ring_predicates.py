@@ -1,10 +1,12 @@
 """Structural ring predicates against exhaustive scans.
 
-A product's zero relation, unit, nilpotent and idempotent masks are
-Kronecker products of its factors' masks; units are the nonzero
-non-zero-divisors; locality and the field-factor count come from the number
-of idempotents. The scans below derive each predicate from the definition
-alone, on random products of catalog atoms and monic quotients Z_n[t]/(f).
+A product's zero relation is kept as one row per annihilator class, the
+Kronecker product of its factors' rows, and its unit, nilpotent and
+idempotent masks are Kronecker products of its factors' masks; units are
+the nonzero non-zero-divisors; locality and the field-factor count come
+from the number of idempotents. The scans below derive each predicate from
+the definition alone, on random products of catalog atoms and monic
+quotients Z_n[t]/(f).
 """
 
 import numpy as np
@@ -111,11 +113,19 @@ def primitive_idempotent_count(ring):
 # -- properties ---------------------------------------------------------------
 
 
+def assert_ann_classes_match(ring, table):
+    """One pairwise distinct row per annihilator class, gathering to the table's zeros."""
+    cls, rows = ring.ann_classes
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert np.array_equal(rows[cls], table == 0)
+    assert np.array_equal(ring.zero_rel_matrix, table == 0)
+
+
 @PROPERTY
 @given(rings())
 def test_zero_relation_units_and_locality_match_scans(ring):
     table = multiplication_table(ring)
-    assert np.array_equal(ring.zero_rel_matrix, table == 0)
+    assert_ann_classes_match(ring, table)
     units = partner_scan_units(table, ring.unity)
     assert np.array_equal(ring.unit_mask, units)
     nonzero = np.arange(ring.size) != 0
@@ -151,7 +161,9 @@ def test_zmod_zero_relation_matches_the_table():
 
 def test_kronecker_layout_puts_the_first_factor_innermost():
     ring = make_product([make_zmod(4), make_zmod(3), make_zmod(2)])
-    assert np.array_equal(ring.zero_rel_matrix, multiplication_table(ring) == 0)
+    assert_ann_classes_match(ring, multiplication_table(ring))
+    with_z1 = make_product([make_zmod(4), make_zmod(1), make_anderson_naseer(2)])
+    assert_ann_classes_match(with_z1, multiplication_table(with_z1))
     assert ring.unit_mask[ring.encode((1, 2, 1))]
     assert not ring.unit_mask[ring.encode((2, 1, 1))]
     assert ring.nilpotent_mask[ring.encode((2, 0, 0))]
