@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 capacity exceeded,
-4 budget exhausted, 5 verification failure. The solver time budget comes
-from --budget, else the BECKRING_BUDGET environment variable, else 60 s.
+4 budget exhausted, 5 verification failure. One deadline, from --budget,
+else BECKRING_BUDGET, else 60 s, bounds every solve a command makes;
+export takes no --budget, and only analyze and bound-chi take --s-mode.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, BeckringError
 from .graphs import build_graph, export_graph
 from .report import analyze, render_report
 from .rings import DEFAULT_SIZE_CAP, make_product
-from .solvers import chromatic_number, max_clique
+from .solvers import _Deadline, chromatic_number, max_clique
 from .theorems import (
     DEFAULT_DIRECT_CAP,
     chi_bounds,
@@ -37,12 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--budget", type=float, default=None, help="solver time budget in seconds")
+def _add_flags(p: _Parser, report: bool = True, s_mode: bool = False):
+    if report:
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--budget", type=float, default=None, help="command time budget in seconds")
     p.add_argument("--max-size", type=int, default=None, help="override the ring size cap")
-    p.add_argument("--s-mode", choices=["any", "min"], default="any",
-                   help="pick s from any optimal coloring or minimize it")
+    if s_mode:
+        p.add_argument("--s-mode", choices=["any", "min"], default="any",
+                       help="pick s from any optimal coloring or minimize it")
 
 
 @functools.cache
@@ -55,32 +58,32 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="full invariant report for a ring expression")
     p.add_argument("expr")
-    _add_common(p)
+    _add_flags(p, s_mode=True)
 
     p = sub.add_parser("predict-omega", help="product clique formula vs direct solve")
     p.add_argument("expr")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("bound-chi", help="chromatic bounds of a product")
     p.add_argument("expr")
-    _add_common(p)
+    _add_flags(p, s_mode=True)
 
     p = sub.add_parser("zn", help="closed form for Z_N vs direct solve")
     p.add_argument("n", type=int)
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("counterexample", help="clique/chromatic gap of the built-in family")
     p.add_argument("factors", nargs="*", help="reduced factor expressions")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("export", help="write the Beck graph in DIMACS or JSON form")
     p.add_argument("expr")
     p.add_argument("--format", choices=["dimacs", "json"], default="dimacs")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    _add_common(p)
+    _add_flags(p, report=False)
 
     p = sub.add_parser("verify-suite", help="run the catalog property suite")
-    _add_common(p)
+    _add_flags(p)
 
     return parser
 
@@ -108,7 +111,7 @@ def _cmd_predict_omega(args) -> int:
         raise _UsageError("predict-omega needs a product of at least two factors")
     cap = _size_cap(args)
     factors = [elaborate(a, size_cap=cap) for a in ast.atoms]
-    pred = omega_product_formula(factors, args.budget)
+    pred = omega_product_formula(factors, args.budget, cap)
     direct = None
     if pred.product_size <= DEFAULT_DIRECT_CAP:
         direct = max_clique(build_graph(make_product(factors, size_cap=cap)), args.budget).size
@@ -269,6 +272,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "budget" in args:  # one deadline per command
+            args.budget = _Deadline(args.budget)
         return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

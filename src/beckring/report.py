@@ -18,6 +18,7 @@ from .errors import InternalCheckError
 from .graphs import build_graph
 from .rings import DEFAULT_SIZE_CAP, field_factor_count
 from .solvers import (
+    Budget,
     _Deadline,
     best_clique_split,
     chromatic_number,
@@ -43,23 +44,23 @@ def _check(name: str, expected, actual, ok: bool) -> dict:
 
 def analyze(
     expr_text: str,
-    budget: float | None = None,
+    budget: Budget = None,
     s_mode: str = "any_optimal",
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> dict:
     """Analyze the ring denoted by `expr_text` and return the report dict.
 
-    The whole call runs on one budget: each solve and theorem check gets
-    the time left of it."""
+    The whole call runs on one deadline, which each solve and theorem
+    check is handed."""
     deadline = _Deadline(budget)
     s_mode = _normalize_s_mode(s_mode)
     ast = parse(expr_text)
     ring = elaborate(ast, size_cap=size_cap)
     g = build_graph(ring, size_cap=size_cap)
 
-    clique = max_clique(g, deadline.left())
-    chi_val, coloring = chromatic_number(g, deadline.left())
-    split = best_clique_split(g, deadline.left())
+    clique = max_clique(g, deadline)
+    chi_val, coloring = chromatic_number(g, deadline)
+    split = best_clique_split(g, deadline)
 
     if not verify_clique(g, clique.vertices):
         raise InternalCheckError("clique witness failed re-verification")
@@ -97,11 +98,11 @@ def analyze(
         factors = ring.factors
         # held through both checks, so that they share each factor's graph and solves
         factor_graphs = [build_graph(f) for f in factors]  # noqa: F841
-        pred = omega_product_formula(factors, deadline.left())
+        pred = omega_product_formula(factors, deadline, size_cap)
         checks.append(
             _check("product_omega_formula", pred.predicted, omega_val, pred.predicted == omega_val)
         )
-        bounds = chi_bounds(factors, s_mode, deadline.left())
+        bounds = chi_bounds(factors, s_mode, deadline)
         checks.append(_check("chi_lower_bound", bounds.lower, chi_val, chi_val >= bounds.lower))
         checks.append(_check("chi_upper_bound", bounds.upper, chi_val, chi_val <= bounds.upper))
 
@@ -109,7 +110,7 @@ def analyze(
     # chi-coloring and an upper bound on s, so it must not take the time
     # of the checks above
     if s_mode == "min_s":
-        coloring, sz = min_s_optimal_coloring(g, deadline.left())
+        coloring, sz = min_s_optimal_coloring(g, deadline)
         s_val = sz.s
     else:
         s_val = s_of(g, coloring).s

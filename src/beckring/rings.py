@@ -192,16 +192,7 @@ class FiniteRing:
         return bool(self.zero_divisor_mask[self._check(a)])
 
     def is_nilpotent(self, a: int) -> bool:
-        """Power iteration until 0 (nilpotent) or a repeated value (not)."""
-        self._check(a)
-        seen = set()
-        x = a
-        while x not in seen:
-            if x == 0:
-                return True
-            seen.add(x)
-            x = self.mul(x, a)
-        return x == 0
+        return bool(self.nilpotent_mask[self._check(a)])
 
     @cached_property
     def _local(self) -> bool:

@@ -4,10 +4,11 @@ All searches are deterministic: vertices are ordered by descending degree
 with ties broken by id, candidate sets are walked lowest-bit-first, and no
 result depends on timing. Budgets abort a search with the bounds certified
 so far instead of returning an unproven answer: each public entry builds
-one `_Deadline` from its budget, every search it runs ticks that deadline
-once per node, as DSATUR does once per pick and the clique search's set-up
-once per vertex and per greedy start, and expiry anywhere comes back to the
-caller as a BudgetError carrying the bounds found so far.
+one `_Deadline` from its budget (seconds, or a running deadline whose end
+time it keeps), every search it runs ticks that deadline once per node,
+as DSATUR does once per pick and the clique search's set-up once per
+vertex and per greedy start, and expiry anywhere comes back to the caller
+as a BudgetError carrying the bounds found so far.
 
 Every search on a Beck graph runs on its core, the twin quotient (see
 `BeckGraph.core`). A coloring of the core is lifted back by giving each
@@ -68,31 +69,27 @@ DEFAULT_BUDGET = 60.0
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
-def solver_budget(budget: float | None) -> float:
-    if budget is not None:
-        return float(budget)
-    env = os.environ.get("BECKRING_BUDGET")
-    if env:
-        return float(env)
-    return DEFAULT_BUDGET
-
-
 class _OutOfTime(Exception):
     pass
 
 
 class _Deadline:
-    """The clock of one solve, `budget` seconds (see solver_budget) from now.
+    """The clock of one request. `budget` is seconds from now (None: the
+    BECKRING_BUDGET environment variable, else DEFAULT_BUDGET), or a
+    running _Deadline, whose end time `at` it keeps: an entry that makes
+    several solves builds one deadline at its start and hands it to each.
 
     `tick()` is called once per search node and reads the clock every 64
     ticks, often enough for the k-coloring search, whose Hall check can take
     milliseconds a node; `check()` reads it at once. Both raise _OutOfTime
-    once the budget is spent. `left()` is the budget still unspent, which a
-    caller that runs several solves under one budget hands to each.
+    once the budget is spent.
     """
 
-    def __init__(self, budget: float | None):
-        self.at = time.monotonic() + solver_budget(budget)
+    def __init__(self, budget: Budget):
+        if budget is None:
+            budget = os.environ.get("BECKRING_BUDGET") or DEFAULT_BUDGET
+        # `__class__`, not the module-level name, which a test may replace
+        self.at = budget.at if isinstance(budget, __class__) else time.monotonic() + float(budget)
         self.ticks = 0
 
     def tick(self) -> None:
@@ -104,8 +101,8 @@ class _Deadline:
         if time.monotonic() > self.at:
             raise _OutOfTime()
 
-    def left(self) -> float:
-        return self.at - time.monotonic()
+
+Budget = float | _Deadline | None  # what every budgeted entry takes
 
 
 def _bits(x: int):
@@ -510,7 +507,7 @@ def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
     return memo["clique"]
 
 
-def max_clique(g, budget: float | None = None) -> Clique:
+def max_clique(g, budget: Budget = None) -> Clique:
     """Exact maximum clique, with witness; deterministic across runs. On a
     Beck graph it is searched on the core, and each witness member is the
     first vertex of its twin class."""
@@ -522,7 +519,7 @@ def max_clique(g, budget: float | None = None) -> Clique:
     return Clique(tuple(reps[v] for v in search.result))
 
 
-def best_clique_split(g, budget: float | None = None) -> CliqueSplit:
+def best_clique_split(g, budget: Budget = None) -> CliqueSplit:
     """Among all maximum cliques, one maximizing the square-zero part; on a
     Beck graph searched on the core and lifted as max_clique's witness."""
     work, _, reps = _core(g)
@@ -543,7 +540,7 @@ def best_clique_split(g, budget: float | None = None) -> CliqueSplit:
     return CliqueSplit(Clique(verts), b, c)
 
 
-def chromatic_number(g, budget: float | None = None) -> tuple[int, Coloring]:
+def chromatic_number(g, budget: Budget = None) -> tuple[int, Coloring]:
     """Exact chromatic number and a proper coloring witness.
 
     The search runs on the core of `g` and its coloring is lifted back, each
@@ -614,7 +611,7 @@ def s_of(g, coloring: Coloring) -> SZero:
     return SZero(s, s)
 
 
-def min_s_optimal_coloring(g, budget: float | None = None) -> tuple[Coloring, SZero]:
+def min_s_optimal_coloring(g, budget: Budget = None) -> tuple[Coloring, SZero]:
     """Among proper colorings with exactly chi classes, minimize the number
     s of classes containing a square-zero element.
 

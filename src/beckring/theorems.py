@@ -25,10 +25,12 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .errors import ContractError, InternalCheckError, InvalidModulusError, PreconditionError
+from .errors import CapacityError, ContractError, InternalCheckError, InvalidModulusError
+from .errors import PreconditionError
 from .graphs import BeckGraph, build_graph
-from .rings import FiniteRing, field_factor_count, ideal_power, make_product
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, field_factor_count, ideal_power, make_product
 from .solvers import (
+    Budget,
     _Deadline,
     Clique,
     CliqueSplit,
@@ -67,39 +69,37 @@ class OmegaPrediction:
 
 
 def omega_product_formula(
-    factors: list[FiniteRing], budget: float | None = None
+    factors: list[FiniteRing], budget: Budget = None, size_cap: int = DEFAULT_SIZE_CAP
 ) -> OmegaPrediction:
     """Evaluate prod |B_i| + sum |C_i| and materialize the witness clique;
-    the factors' splits share one budget."""
+    the splits share one budget. Only the witness, not the product, whose
+    encoding alone is read, is held to `size_cap`."""
     if not factors:
         raise PreconditionError("omega_product_formula needs at least one factor")
     deadline = _Deadline(budget)
-    splits = tuple(best_clique_split(build_graph(f), deadline.left()) for f in factors)
+    splits = tuple(best_clique_split(build_graph(f), deadline) for f in factors)
     predicted = math.prod(s.b_size for s in splits) + sum(s.c_size for s in splits)
-    ring = make_product(list(factors)) if len(factors) > 1 else factors[0]
-    witness = _materialize_witness(ring, factors, splits)
-    return OmegaPrediction(splits, predicted, witness, ring.size)
+    if predicted > size_cap:
+        raise CapacityError(f"witness clique of {predicted} vertices exceeds cap {size_cap}")
+    ring = make_product(list(factors), size_cap=math.inf)
+    return OmegaPrediction(splits, predicted, _materialize_witness(ring, factors, splits), ring.size)
 
 
 def _materialize_witness(ring, factors, splits) -> Clique:
-    if len(factors) == 1:
-        verts = list(splits[0].clique.vertices)
-    else:
-        verts = [ring.encode(combo) for combo in iter_product(*[s.b_part for s in splits])]
-        for i, split in enumerate(splits):
-            for c in split.c_part:
-                coords = [0] * len(factors)
-                coords[i] = c
-                verts.append(ring.encode(tuple(coords)))
-    # every pair at once, in the order of a pair-by-pair scan
-    ids = np.array(verts, dtype=np.int64)
-    left, right = np.triu_indices(len(verts), k=1)
-    bad = np.flatnonzero(ring.mul_many(ids[left], ids[right]))
-    if bad.size:
-        u, v = verts[left[bad[0]]], verts[right[bad[0]]]
-        raise InternalCheckError(
-            f"witness clique has nonzero product {ring.element_str(u)}*{ring.element_str(v)}"
-        )
+    # members multiply to zero iff they do in every coordinate: the witness
+    # is a clique iff in each factor's zero relation the pairs of B_i and C_i
+    # and the squares of B_i (box members share coordinates) are, so no
+    # product pair is scanned
+    for i, (f, split) in enumerate(zip(factors, splits), 1):
+        cls, rows = f.ann_classes
+        ids = np.array(split.b_part + split.c_part, dtype=np.int64)
+        nonzero = ~rows[cls[ids]][:, ids]
+        bad = np.argwhere(np.triu(nonzero, 1) | np.diag(np.arange(len(ids)) < split.b_size) & nonzero)
+        if bad.size:
+            u, v = (f.element_str(int(x)) for x in ids[bad[0]])
+            raise InternalCheckError(f"witness clique has nonzero product {u}*{v} in factor {i}")
+    verts = [ring.encode(combo) for combo in iter_product(*[s.b_part for s in splits])]
+    verts += [c * stride for s, stride in zip(splits, ring.strides) for c in s.c_part]
     return Clique(tuple(sorted(verts)))
 
 
@@ -133,7 +133,7 @@ def _normalize_s_mode(s_mode: str) -> str:
     raise PreconditionError(f"unknown s_mode {s_mode!r} (expected any_optimal or min_s)")
 
 
-def factor_coloring(ring: FiniteRing, s_mode: str, budget: float | None = None) -> FactorColoring:
+def factor_coloring(ring: FiniteRing, s_mode: str, budget: Budget = None) -> FactorColoring:
     g = build_graph(ring)
     mode = _normalize_s_mode(s_mode)
     if mode == "min_s":
@@ -146,7 +146,7 @@ def factor_coloring(ring: FiniteRing, s_mode: str, budget: float | None = None) 
 def chi_bounds(
     factors: list[FiniteRing],
     s_mode: str = "any_optimal",
-    budget: float | None = None,
+    budget: Budget = None,
 ) -> ChiBounds:
     """The sandwich bounds from each factor's coloring; the factors share
     one budget."""
@@ -154,7 +154,7 @@ def chi_bounds(
         raise PreconditionError("chi_bounds needs at least one factor")
     mode = _normalize_s_mode(s_mode)
     deadline = _Deadline(budget)
-    cols = tuple(factor_coloring(f, mode, deadline.left()) for f in factors)
+    cols = tuple(factor_coloring(f, mode, deadline) for f in factors)
     n = len(cols)
     lower = sum(c.chi for c in cols) - (n - 1)
     upper = sum(c.chi - c.s for c in cols) + math.prod(c.s for c in cols)
@@ -280,7 +280,7 @@ def classify_nil_factor(ring: FiniteRing) -> NilFactor:
 
 def nilradical_bound(
     factors: list[FiniteRing],
-    budget: float | None = None,
+    budget: Budget = None,
     direct_cap: int = DEFAULT_DIRECT_CAP,
 ) -> NilBound:
     """prod |J_i^(n_i or m_i)| + r lower-bounds the product's clique number;
@@ -378,14 +378,15 @@ class ReducedCheck:
     consistent: bool
 
 
-def reduced_theorem_check(ring: FiniteRing, budget: float | None = None) -> ReducedCheck:
+def reduced_theorem_check(ring: FiniteRing, budget: Budget = None) -> ReducedCheck:
     """For finite reduced rings, chi = omega = (number of field factors) + 1."""
+    deadline = _Deadline(budget)
     if not ring.is_reduced():
         raise PreconditionError("reduced_theorem_check requires a reduced ring")
     r_count = field_factor_count(ring)
     g = build_graph(ring)
-    omega = max_clique(g, budget).size
-    chi, _ = chromatic_number(g, budget)
+    omega = max_clique(g, deadline).size
+    chi, _ = chromatic_number(g, deadline)
     return ReducedCheck(r_count, omega, chi, omega == chi == r_count + 1)
 
 
@@ -408,7 +409,7 @@ class FamilyReport:
 
 
 def counterexample_family(
-    reduced_factors: list[FiniteRing], budget: float | None = None
+    reduced_factors: list[FiniteRing], budget: Budget = None
 ) -> FamilyReport:
     """The built-in local ring times any nonzero reduced rings always has
     chi exactly one above omega.
@@ -417,10 +418,12 @@ def counterexample_family(
     pinching: the lower bound sum chi_i - (n-1) meets the size of the
     explicitly constructed product coloring. A direct clique solve on the
     graph that coloring was verified on cross-checks omega when the product
-    has at most FAMILY_DIRECT_OMEGA_CAP elements.
+    has at most FAMILY_DIRECT_OMEGA_CAP elements. All solves but AN's
+    resolution (catalog.an_variant_stats) share one budget.
     """
     from .catalog import canonical_an_variant, canonical_anderson_naseer
 
+    deadline = _Deadline(budget)
     for f in reduced_factors:
         if f.size < 2:
             raise PreconditionError("family factors must be nonzero rings")
@@ -431,10 +434,10 @@ def counterexample_family(
     # held through the formula, the chromatic loop and the product colorings,
     # so that they share each factor's graph and solves
     factor_graphs = [build_graph(f) for f in chain]
-    prediction = omega_product_formula(chain, budget)
+    prediction = omega_product_formula(chain, deadline)
     omega = prediction.predicted
 
-    colorings = [chromatic_number(g, budget) for g in factor_graphs]
+    colorings = [chromatic_number(g, deadline) for g in factor_graphs]
     lower = sum(chi_f for chi_f, _ in colorings) - (len(chain) - 1)
 
     # each partial product's graph is built once, by the coloring step that
@@ -451,7 +454,7 @@ def counterexample_family(
 
     direct_omega = None
     if prediction.product_size <= FAMILY_DIRECT_OMEGA_CAP:
-        direct_omega = max_clique(cur_g, budget).size
+        direct_omega = max_clique(cur_g, deadline).size
     return FamilyReport(
         canonical_an_variant(),
         tuple(repr(f) for f in reduced_factors),

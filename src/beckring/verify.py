@@ -23,6 +23,7 @@ from .rings import FiniteRing, ProductRing, make_product
 from .solvers import (
     _chromatic,
     _clique_search,
+    Budget,
     _Deadline,
     best_clique_split,
     chromatic_number,
@@ -73,7 +74,7 @@ class SuiteResult:
         return all(c.failed == 0 for c in self.checks)
 
 
-def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: float | None = None):
+def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: Budget = None):
     """label -> (factors, omega) for the pairs, then triples, of catalog_tuples,
     omega from one direct solve that product_omega_formula and nilradical_bound share."""
     return {
@@ -121,27 +122,27 @@ def graph_invariants(graphs: dict[str, BeckGraph]) -> CheckResult:
     return check
 
 
-def _omega_chi(g: BeckGraph, budget: float | None) -> tuple[int, int]:
+def _omega_chi(g: BeckGraph, budget: Budget) -> tuple[int, int]:
     return max_clique(g, budget).size, chromatic_number(g, budget)[0]
 
 
-def core_preservation(graphs: dict[str, BeckGraph], budget: float | None = None) -> CheckResult:
+def core_preservation(graphs: dict[str, BeckGraph], budget: Budget = None) -> CheckResult:
     """The core, the twin quotient, has exactly the (omega, chi) of the graph.
     The graph's omega and chi come from the unreduced searches, since
     max_clique and chromatic_number themselves search the core."""
     check = CheckResult("core_preservation")
+    deadline = _Deadline(budget)
     for name, g in graphs.items():
-        deadline = _Deadline(budget)
         search = _clique_search(g, deadline)
         if search.result is None:
             raise BudgetError("core_preservation", len(search.best))
         whole = len(search.result), _chromatic(g, deadline)[0]
-        same = _omega_chi(g.core(), budget) == whole
+        same = _omega_chi(g.core(), deadline) == whole
         check.require(same, f"{name}: core reduction changed (omega, chi)")
     return check
 
 
-def omega_le_chi(graphs: dict[str, BeckGraph], budget: float | None = None) -> CheckResult:
+def omega_le_chi(graphs: dict[str, BeckGraph], budget: Budget = None) -> CheckResult:
     check = CheckResult("omega_le_chi")
     for name, g in graphs.items():
         omega, chi = _omega_chi(g, budget)
@@ -149,7 +150,7 @@ def omega_le_chi(graphs: dict[str, BeckGraph], budget: float | None = None) -> C
     return check
 
 
-def oracle_equivalence(graphs: dict[str, BeckGraph], budget: float | None = None) -> CheckResult:
+def oracle_equivalence(graphs: dict[str, BeckGraph], budget: Budget = None) -> CheckResult:
     """Clique number and best split against subset enumeration on graphs of
     at most ORACLE_CLIQUE_LIMIT vertices, chromatic number against
     set-partition search on at most ORACLE_CHI_LIMIT."""
@@ -166,7 +167,7 @@ def oracle_equivalence(graphs: dict[str, BeckGraph], budget: float | None = None
     return check
 
 
-def product_omega_formula(products: dict, budget: float | None = None) -> CheckResult:
+def product_omega_formula(products: dict, budget: Budget = None) -> CheckResult:
     """prod |B_i| + sum |C_i| equals the directly solved clique number."""
     check = CheckResult("product_omega_formula")
     for label, (factors, omega) in products.items():
@@ -175,7 +176,7 @@ def product_omega_formula(products: dict, budget: float | None = None) -> CheckR
     return check
 
 
-def nilradical_bound(products: dict, budget: float | None = None) -> CheckResult:
+def nilradical_bound(products: dict, budget: Budget = None) -> CheckResult:
     """The nilradical bound is at most the clique number, and equal to it
     when every factor meets the zero-product membership condition."""
     check = CheckResult("nilradical_bound")
@@ -187,7 +188,7 @@ def nilradical_bound(products: dict, budget: float | None = None) -> CheckResult
     return check
 
 
-def chi_sandwich(pairs: dict[str, ProductRing], budget: float | None = None) -> CheckResult:
+def chi_sandwich(pairs: dict[str, ProductRing], budget: Budget = None) -> CheckResult:
     """chi lies in the sandwich, and the explicit product coloring meets its
     upper end."""
     check = CheckResult("chi_sandwich")
@@ -204,7 +205,7 @@ def chi_sandwich(pairs: dict[str, ProductRing], budget: float | None = None) -> 
     return check
 
 
-def zn_closed_form(moduli, chi_limit: int, budget: float | None = None) -> CheckResult:
+def zn_closed_form(moduli, chi_limit: int, budget: Budget = None) -> CheckResult:
     """The closed form equals omega(Z_N) for every N in `moduli`, and
     chi(Z_N) for those up to `chi_limit`."""
     check = CheckResult("zn_closed_form")
@@ -219,7 +220,7 @@ def zn_closed_form(moduli, chi_limit: int, budget: float | None = None) -> Check
     return check
 
 
-def reduced_equality(field_products: dict, budget: float | None = None) -> CheckResult:
+def reduced_equality(field_products: dict, budget: Budget = None) -> CheckResult:
     """chi = omega = (number of field factors) + 1 on products of fields."""
     check = CheckResult("reduced_equality")
     for label, factors in field_products.items():
@@ -232,7 +233,7 @@ def reduced_equality(field_products: dict, budget: float | None = None) -> Check
     return check
 
 
-def counterexample_family(factor_names, budget: float | None = None) -> CheckResult:
+def counterexample_family(factor_names, budget: Budget = None) -> CheckResult:
     """AN times each list of reduced factors has chi - omega = 1, chi pinched
     by the constructed coloring and omega cross-checked by a direct solve
     where the family report has one."""
@@ -253,7 +254,7 @@ def counterexample_family(factor_names, budget: float | None = None) -> CheckRes
     return check
 
 
-def dsl_round_trip(exprs, isomorphic_pairs, budget: float | None = None) -> CheckResult:
+def dsl_round_trip(exprs, isomorphic_pairs, budget: Budget = None) -> CheckResult:
     """Printing then parsing gives back the same syntax tree, and rings the
     Chinese remainder theorem makes isomorphic agree on (omega, chi)."""
     check = CheckResult("dsl_round_trip")
@@ -267,7 +268,7 @@ def dsl_round_trip(exprs, isomorphic_pairs, budget: float | None = None) -> Chec
     return check
 
 
-def report_json_round_trip(exprs, budget: float | None = None) -> CheckResult:
+def report_json_round_trip(exprs, budget: Budget = None) -> CheckResult:
     check = CheckResult("report_json_round_trip")
     for expr in exprs:
         rep = analyze(expr, budget=budget)
@@ -277,7 +278,7 @@ def report_json_round_trip(exprs, budget: float | None = None) -> CheckResult:
     return check
 
 
-def s_statistic(graphs: dict[str, BeckGraph], budget: float | None = None) -> CheckResult:
+def s_statistic(graphs: dict[str, BeckGraph], budget: Budget = None) -> CheckResult:
     """A reduced ring has s = 1 under min-s; any ring has s >= 1."""
     check = CheckResult("s_statistic")
     for name, g in graphs.items():
@@ -292,10 +293,11 @@ def s_statistic(graphs: dict[str, BeckGraph], budget: float | None = None) -> Ch
 
 def run_suite(
     max_size: int | None = None,
-    budget: float | None = None,
+    budget: Budget = None,
     rings: dict | None = None,
     progress=None,
 ) -> SuiteResult:
+    deadline = _Deadline(budget)  # the whole suite runs on one budget
     def limit(default: int) -> int:
         return min(default, max_size) if max_size is not None else default
 
@@ -316,18 +318,18 @@ def run_suite(
     # held to the end, so every check shares each catalog graph's solves
     graphs = {name: build_graph(ring) for name, ring in ring_map.items()}
     emit(graph_invariants(graphs))
-    emit(core_preservation(graphs, budget))
-    emit(omega_le_chi(graphs, budget))
-    emit(oracle_equivalence(graphs, budget))
-    products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), budget)
-    emit(product_omega_formula(products, budget))
-    emit(chi_sandwich(small_core_pairs(ring_map, limit(PRODUCT_SIZE_LIMIT)), budget))
-    emit(nilradical_bound(products, budget))
-    emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), budget))
+    emit(core_preservation(graphs, deadline))
+    emit(omega_le_chi(graphs, deadline))
+    emit(oracle_equivalence(graphs, deadline))
+    products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), deadline)
+    emit(product_omega_formula(products, deadline))
+    emit(chi_sandwich(small_core_pairs(ring_map, limit(PRODUCT_SIZE_LIMIT)), deadline))
+    emit(nilradical_bound(products, deadline))
+    emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
     fields = catalog_tuples(field_rings(), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
-    emit(reduced_equality(fields, budget))
-    emit(counterexample_family(FAMILY_FACTORS, budget))
-    emit(dsl_round_trip(DSL_EXPRS, ISOMORPHIC_PAIRS, budget))
-    emit(report_json_round_trip(ring_map, budget))
-    emit(s_statistic(graphs, budget))
+    emit(reduced_equality(fields, deadline))
+    emit(counterexample_family(FAMILY_FACTORS, deadline))
+    emit(dsl_round_trip(DSL_EXPRS, ISOMORPHIC_PAIRS, deadline))
+    emit(report_json_round_trip(ring_map, deadline))
+    emit(s_statistic(graphs, deadline))
     return SuiteResult(checks)

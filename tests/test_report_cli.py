@@ -12,9 +12,10 @@ import beckring
 from beckring.cli import build_parser, main
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
-from beckring import make_structure_ring, make_zmod
+from beckring import make_product, make_structure_ring, make_zmod
 from beckring.rings import ProductRing, StructureRing, ZmodRing
 from beckring.errors import NotARingError, PreconditionError
+from beckring.theorems import counterexample_family, reduced_theorem_check
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(beckring.__file__)))
 
@@ -101,8 +102,39 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     assert len(set(searched)) == len(searched)
 
 
-def test_analyze_runs_on_one_budget(monkeypatch):
-    # every solve and theorem check of one call shares the call's end time
+def _cli(*argv):
+    def call():
+        assert main(list(argv)) == 0
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: analyze("AN x AN", budget=5),
+        _cli("counterexample", "Z2", "Z3"),
+        _cli("zn", "72"),
+        _cli("predict-omega", "Z8 x Z25"),
+        _cli("bound-chi", "Z8 x Z9", "--s-mode", "min"),
+        _cli("verify-suite", "--max-size", "16"),
+        lambda: counterexample_family([make_zmod(2), make_zmod(3)], budget=5),
+        lambda: reduced_theorem_check(make_product([make_zmod(2), make_zmod(3)]), budget=5),
+    ],
+    ids=[
+        "analyze AN x AN",
+        "counterexample Z2 Z3",
+        "zn 72",
+        "predict-omega Z8 x Z25",
+        "bound-chi Z8 x Z9 --s-mode min",
+        "verify-suite --max-size 16",
+        "counterexample_family",
+        "reduced_theorem_check",
+    ],
+)
+def test_runs_on_one_budget(call, monkeypatch, capsys):
+    # every solve and theorem check of one call is handed the deadline the
+    # call started with: each deadline made during it keeps that end time
     from beckring import solvers
     from beckring.catalog import canonical_anderson_naseer
 
@@ -115,9 +147,9 @@ def test_analyze_runs_on_one_budget(monkeypatch):
         ends.append(self.at)
 
     monkeypatch.setattr(solvers._Deadline, "__init__", recording_init)
-    analyze("AN x AN", budget=5)
+    call()
     assert len(ends) > 1
-    assert max(abs(at - ends[0]) for at in ends) < 0.005
+    assert set(ends) == {ends[0]}
 
 
 def test_analyze_min_s_mode():
@@ -182,6 +214,7 @@ def test_cli_budget_exit_4(capsys):
         ["bound-chi", "Z4 x Z2", "--s-mode", "min"],
         ["zn", "12"],
         ["counterexample", "Z2"],
+        ["verify-suite", "--max-size", "16"],
     ],
     ids=" ".join,
 )
@@ -222,11 +255,13 @@ def test_cli_parses_after_a_usage_error(capsys):
     # one parser serves every call; an error halfway through a subcommand's
     # options leaves it, and its defaults, as they were
     parser = build_parser()
-    assert main(["export", "Z4", "--budget", "3", "--format", "png"]) == 1
+    assert main(["export", "Z4", "--max-size", "3", "--format", "png"]) == 1
     assert build_parser() is parser
     args = parser.parse_args(["export", "Z4"])
     assert (args.command, args.expr, args.format) == ("export", "Z4", "dimacs")
-    assert (args.budget, args.s_mode, args.output, args.json) == (None, "any", None, False)
+    assert (args.max_size, args.output) == (None, None)
+    # export reads no --json, --budget or --s-mode, so it takes none
+    assert not {"json", "budget", "s_mode"} & set(vars(args))
     assert main(["export", "Z4"]) == 0
     assert capsys.readouterr().out == "p edge 4 3\ne 1 2\ne 1 3\ne 1 4\n"
 
@@ -236,6 +271,24 @@ def test_cli_predict_omega(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "predicted omega = 4" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("expr,omega", [("Z64 x Z128", 65), ("AN x AN x AN", 67)])
+def test_cli_predict_omega_above_the_size_cap(expr, omega, capsys):
+    # the formula builds no graph of the product, so it takes no size cap
+    assert main(["predict-omega", "--json", expr]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["predicted_omega"], payload["direct_omega"]) == (omega, None)
+
+
+def test_cli_predict_omega_holds_the_witness_to_the_size_cap(capsys):
+    # Z64 has |B| = 8, so the witness has 8^5 = 32768 vertices: it is
+    # refused at once under the default cap and answered under a raised one
+    expr = "Z64 x Z64 x Z64 x Z64 x Z64"
+    assert main(["predict-omega", expr]) == 3
+    assert "witness clique of 32768 vertices exceeds cap 4096" in capsys.readouterr().err
+    assert main(["predict-omega", "--json", "--max-size", "32768", expr]) == 0
+    assert json.loads(capsys.readouterr().out)["predicted_omega"] == 32768
 
 
 def test_cli_predict_omega_triple(capsys):

@@ -92,9 +92,13 @@ def test_a_corrupted_split_fails_the_witness_check():
     witness = [product.encode((b, c)) for b in b_part for c in splits[1].b_part]
     witness += [product.encode((c, 0)) for c in first.c_part]
     witness += [product.encode((0, c)) for c in splits[1].c_part]
-    u, v = next((u, v) for i, u in enumerate(witness) for v in witness[i + 1:]
-                 if product.mul(u, v) != 0)
-    message = f"nonzero product {product.element_str(u)}*{product.element_str(v)}"
+    assert any(product.mul(u, v) for i, u in enumerate(witness) for v in witness[i + 1:])
+    # the check runs in the factors: the first nonzero product among Z8's
+    # members, squares of B included, names the fault
+    z8, members = factors[0], b_part + first.c_part
+    u, v = next((u, v) for i, u in enumerate(members) for j, v in enumerate(members)
+                if (i < j or i == j < len(b_part)) and z8.mul(u, v) != 0)
+    message = f"nonzero product {z8.element_str(u)}*{z8.element_str(v)} in factor 1"
     with pytest.raises(InternalCheckError, match=re.escape(message) + "$"):
         _materialize_witness(product, factors, splits)
 
