@@ -4,7 +4,8 @@ The built-in local ring exists in two candidate variants (z^2 = 0 and
 z^2 = 2) because its defining relations admit either reading; the
 canonical one is whichever the exact solvers certify to have clique
 number 5 and chromatic number 6. That choice is computed once and cached,
-never assumed.
+never assumed. Each variant is built and validated once per process, and
+the canonical ring is the variant ring the solvers certified, renamed "AN".
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from .dsl import ring_of
 from .errors import InternalCheckError
 from .graphs import build_graph
 from .rings import FiniteRing, make_anderson_naseer
@@ -25,15 +27,15 @@ AN_TARGET = (5, 6)
 
 
 @lru_cache(maxsize=None)
+def _variant_rings() -> dict[int, FiniteRing]:
+    return {variant: make_anderson_naseer(variant) for variant in (0, 2)}
+
+
+@lru_cache(maxsize=None)
 def an_variant_stats() -> dict[int, tuple[int, int]]:
     """(clique number, chromatic number) for both z^2 variants."""
-    out = {}
-    for variant in (0, 2):
-        g = build_graph(make_anderson_naseer(variant))
-        omega = max_clique(g).size
-        chi, _ = chromatic_number(g)
-        out[variant] = (omega, chi)
-    return out
+    graphs = {variant: build_graph(ring) for variant, ring in _variant_rings().items()}
+    return {variant: (max_clique(g).size, chromatic_number(g)[0]) for variant, g in graphs.items()}
 
 
 @lru_cache(maxsize=None)
@@ -49,22 +51,18 @@ def canonical_an_variant() -> int:
 
 @lru_cache(maxsize=None)
 def canonical_anderson_naseer() -> FiniteRing:
-    ring = make_anderson_naseer(canonical_an_variant())
+    ring = _variant_rings()[canonical_an_variant()]
     ring.name = "AN"
     return ring
 
 
 @lru_cache(maxsize=None)
 def catalog_rings() -> dict[str, FiniteRing]:
-    from .dsl import ring_of
-
     return {expr: ring_of(expr) for expr in CATALOG_EXPRS}
 
 
 @lru_cache(maxsize=None)
 def field_rings() -> dict[str, FiniteRing]:
-    from .dsl import ring_of
-
     return {expr: ring_of(expr) for expr in FIELD_EXPRS}
 
 

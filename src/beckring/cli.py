@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .dsl import ProductExpr, elaborate, parse, print_expr, ring_of
@@ -26,7 +27,6 @@ from .theorems import (
     omega_product_formula,
     zn_formula,
 )
-from .verify import run_suite
 
 
 class _UsageError(Exception):
@@ -88,11 +88,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _emit(payload: dict, as_json: bool, text: str, ok: bool) -> int:
+    print(json.dumps(payload, indent=2) if as_json else text)
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _size_cap(args) -> int:
@@ -101,8 +99,7 @@ def _size_cap(args) -> int:
 
 def _cmd_analyze(args) -> int:
     report = analyze(args.expr, budget=args.budget, s_mode=args.s_mode, size_cap=_size_cap(args))
-    _emit(report, args.json, render_report(report))
-    return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_VERIFY
+    return _emit(report, args.json, render_report(report), all(c["pass"] for c in report["checks"]))
 
 
 def _cmd_predict_omega(args) -> int:
@@ -135,8 +132,7 @@ def _cmd_predict_omega(args) -> int:
         if direct is not None
         else "direct solve skipped (product too large)"
     )
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _emit(payload, args.json, "\n".join(lines), ok)
 
 
 def _cmd_bound_chi(args) -> int:
@@ -145,9 +141,9 @@ def _cmd_bound_chi(args) -> int:
     cap = _size_cap(args)
     factors = [elaborate(a, size_cap=cap) for a in atoms]
     bounds = chi_bounds(factors, args.s_mode, args.budget)
-    product = make_product(factors, size_cap=cap) if len(factors) > 1 else factors[0]
     exact = None
-    if product.size <= DEFAULT_DIRECT_CAP:
+    if math.prod(f.size for f in factors) <= DEFAULT_DIRECT_CAP:
+        product = make_product(factors, size_cap=cap) if len(factors) > 1 else factors[0]
         exact, _ = chromatic_number(build_graph(product), args.budget)
     ok = exact is None or bounds.lower <= exact <= bounds.upper
     payload = {
@@ -171,8 +167,7 @@ def _cmd_bound_chi(args) -> int:
         lines.append(f"exact chi = {exact} ... {'PASS' if ok else 'FAIL'}")
     else:
         lines.append("exact chi skipped (product too large)")
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _emit(payload, args.json, "\n".join(lines), ok)
 
 
 def _cmd_zn(args) -> int:
@@ -193,8 +188,7 @@ def _cmd_zn(args) -> int:
         f"Z{args.n}: formula {res.value}, solver omega {omega}, solver chi {chi}"
         f" ... {'PASS' if ok else 'FAIL'}"
     )
-    _emit(payload, args.json, text)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _emit(payload, args.json, text, ok)
 
 
 def _cmd_counterexample(args) -> int:
@@ -223,8 +217,7 @@ def _cmd_counterexample(args) -> int:
         f"chi = {rep.chi} (lower bound {rep.chi_lower} = constructed coloring {rep.constructed_colors})",
         f"gap chi - omega = {rep.gap} ... {'PASS' if ok else 'FAIL'}",
     ]
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _emit(payload, args.json, "\n".join(lines), ok)
 
 
 def _cmd_export(args) -> int:
@@ -239,22 +232,19 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify_suite(args) -> int:
+    from .verify import run_suite  # only this command loads the suite and its oracles
+
     result = run_suite(max_size=args.max_size, budget=args.budget, progress=None if args.json else print)
-    if args.json:
-        payload = {
-            "checks": [
-                {"name": c.name, "passed": c.passed, "failed": c.failed, "failures": c.failures}
-                for c in result.checks
-            ],
-            "pass": result.ok,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for c in result.checks:
-            for f in c.failures[:5]:
-                print(f"    failing instance: {f}")
-        print("suite: " + ("ALL PASS" if result.ok else "FAILURES PRESENT"))
-    return EXIT_OK if result.ok else EXIT_VERIFY
+    payload = {
+        "checks": [
+            {"name": c.name, "passed": c.passed, "failed": c.failed, "failures": c.failures}
+            for c in result.checks
+        ],
+        "pass": result.ok,
+    }
+    lines = [f"    failing instance: {f}" for c in result.checks for f in c.failures[:5]]
+    lines.append("suite: " + ("ALL PASS" if result.ok else "FAILURES PRESENT"))
+    return _emit(payload, args.json, "\n".join(lines), result.ok)
 
 
 _COMMANDS = {

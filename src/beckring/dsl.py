@@ -15,7 +15,7 @@ number 5 and chromatic number 6; "AN0"/"AN2" force the variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .rings import (
@@ -28,33 +28,34 @@ from .rings import (
 )
 
 
-class RingExpr:
-    """Base class for parsed ring expressions."""
-
-
-@dataclass(frozen=True)
-class ZmodAtom(RingExpr):
+class ZmodAtom(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class QuotAtom(RingExpr):
+class QuotAtom(NamedTuple):
     """Z_n[t]/(f); coeffs ascending c_0..c_d, reduced mod n, c_d monic."""
 
     n: int
     coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ANAtom(RingExpr):
+class ANAtom(NamedTuple):
     """variant None = canonical (resolved by computation), else 0 or 2."""
 
     variant: int | None
 
 
-@dataclass(frozen=True)
-class ProductExpr(RingExpr):
+class ProductExpr(NamedTuple):
     atoms: tuple[RingExpr, ...]
+
+
+RingExpr = ZmodAtom | QuotAtom | ANAtom | ProductExpr  # a parsed ring expression
+
+# tuple equality compares fields alone (AN2 would equal Z2); nodes also compare kinds
+for _kind in (ZmodAtom, QuotAtom, ANAtom, ProductExpr):
+    _kind.__eq__ = lambda a, b: type(a) is type(b) and tuple.__eq__(a, b)
+    _kind.__ne__ = lambda a, b: not a == b
+del _kind
 
 
 class _Scanner:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -579,11 +579,35 @@ def make_anderson_naseer(z_squared: int, size_cap: int = DEFAULT_SIZE_CAP) -> St
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Ideal:
-    ring: FiniteRing
-    elements: frozenset[int]
-    generators: tuple[int, ...]
+    """An ideal of `ring`, immutable and compared by value: not a tuple, as
+    len() and `in` read its elements."""
+
+    __slots__ = ("ring", "elements", "generators")
+
+    def __init__(self, ring: FiniteRing, elements: frozenset[int], generators: tuple[int, ...]):
+        for name, value in zip(self.__slots__, (ring, elements, generators)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of an Ideal")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.ring, self.elements, self.generators
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Ideal else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Ideal(ring={!r}, elements={!r}, generators={!r})".format(*self._key())
+
+    def __reduce__(self):
+        return Ideal, self._key()
 
     def __contains__(self, a: int) -> bool:
         return a in self.elements
@@ -592,8 +616,7 @@ class Ideal:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class NilradicalProfile:
+class NilradicalProfile(NamedTuple):
     ideal: Ideal
     index_of_nilpotency: int
     power_sizes: tuple[int, ...]

@@ -58,7 +58,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError, ContractError
 from .graphs import BeckGraph
@@ -125,8 +125,7 @@ def _remap(mask: int, pos) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clique:
+class Clique(NamedTuple):
     """Pairwise-adjacent vertex set, sorted by vertex id (ring-element id on
     the graph of a whole ring)."""
 
@@ -137,8 +136,7 @@ class Clique:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class CliqueSplit:
+class CliqueSplit(NamedTuple):
     """A maximum clique partitioned into square-zero (B) and square-nonzero (C) members."""
 
     clique: Clique
@@ -154,8 +152,7 @@ class CliqueSplit:
         return len(self.c_part)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Proper coloring: class_of[v] is the class index of vertex v, in [0, k)."""
 
     class_of: tuple[int, ...]
@@ -168,8 +165,7 @@ class Coloring:
         return out
 
 
-@dataclass(frozen=True)
-class SZero:
+class SZero(NamedTuple):
     """Count s of the color classes containing a square-zero element, and
     `lower`, a certified lower bound on the least s over the colorings in
     question: `exact` when the two meet."""

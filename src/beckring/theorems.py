@@ -20,8 +20,8 @@ that this module materializes and re-verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ FAMILY_DIRECT_OMEGA_CAP = 128
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaPrediction:
+class OmegaPrediction(NamedTuple):
     splits: tuple[CliqueSplit, ...]
     predicted: int
     witness: Clique
@@ -108,16 +107,14 @@ def _materialize_witness(ring, factors, splits) -> Clique:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorColoring:
+class FactorColoring(NamedTuple):
     chi: int
     s: int
     s_exact: bool
     coloring: Coloring
 
 
-@dataclass(frozen=True)
-class ChiBounds:
+class ChiBounds(NamedTuple):
     factors: tuple[FactorColoring, ...]
     lower: int
     upper: int
@@ -216,8 +213,7 @@ def _bearing_first(g, c: Coloring) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZnFormula:
+class ZnFormula(NamedTuple):
     n: int
     value: int
     factorization: tuple[tuple[int, int], ...]
@@ -251,16 +247,14 @@ def zn_formula(n: int) -> ZnFormula:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NilFactor:
+class NilFactor(NamedTuple):
     index: int
     parity: str  # "even" (index 2n) or "odd" (index 2m-1)
     param: int
     power_size: int
 
 
-@dataclass(frozen=True)
-class NilBound:
+class NilBound(NamedTuple):
     factors: tuple[NilFactor, ...]
     r_count: int
     bound: int
@@ -306,8 +300,7 @@ def nilradical_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ANConditionResult:
+class ANConditionResult(NamedTuple):
     kind: str
     param: int
     holds: bool
@@ -370,8 +363,7 @@ def an_condition_for(ring: FiniteRing) -> ANConditionResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedCheck:
+class ReducedCheck(NamedTuple):
     r_count: int
     omega: int
     chi: int
@@ -395,8 +387,7 @@ def reduced_theorem_check(ring: FiniteRing, budget: Budget = None) -> ReducedChe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     an_variant: int
     factor_names: tuple[str, ...]
     product_size: int

@@ -34,6 +34,15 @@ def test_parse_an_atoms():
     assert parse("AN0 x Z2") == ProductExpr((ANAtom(0), ZmodAtom(2)))
 
 
+def test_nodes_of_different_kinds_differ():
+    # the nodes are tuples, and tuple equality reads fields alone
+    assert parse("AN2") != parse("Z2") and not parse("AN2") == parse("Z2")
+    assert ANAtom(0) != ZmodAtom(0)
+    assert parse("Z4 x Z3") == ProductExpr((ZmodAtom(4), ZmodAtom(3)))
+    assert parse("AN2 x Z3") != ProductExpr((ZmodAtom(2), ZmodAtom(3)))
+    assert len({ANAtom(2), ZmodAtom(2), parse("Z2")}) == 2
+
+
 def test_parse_error_offsets():
     with pytest.raises(ParseError) as exc:
         parse("Z0")

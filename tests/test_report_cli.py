@@ -304,6 +304,15 @@ def test_cli_bound_chi(capsys):
     assert "5 <= chi <= 6" in out and "exact chi = 6" in out
 
 
+def test_cli_bound_chi_above_the_size_cap(capsys):
+    # the bounds need only the factors; the product is built only for the direct solve
+    assert main(["bound-chi", "--json", "Z64 x Z128"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact_chi"] is None and payload["pass"]
+    assert [(f["ring"], f["chi"], f["s"]) for f in payload["factors"]] == [("Z64", 8, 8), ("Z128", 9, 8)]
+    assert (payload["lower"], payload["upper"]) == (16, 65)
+
+
 @pytest.mark.parametrize("factor,s", [("Z21", 1), ("Z22", 1), ("Z23", 1), ("Z24", 2)])
 def test_cli_bound_chi_min_s_exact_on_small_cores(factor, s, capsys):
     # 21 to 24 elements, but at most 20 core vertices: the min-s search is exhaustive
@@ -374,6 +383,44 @@ def test_cli_verify_suite_restricted(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "suite: ALL PASS" in out
+
+
+_SETUP_CONTENTS = """
+import sys
+from beckring import rings
+
+built = []
+init = rings.StructureRing.__init__
+
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+rings.StructureRing.__init__ = counting_init
+import beckring.cli
+from beckring.catalog import canonical_anderson_naseer
+canonical_anderson_naseer()
+
+import dataclasses
+loaded = [name for name in sys.modules if name.startswith("beckring")]
+print(sorted({"beckring.verify", "beckring.oracle"} & set(loaded)))
+print(sorted(
+    f"{name}.{cls.__name__}" for name in loaded for cls in vars(sys.modules[name]).values()
+    if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)
+))
+print(len(built))
+"""
+
+
+def test_cli_set_up_contents():
+    # what every CLI call pays before its request, in a fresh process: the
+    # suite and its oracles stay unloaded, no dataclass code is generated,
+    # and resolving AN builds each of the two variant rings once
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SETUP_CONTENTS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "2"]
 
 
 def test_cli_env_budget(monkeypatch, capsys):
