@@ -7,8 +7,9 @@ so far instead of returning an unproven answer: each public entry builds
 one `_Deadline` from its budget (seconds, or a running deadline whose end
 time it keeps), every search it runs ticks that deadline once per node,
 as DSATUR does once per pick and the clique search's set-up once per
-vertex and per greedy start, and expiry anywhere comes back to the caller
-as a BudgetError carrying the bounds found so far.
+block of 256 adjacency rows and per greedy start, and expiry anywhere
+comes back to the caller as a BudgetError carrying the bounds found so
+far.
 
 Every search on a Beck graph runs on its core, the twin quotient (see
 `BeckGraph.core`). A coloring of the core is lifted back by giving each
@@ -55,18 +56,36 @@ the interval of s proved so far.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import BudgetError, ContractError
 from .graphs import BeckGraph
 
 DEFAULT_BUDGET = 60.0
+_PERMUTE_BLOCK = 256  # adjacency rows per numpy block in _permute
 
-# decision searches recurse once per vertex; cores can exceed the default limit
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
+
+def _deep_stack(run):
+    """`run` with the recursion limit raised to 20000 while it runs, and the
+    caller's limit restored after: the searches recurse once per vertex or
+    clique member, and cores can exceed the default limit of 1000."""
+
+    @functools.wraps(run)
+    def wrapped(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 20000))
+        try:
+            return run(self)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return wrapped
 
 
 class _OutOfTime(Exception):
@@ -118,6 +137,28 @@ def _remap(mask: int, pos) -> int:
     for v in _bits(mask):
         m |= 1 << pos[v]
     return m
+
+
+def _permute(adj: list[int], order, deadline: _Deadline) -> list[int]:
+    """The rows of the vertices in `order`, each cut to the columns in
+    `order` and renumbered by position there: bit j of row i is set iff
+    order[j] is in adj[order[i]]. Rows go through numpy 256 at a time, as
+    bytes unpacked to one byte per column, so the Python work is O(rows)
+    and the temporaries stay at 256 x len(adj) bytes; the deadline is read
+    once per block."""
+    width = (len(adj) + 7) // 8
+    cols = np.asarray(order, dtype=np.intp)
+    out: list[int] = []
+    for start in range(0, len(cols), _PERMUTE_BLOCK):
+        deadline.check()
+        rows = b"".join(adj[v].to_bytes(width, "little") for v in order[start : start + _PERMUTE_BLOCK])
+        bits = np.unpackbits(
+            np.frombuffer(rows, dtype=np.uint8).reshape(-1, width), axis=1, count=len(adj), bitorder="little"
+        )
+        packed = np.packbits(np.take(bits, cols, axis=1), axis=1, bitorder="little")
+        step, buf = packed.shape[1], packed.tobytes()
+        out.extend(int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +264,15 @@ class _CliqueSearch:
     ends the node. `seed`, a finished search on the same graph, lends its
     order, remapped adjacency and best clique.
 
-    The set-up orders the vertices by (degree desc, id), remaps each row to
-    positions in that order and grows a greedy first clique, one vertex at
-    a time. The public entries run it on the twin quotient of a Beck graph,
-    where equal rows come at most in pairs (one square-zero vertex, one
-    not), so a set-up per class of equal rows would save nothing there.
+    The set-up orders the vertices by (degree desc, id), permutes the
+    adjacency rows into that order in numpy blocks (`_permute`),
+    color-sorts the whole graph once for the root node, and grows a greedy
+    first clique from each of the first 8 vertices until one reaches the
+    root's number of colors, the bound no clique exceeds; on most Beck
+    graph cores the first start does. The public entries run it on the
+    twin quotient of a Beck graph, where equal rows come at most in pairs
+    (one square-zero vertex, one not), so a set-up per class of equal rows
+    would save nothing there.
     """
 
     def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
@@ -236,42 +281,52 @@ class _CliqueSearch:
         self.order, self.best, self.result = range(n), [0] if n else [], None
 
     def _setup(self) -> None:
-        """Order and remapped adjacency, lent by the seed or built reading
-        the deadline once per vertex, then a first best clique."""
+        """Order, remapped adjacency and root color sort, lent by the seed
+        or built, then a first best clique."""
         if self.seed:
-            self.order, self.pos, self.radj = self.seed.order, self.seed.pos, self.seed.radj
+            seed = self.seed
+            self.order, self.pos, self.radj, self.root = seed.order, seed.pos, seed.radj, seed.root
         else:
             self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
             self.pos = [0] * self.n
             for i, v in enumerate(self.order):
                 self.pos[v] = i
-            self.radj = []
-            for v in self.order:
-                self.deadline.tick()
-                self.radj.append(_remap(self.adj[v], self.pos))
+            self.radj = _permute(self.adj, self.order, self.deadline)
+            self.root = self._color_sort((1 << self.n) - 1, self.radj)
         self.sq0 = _remap(self.sq0_bits, self.pos)
         self.best = list(self.seed.best) if self.seed else self._greedy_clique()
         self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
 
     def _greedy_clique(self) -> list[int]:
-        """From each of the first 8 vertices, add the candidate with the
-        most candidate neighbours, the first in order on ties."""
+        """The largest of the greedy cliques from the first 8 vertices, the
+        earliest on ties. No start follows one that reaches the number of
+        colors of the root's color sort: no clique is larger, so no later
+        start could replace it."""
+        colors = self.root[-1][1]
         best: list[int] = []
         for s in range(min(self.n, 8)):
+            if len(best) == colors:
+                break
             self.deadline.check()
-            clique = [s]
-            cand = self.radj[s]
-            while cand:
-                pick, best_deg = -1, -1
-                for v in _bits(cand):
-                    d = (self.radj[v] & cand).bit_count()
-                    if d > best_deg:
-                        pick, best_deg = v, d
-                clique.append(pick)
-                cand &= self.radj[pick]
+            clique = self._greedy_from(s)
             if len(clique) > len(best):
                 best = clique
         return best
+
+    def _greedy_from(self, s: int) -> list[int]:
+        """A clique grown from vertex s, each step adding the candidate with
+        the most candidate neighbours, the first in order on ties."""
+        clique = [s]
+        cand = self.radj[s]
+        while cand:
+            pick, best_deg = -1, -1
+            for v in _bits(cand):
+                d = (self.radj[v] & cand).bit_count()
+                if d > best_deg:
+                    pick, best_deg = v, d
+            clique.append(pick)
+            cand &= self.radj[pick]
+        return clique
 
     @staticmethod
     def _color_sort(p: int, radj: list[int]) -> list[tuple[int, int]]:
@@ -290,9 +345,13 @@ class _CliqueSearch:
                 uncolored ^= b
         return out
 
-    def _expand(self, r: list[int], rb: int, p: int):
+    def _expand(self, r: list[int], rb: int, p: int, order=None):
+        """Branch on the candidates `p` extending clique `r` (with `rb`
+        square-zero members); `order`, the color sort of `p`, is passed
+        in only at the root, which the set-up has sorted."""
         self.deadline.tick()
-        order = self._color_sort(p, self.radj)
+        if order is None:
+            order = self._color_sort(p, self.radj)
         for v, c in reversed(order):
             bound = len(r) + c
             if bound < len(self.best) or (
@@ -309,12 +368,13 @@ class _CliqueSearch:
             r.pop()
             p ^= 1 << v
 
+    @_deep_stack
     def run(self) -> list[int]:
         """The best clique in vertex ids, sorted; also kept as `result`."""
         if self.n:
             self._setup()
             self.deadline.check()
-            self._expand([], 0, (1 << self.n) - 1)
+            self._expand([], 0, (1 << self.n) - 1, self.root)
         self.result = sorted(self.order[v] for v in self.best)
         return self.result
 
@@ -453,6 +513,7 @@ class _KColorSearch:
         self.free ^= 1 << v
         return False
 
+    @_deep_stack
     def run(self) -> list[int] | None:
         self.deadline.check()
         if self._hall_violated(_bits(self.free)):
@@ -646,6 +707,5 @@ def _sq0_clique_floor(work, deadline: _Deadline) -> list[int]:
     """A largest clique of square-zero vertices: every coloring gives its
     members distinct classes."""
     verts = list(_bits(work.sq0_bits))
-    idx = {v: i for i, v in enumerate(verts)}
-    sub = [_remap(work.adj[v] & work.sq0_bits, idx) for v in verts]
+    sub = _permute(work.adj, verts, deadline)
     return [verts[i] for i in _CliqueSearch(len(verts), sub, deadline).run()]

@@ -13,7 +13,9 @@ also finds the best split: among maximum cliques, one with the most
 square-zero vertices. It is checked on random graphs with random
 square-zero sets against subset enumeration. DSATUR keeps one bucket per
 saturation level; it is checked against the scan it replaced, kept here as
-a reference.
+a reference. The clique search's set-up permutes adjacency rows in numpy
+blocks and stops its greedy seed at the root's color bound; both are
+checked against the per-row remap and an 8-start greedy written here.
 """
 
 import math
@@ -39,7 +41,7 @@ from beckring import (
     verify_coloring,
 )
 from beckring.oracle import CHROMATIC_ORACLE_CAP, exhaustive_chromatic_number
-from beckring.solvers import _CliqueSearch, _Deadline, _dsatur, _KColorSearch
+from beckring.solvers import _CliqueSearch, _Deadline, _dsatur, _KColorSearch, _permute, _remap
 
 AN_PRODUCT_CAP = 1024
 SPLIT_ORACLE_CAP = 14
@@ -220,6 +222,56 @@ def test_clique_search_maximises_size_then_square_zero_count(case):
         found = _CliqueSearch(g.n, g.adj, _Deadline(float("inf")), sq0, seed=seed).run()
         assert all(g.adj[u] >> v & 1 for u in found for v in found if u != v)
         assert (len(found), sum(sq0 >> v & 1 for v in found)) == want
+
+
+@st.composite
+def row_orders(draw):
+    """Random rows over n vertices, n around the 256-row block size, and a
+    vertex order: every vertex, or a subset in random order."""
+    n = draw(st.sampled_from((0, 1, 7, 8, 9, 255, 256, 257, 300)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adj = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    if draw(st.booleans()):
+        order = order[: rng.randint(0, n)]
+    return adj, order
+
+
+@settings(PROPERTY, max_examples=60)
+@given(row_orders())
+def test_permute_matches_the_per_row_remap(case):
+    adj, order = case
+    pos = {v: i for i, v in enumerate(order)}
+    kept = sum(1 << v for v in order)
+    want = [_remap(adj[v] & kept, pos) for v in order]
+    assert _permute(adj, order, _Deadline(FOREVER)) == want
+
+
+def _greedy_from_8_starts(n: int, radj: list[int]) -> list[int]:
+    """From each of the first 8 vertices, add the candidate with the most
+    candidate neighbours, the first on ties; keep the first largest."""
+    best: list[int] = []
+    for s in range(min(n, 8)):
+        clique, cand = [s], radj[s]
+        while cand:
+            pick = max((v for v in range(n) if cand >> v & 1),
+                       key=lambda v: ((radj[v] & cand).bit_count(), -v))
+            clique.append(pick)
+            cand &= radj[pick]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+@SMALL_GRAPHS
+@given(st.one_of(split_graphs(), graphs().map(lambda g: (g, 0))))
+def test_greedy_seed_stopped_at_the_color_bound_matches_8_starts(case):
+    g, sq0 = case
+    search = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), sq0)
+    if g.n:
+        search._setup()
+        assert search.best == _greedy_from_8_starts(g.n, search.radj)
 
 
 @SMALL_GRAPHS

@@ -102,6 +102,33 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     assert len(set(searched)) == len(searched)
 
 
+def test_greedy_seed_stops_at_the_first_start(monkeypatch):
+    # on the cores of this product and of its factors the first greedy
+    # clique already meets the root's color bound, so no second start is made
+    from beckring import solvers
+
+    searches, starts = [], []
+    init = solvers._CliqueSearch.__init__
+    greedy_from = solvers._CliqueSearch._greedy_from
+
+    def counting_init(self, n, adj, deadline, sq0_bits=0, seed=None):
+        if seed is None:
+            searches.append(n)
+        init(self, n, adj, deadline, sq0_bits, seed)
+
+    def counting_from(self, s):
+        starts.append(self.n)
+        return greedy_from(self, s)
+
+    monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
+    monkeypatch.setattr(solvers._CliqueSearch, "_greedy_from", counting_from)
+    rep = analyze("Z8 x Z64 x Z8")
+    assert rep["omega"]["value"] == 34
+    # every unseeded search, the 128-vertex core of the product first,
+    # makes exactly one greedy start
+    assert searches[0] == 128 and starts == searches
+
+
 def _cli(*argv):
     def call():
         assert main(list(argv)) == 0
@@ -421,6 +448,16 @@ def test_cli_set_up_contents():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["[]", "[]", "2"]
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    # the searches raise the limit only while they run
+    code = "import sys; a = sys.getrecursionlimit(); import beckring; print(a, sys.getrecursionlimit())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == after
 
 
 def test_cli_env_budget(monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """Ring construction, arithmetic, predicates, and ideal machinery."""
 
+import random
+
+import numpy as np
 import pytest
 
 from beckring import (
@@ -19,6 +22,7 @@ from beckring import (
     make_structure_ring,
     make_zmod,
 )
+from beckring import rings
 from beckring.catalog import catalog_rings
 
 
@@ -143,6 +147,85 @@ def test_structure_ring_unity_violation():
     products = {(0, 0): (1, 0), (0, 1): (1, 0), (1, 1): (0, 0)}
     with pytest.raises(NotARingError):
         make_structure_ring((2, 2), (1, 0), products)
+
+
+def _first_failing_triple(add, mul):
+    """The associativity and distributivity check as a loop over the first
+    operand a, associativity first: (axiom, (a, b, c)) or None."""
+    for a in range(len(mul)):
+        for axiom, left, right in (
+            ("associativity", mul[mul[a], :], mul[a][mul]),
+            ("distributivity", mul[a][add], add[mul[a][:, None], mul[a][None, :]]),
+        ):
+            bad = np.argwhere(left != right)
+            if len(bad):
+                return axiom, (a, int(bad[0][0]), int(bad[0][1]))
+    return None
+
+
+def _corrupted(ring, rng, table_name):
+    """`ring` with one symmetric entry pair of its addition or multiplication
+    table changed, away from the rows of 0 and the unity that the earlier
+    axiom checks read; returns the tables validate will see."""
+    v = np.arange(ring.size, dtype=np.int64)
+    tables = {"add": ring.add_many(v[:, None], v[None, :]), "mul": ring.mul_many(v[:, None], v[None, :])}
+    t = tables[table_name]
+    spare = [x for x in range(ring.size) if x not in (0, ring.unity)]
+    x, y = rng.choice(spare), rng.choice(spare)
+    t[x, y] = t[y, x] = (t[x, y] + rng.randrange(1, ring.size)) % ring.size
+    ring.add_many = lambda a, b: tables["add"]
+    ring.mul_many = lambda a, b: tables["mul"]
+    return tables["add"], tables["mul"]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1, 3 * 8 * 32 * 32])
+def test_validate_reports_the_first_failing_triple_of_the_loop(monkeypatch, block_bytes):
+    # corrupted tables of rings of 16, 32 and 64 elements fail associativity
+    # or distributivity; the blocked check names the same axiom and the same
+    # first (a, b, c) as a loop over a, with the default blocks of first
+    # operands and with blocks of one and of three
+    if block_bytes:
+        monkeypatch.setattr(rings, "_VALIDATE_BLOCK_BYTES", block_bytes)
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(150):
+        ring = rng.choice([make_quotient(4, (-2, 0, 1)), make_anderson_naseer(0), make_zmod(64)])
+        add, mul = _corrupted(ring, rng, rng.choice(["add", "mul"]))
+        want = _first_failing_triple(add, mul)
+        if want is None:
+            ring.validate()
+            continue
+        with pytest.raises(NotARingError) as exc:
+            ring.validate()
+        axiom, triple = want
+        assert exc.value.axiom == axiom
+        assert exc.value.witness == tuple(ring.element_str(x) for x in triple)
+        seen.add(axiom)
+    assert seen == {"associativity", "distributivity"}
+
+
+def test_validate_of_corrupted_structure_constants():
+    # AN's basis products x, y, z with one of them changed: every failure
+    # names the axiom and the first (a, b, c) of the loop over a
+    an = make_anderson_naseer(0)
+    failed = 0
+    for (i, j), val in an._table.items():
+        if i == 0:
+            continue  # products with 1 decide the unity check first
+        for shift in range(1, 4):
+            products = dict(an._table)
+            products[(i, j)] = ((val[0] + shift) % 4,) + val[1:]
+            ring = make_structure_ring(an.orders, (1, 0, 0, 0), products, validation_cap=0)
+            v = np.arange(ring.size, dtype=np.int64)
+            want = _first_failing_triple(ring.add_many(v[:, None], v[None, :]), ring.mul_many(v[:, None], v[None, :]))
+            if want is None:
+                ring.validate()
+                continue
+            with pytest.raises(NotARingError) as exc:
+                ring.validate()
+            assert (exc.value.axiom, exc.value.witness) == (want[0], tuple(ring.element_str(x) for x in want[1]))
+            failed += 1
+    assert failed
 
 
 def test_anderson_naseer_variants():

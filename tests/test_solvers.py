@@ -321,6 +321,19 @@ def test_search_set_up_honours_the_budget(solve):
     assert time.monotonic() - t0 < 0.3
 
 
+def test_deep_decision_search_restores_the_recursion_limit():
+    # k = 1 on 1500 isolated vertices recurses once per vertex, past the
+    # default limit of 1000, which the search raises only while it runs
+    import sys
+
+    from beckring.solvers import _Deadline, _KColorSearch
+
+    limit = sys.getrecursionlimit()
+    search = _KColorSearch(1500, [0] * 1500, 1, [], _Deadline(float("inf")))
+    assert search.run() == [0] * 1500
+    assert sys.getrecursionlimit() == limit
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("BECKRING_BUDGET", "0")
     with pytest.raises(BudgetError):
