@@ -8,7 +8,8 @@ vectorized over numpy. The zero-product relation is kept as one row per
 annihilator class (`ann_classes`), not as an n x n matrix; a product
 builds its classes and its other predicates from its factors' by
 Kronecker products, and units follow from zero divisors, so graphs of
-rings up to the size cap build quickly.
+rings up to the size cap build quickly; so do the nilradical's powers
+(`nil_power_masks`): a product's from its factors', Z_n's in closed form.
 """
 
 from __future__ import annotations
@@ -102,13 +103,6 @@ class FiniteRing:
 
     # -- cached bulk predicates -------------------------------------------
 
-    def _kron(self, predicate: str) -> np.ndarray:
-        """A product's predicate, true at (x_i) iff true at every x_i; factor 1 is innermost."""
-        out = np.ones((1,) * getattr(self.factors[0], predicate).ndim, dtype=bool)
-        for f in self.factors:
-            out = np.kron(getattr(f, predicate), out)
-        return out
-
     @cached_property
     def ann_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The zero relation as one row per annihilator class, `(cls, rows)`:
@@ -120,7 +114,7 @@ class FiniteRing:
             for f in self.factors:
                 f_cls, f_rows = f.ann_classes
                 cls = (f_cls[:, None] * len(rows) + cls[None, :]).ravel()
-                rows = np.kron(f_rows, rows)
+                rows = (f_rows[:, None, :, None] & rows[None, :, None, :]).reshape(len(f_rows) * len(rows), -1)
             return cls, rows
         n = self.size
         v = np.arange(n, dtype=np.int64)
@@ -150,7 +144,7 @@ class FiniteRing:
         In a finite ring, multiplication by a non-zero-divisor is injective, hence onto.
         """
         if self.factors:
-            return self._kron("unit_mask")
+            return _kron([f.unit_mask for f in self.factors])
         out = ~self.zero_divisor_mask
         out[0] = self.unity == 0
         return out
@@ -171,7 +165,7 @@ class FiniteRing:
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
         if self.factors:
-            return self._kron("nilpotent_mask")
+            return _kron([f.nilpotent_mask for f in self.factors])
         # x nilpotent iff x^(2^k) = 0 once 2^k >= size; log2 squaring rounds.
         v = np.arange(self.size, dtype=np.int64)
         rounds = max(1, (self.size - 1).bit_length())
@@ -182,7 +176,7 @@ class FiniteRing:
     @cached_property
     def idempotent_mask(self) -> np.ndarray:
         if self.factors:
-            return self._kron("idempotent_mask")
+            return _kron([f.idempotent_mask for f in self.factors])
         v = np.arange(self.size, dtype=np.int64)
         return self.mul_many(v, v) == v
 
@@ -210,8 +204,38 @@ class FiniteRing:
         return int(self.nilpotent_mask.sum()) == 1
 
     @cached_property
+    def nil_power_masks(self) -> tuple[np.ndarray, ...]:
+        """Masks of J, J^2, ..., J^m = {0} for the nilradical J of index m: a
+        product's J^k is the product of its factors' J_i^k ({0} past their own
+        index), Z_n's is (gcd(rad(n)^k, n)); other rings span products of generators."""
+        if self.factors:
+            per = [f.nil_power_masks for f in self.factors]
+            return tuple(_kron([p[min(k, len(p) - 1)] for p in per]) for k in range(max(map(len, per))))
+        if isinstance(self, ZmodRing):
+            divisors = [r := _radical(self.n)]
+            while divisors[-1] != self.n:
+                divisors.append(math.gcd(divisors[-1] * r, self.n))
+            return tuple(np.arange(self.n) % d == 0 for d in divisors)
+        masks, power = [self.nilpotent_mask], self._nil_gens
+        while masks[-1].sum() > 1:
+            power, mask = _span(self, _products(self, power, self._nil_gens))
+            masks.append(mask)
+        return tuple(masks)
+
+    @cached_property
+    def _nil_gens(self) -> tuple[int, ...]:
+        """Generators of J: the factors' in their own coordinates, Z_n's rad(n), else `_span`'s."""
+        if self.factors:
+            return tuple(sorted(g * s for f, s in zip(self.factors, self.strides) for g in f._nil_gens))
+        if isinstance(self, ZmodRing):
+            return (r,) if (r := _radical(self.n)) < self.n else ()
+        return tuple(_span(self, np.flatnonzero(self.nilpotent_mask).tolist())[0])
+
+    @cached_property
     def _nilradical(self) -> "NilradicalProfile":
-        return _nilradical_profile(self)
+        masks = self.nil_power_masks
+        j = Ideal(self, frozenset(np.flatnonzero(masks[0]).tolist()), self._nil_gens)
+        return NilradicalProfile(j, len(masks), tuple(int(np.count_nonzero(m)) for m in masks))
 
     def nilradical(self) -> "NilradicalProfile":
         """The nilradical, its nilpotency index and power sizes; computed once."""
@@ -268,6 +292,25 @@ class FiniteRing:
 def _first_2d(bad: np.ndarray) -> tuple[int, int]:
     i, j = np.argwhere(bad)[0]
     return int(i), int(j)
+
+
+def _kron(masks) -> np.ndarray:
+    """A product's mask, true at (x_i) iff every masks[i][x_i] is; factor 1 innermost."""
+    out = np.ones(1, dtype=bool)
+    for mask in masks:
+        out = (mask[:, None] & out[None, :]).ravel()
+    return out
+
+
+def _radical(n: int) -> int:
+    """The product of the distinct primes dividing n, by trial division."""
+    r = 1
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            r *= p
+            while n % p == 0:
+                n //= p
+    return r * n  # what is left is 1 or a prime above sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +663,8 @@ class Ideal:
 
 
 class NilradicalProfile(NamedTuple):
+    """J, its index m and |J|, ..., |J^m| = 1, read from `nil_power_masks`."""
+
     ideal: Ideal
     index_of_nilpotency: int
     power_sizes: tuple[int, ...]
@@ -646,6 +691,13 @@ def _span(ring: FiniteRing, candidates) -> tuple[list[int], np.ndarray]:
     return kept, covered
 
 
+def _products(ring: FiniteRing, ga, gb) -> list[int]:
+    """The distinct products a*b for a in ga and b in gb, ascending."""
+    seen = np.zeros(ring.size, dtype=bool)
+    seen[ring.mul_many(np.array(ga, dtype=np.int64)[:, None], np.array(gb, dtype=np.int64)[None, :])] = True
+    return np.flatnonzero(seen).tolist()
+
+
 def ideal_generate(ring: FiniteRing, gens) -> Ideal:
     """Smallest additively closed, multiplication-absorbing set containing gens."""
     gens = tuple(sorted({ring._check(g) for g in gens}))
@@ -656,11 +708,8 @@ def ideal_generate(ring: FiniteRing, gens) -> Ideal:
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     if i.ring is not j.ring:
         raise PreconditionError("ideal product requires ideals of the same ring")
-    ring = i.ring
-    ga = i.generators if i.generators else tuple(i.elements)
-    gb = j.generators if j.generators else tuple(j.elements)
-    prods = {ring.mul(a, b) for a in ga for b in gb}
-    return ideal_generate(ring, prods)
+    ga, gb = (ideal.generators or tuple(ideal.elements) for ideal in (i, j))
+    return ideal_generate(i.ring, _products(i.ring, ga, gb))
 
 
 def ideal_power(i: Ideal, k: int) -> Ideal:
@@ -670,18 +719,6 @@ def ideal_power(i: Ideal, k: int) -> Ideal:
     for _ in range(k - 1):
         out = ideal_product(out, i)
     return out
-
-
-def _nilradical_profile(ring: FiniteRing) -> NilradicalProfile:
-    members = np.flatnonzero(ring.nilpotent_mask).tolist()
-    gens, _ = _span(ring, members)
-    j = Ideal(ring, frozenset(members), tuple(gens))
-    sizes = [len(j)]
-    power = j
-    while len(power) > 1:
-        power = ideal_product(power, j)
-        sizes.append(len(power))
-    return NilradicalProfile(j, len(sizes), tuple(sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ result depends on timing. Budgets abort a search with the bounds certified
 so far instead of returning an unproven answer: each public entry builds
 one `_Deadline` from its budget (seconds, or a running deadline whose end
 time it keeps), every search it runs ticks that deadline once per node,
-as DSATUR does once per pick and the clique search's set-up once per
-block of 256 adjacency rows and per greedy start, and expiry anywhere
-comes back to the caller as a BudgetError carrying the bounds found so
-far.
+as DSATUR does once per pick, the Hall check once per seed and the clique
+search's set-up once per block of 256 adjacency rows and per greedy
+start, and expiry anywhere comes back to the caller as a BudgetError
+carrying the bounds found so far.
 
 Every search on a Beck graph runs on its core, the twin quotient (see
 `BeckGraph.core`). A coloring of the core is lifted back by giving each
@@ -98,10 +98,9 @@ class _Deadline:
     running _Deadline, whose end time `at` it keeps: an entry that makes
     several solves builds one deadline at its start and hands it to each.
 
-    `tick()` is called once per search node and reads the clock every 64
-    ticks, often enough for the k-coloring search, whose Hall check can take
-    milliseconds a node; `check()` reads it at once. Both raise _OutOfTime
-    once the budget is spent.
+    `tick()` is called once per search node and once per seed of the
+    k-coloring search's Hall check, and reads the clock every 64 ticks;
+    `check()` reads it at once. Both raise _OutOfTime once the budget is spent.
     """
 
     def __init__(self, budget: Budget):
@@ -474,6 +473,7 @@ class _KColorSearch:
         """
         adj, dom, free = self.adj, self.dom, self.free
         for s in seeds:
+            self.deadline.tick()
             size, union = 1, dom[s]
             cand = adj[s] & free
             while size <= union.bit_count() and cand:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CapacityError, ContractError, InternalCheckError, InvalidModulusError
 from .errors import PreconditionError
 from .graphs import BeckGraph, build_graph
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, field_factor_count, ideal_power, make_product
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, field_factor_count, make_product
 from .solvers import (
     Budget,
     _Deadline,
@@ -316,8 +316,8 @@ def check_an_condition(ring: FiniteRing, kind: str, param: int) -> ANConditionRe
     if x not in J^(n+1) then y in J^n;
     odd type (index 2m-1, param m): x in J^m or y in J^m.
     """
-    profile = ring.nilradical()
-    m = profile.index_of_nilpotency
+    masks = ring.nil_power_masks  # masks[k - 1] is J^k
+    m = len(masks)
     if kind == "even":
         if m != 2 * param:
             raise PreconditionError(f"ring has nilpotency index {m}, not even 2*{param}")
@@ -326,22 +326,14 @@ def check_an_condition(ring: FiniteRing, kind: str, param: int) -> ANConditionRe
             raise PreconditionError(f"ring has nilpotency index {m}, not odd 2*{param}-1")
     else:
         raise PreconditionError(f"kind must be 'even' or 'odd', got {kind!r}")
-    jp = ideal_power(profile.ideal, param) if param >= 1 else None
-    in_jp = np.zeros(ring.size, dtype=bool)
-    in_jp[list(jp.elements)] = True
-    in_jp1 = None
-    if kind == "even":
-        jp1 = ideal_power(profile.ideal, param + 1)
-        in_jp1 = np.zeros(ring.size, dtype=bool)
-        in_jp1[list(jp1.elements)] = True
     # both checks fail at an x with a zero-product partner outside J^p
-    (cls, rows), outside = ring.ann_classes, ~in_jp
+    (cls, rows), outside = ring.ann_classes, ~masks[param - 1]
     has_bad = (rows & outside).any(axis=1)[cls]
     failing = has_bad & outside
     membership_ok = not failing.any()
     boundary_ok = None
     if kind == "even":
-        failing_boundary = has_bad & ~in_jp1
+        failing_boundary = has_bad & ~masks[param]
         boundary_ok = not failing_boundary.any()
         failing |= failing_boundary
     witness = None

@@ -450,6 +450,30 @@ def test_cli_set_up_contents():
     assert proc.stdout.split("\n")[:3] == ["[]", "[]", "2"]
 
 
+_NEW_NUMPY_MODULES = """
+import contextlib, io, sys
+import beckring.cli
+from beckring.catalog import canonical_anderson_naseer
+canonical_anderson_naseer()
+
+before = set(sys.modules)
+for expr in ("AN x Z8 x Z2", "Z8 x Z64 x Z8"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert beckring.cli.main(["analyze", expr, "--json"]) == 0
+print(sorted(name for name in set(sys.modules) - before if name.startswith("numpy")))
+"""
+
+
+def test_analyze_loads_no_numpy_module_after_set_up():
+    # a numpy module first loaded by a request (np.unique loads three) adds
+    # to every CLI call's time and memory
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _NEW_NUMPY_MODULES],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[]"
+
+
 def test_import_leaves_the_recursion_limit_alone():
     # the searches raise the limit only while they run
     code = "import sys; a = sys.getrecursionlimit(); import beckring; print(a, sys.getrecursionlimit())"

@@ -6,7 +6,9 @@ idempotent masks are Kronecker products of its factors' masks; units are
 the nonzero non-zero-divisors; locality and the field-factor count come
 from the number of idempotents. The scans below derive each predicate from
 the definition alone, on random products of catalog atoms and monic
-quotients Z_n[t]/(f).
+quotients Z_n[t]/(f). The powers of a product's nilradical are built from
+its factors' and Z_n's from a closed form; the generic path spans J from
+the nilpotents and generates each next power from products of generators.
 """
 
 import numpy as np
@@ -16,7 +18,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beckring import field_factor_count, make_anderson_naseer, make_product, make_quotient, make_zmod
+from beckring import (
+    field_factor_count,
+    ideal_generate,
+    make_anderson_naseer,
+    make_product,
+    make_quotient,
+    make_zmod,
+)
+from beckring.rings import Ideal, _span
 
 MAX_SIZE = 1100
 BLOCK = 128
@@ -110,6 +120,29 @@ def primitive_idempotent_count(ring):
     return sum(1 for e in idem.tolist() if not (orthogonal & (sums == e)).any())
 
 
+def generic_nil_powers(ring):
+    """J, J^2, ..., {0} on the ring itself: J spanned from the nilpotents,
+    and J^(k+1) generated by the products of J^k's generators with J's,
+    one scalar product at a time."""
+    members = np.flatnonzero(squaring_nilpotents(ring)).tolist()
+    gens, _ = _span(ring, members)
+    powers = [Ideal(ring, frozenset(members), tuple(gens))]
+    while len(powers[-1]) > 1:
+        prev = powers[-1]
+        powers.append(ideal_generate(ring, {ring.mul(a, b) for a in prev.generators for b in gens}))
+    return powers
+
+
+def assert_nil_powers_match(ring, powers):
+    assert [np.flatnonzero(m).tolist() for m in ring.nil_power_masks] == [sorted(p.elements) for p in powers]
+    profile = ring.nilradical()
+    # generators too: a product's are its factors', each in its own
+    # coordinate, which are the ones the span over ascending nilpotents keeps
+    assert profile.ideal == powers[0]
+    assert profile.index_of_nilpotency == len(powers)
+    assert profile.power_sizes == tuple(len(p) for p in powers)
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -139,6 +172,21 @@ def test_zero_relation_units_and_locality_match_scans(ring):
 @given(rings())
 def test_nilpotents_match_repeated_squaring(ring):
     assert np.array_equal(ring.nilpotent_mask, squaring_nilpotents(ring))
+
+
+@PROPERTY
+@given(rings())
+def test_nil_powers_match_the_generic_path(ring):
+    assert_nil_powers_match(ring, generic_nil_powers(ring))
+    ideal = ring.nilradical().ideal
+    assert ideal_generate(ring, ideal.generators).elements == ideal.elements
+
+
+def test_zmod_nil_powers_match_the_generic_path():
+    # J^k = (gcd(rad(n)^k, n)), generated by rad(n) unless n is squarefree
+    for n in range(1, 601):
+        ring = make_zmod(n)
+        assert_nil_powers_match(ring, generic_nil_powers(ring))
 
 
 @PROPERTY

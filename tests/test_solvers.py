@@ -321,6 +321,19 @@ def test_search_set_up_honours_the_budget(solve):
     assert time.monotonic() - t0 < 0.3
 
 
+def test_hall_scan_honours_the_budget():
+    # a root Hall check grows a clique from each of the 1387 core vertices
+    # of AN^3, about 4 s in all: it ticks the deadline once per seed
+    import time
+
+    g = build_graph(ring_of("AN x AN x AN", size_cap=40000), size_cap=40000)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetError) as exc:
+        chromatic_number(g, budget=1.0)
+    assert time.monotonic() - t0 < 2.5
+    assert 67 <= exc.value.lower <= exc.value.upper <= 70
+
+
 def test_deep_decision_search_restores_the_recursion_limit():
     # k = 1 on 1500 isolated vertices recurses once per vertex, past the
     # default limit of 1000, which the search raises only while it runs
