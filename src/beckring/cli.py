@@ -224,8 +224,12 @@ def _cmd_export(args) -> int:
     ring = elaborate(parse(args.expr), size_cap=_size_cap(args))
     text = export_graph(build_graph(ring), args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e.strerror or e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text)
     return EXIT_OK

@@ -243,14 +243,9 @@ class FiniteRing:
 
     # -- axiom validation ---------------------------------------------------
 
-    def validate(self, cap: int | None = None) -> None:
-        """Exhaustive O(size^3) ring-axiom check; raises NotARingError.
-
-        `cap` refuses the check above a given size (None = no refusal).
-        """
+    def validate(self) -> None:
+        """Exhaustive O(size^3) ring-axiom check; raises NotARingError."""
         n = self.size
-        if cap is not None and n > cap:
-            raise CapacityError(f"validation refused: size {n} > cap {cap}")
         v = np.arange(n, dtype=np.int64)
         add = self.add_many(v[:, None], v[None, :])
         mul = self.mul_many(v[:, None], v[None, :])

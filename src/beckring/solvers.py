@@ -2,14 +2,16 @@
 
 All searches are deterministic: vertices are ordered by descending degree
 with ties broken by id, candidate sets are walked lowest-bit-first, and no
-result depends on timing. Budgets abort a search with the bounds certified
-so far instead of returning an unproven answer: each public entry builds
-one `_Deadline` from its budget (seconds, or a running deadline whose end
-time it keeps), every search it runs ticks that deadline once per node,
-as DSATUR does once per pick, the Hall check once per seed and the clique
-search's set-up once per block of 256 adjacency rows and per greedy
-start, and expiry anywhere comes back to the caller as a BudgetError
-carrying the bounds found so far.
+result depends on timing. The clique and k-coloring searches loop over
+explicit stacks: no search recurses or touches the interpreter's recursion
+limit, whatever the graph's size. Budgets abort a search with the bounds
+certified so far instead of returning an unproven answer: each public
+entry builds one `_Deadline` from its budget (seconds, or a running
+deadline whose end time it keeps), every search it runs ticks that
+deadline once per node, as DSATUR does once per pick, the Hall check once
+per seed and the clique search's set-up once per block of 256 adjacency
+rows and per greedy start, and expiry anywhere comes back to the caller as
+a BudgetError carrying the bounds found so far.
 
 Every search on a Beck graph runs on its core, the twin quotient (see
 `BeckGraph.core`). A coloring of the core is lifted back by giving each
@@ -56,36 +58,18 @@ the interval of s proved so far.
 
 from __future__ import annotations
 
-import functools
+import math
 import os
-import sys
 import time
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, ContractError
+from .errors import BudgetError, ContractError, PreconditionError
 from .graphs import BeckGraph
 
 DEFAULT_BUDGET = 60.0
 _PERMUTE_BLOCK = 256  # adjacency rows per numpy block in _permute
-
-
-def _deep_stack(run):
-    """`run` with the recursion limit raised to 20000 while it runs, and the
-    caller's limit restored after: the searches recurse once per vertex or
-    clique member, and cores can exceed the default limit of 1000."""
-
-    @functools.wraps(run)
-    def wrapped(self):
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 20000))
-        try:
-            return run(self)
-        finally:
-            sys.setrecursionlimit(limit)
-
-    return wrapped
 
 
 class _OutOfTime(Exception):
@@ -97,6 +81,7 @@ class _Deadline:
     BECKRING_BUDGET environment variable, else DEFAULT_BUDGET), or a
     running _Deadline, whose end time `at` it keeps: an entry that makes
     several solves builds one deadline at its start and hands it to each.
+    inf never expires; a non-number or NaN raises PreconditionError.
 
     `tick()` is called once per search node and once per seed of the
     k-coloring search's Hall check, and reads the clock every 64 ticks;
@@ -106,8 +91,12 @@ class _Deadline:
     def __init__(self, budget: Budget):
         if budget is None:
             budget = os.environ.get("BECKRING_BUDGET") or DEFAULT_BUDGET
-        # `__class__`, not the module-level name, which a test may replace
-        self.at = budget.at if isinstance(budget, __class__) else time.monotonic() + float(budget)
+        try:  # `__class__`, not the module-level name, which a test may replace
+            self.at = budget.at if isinstance(budget, __class__) else time.monotonic() + float(budget)
+        except (TypeError, ValueError):
+            self.at = math.nan
+        if math.isnan(self.at):  # it would never expire
+            raise PreconditionError(f"budget {budget!r} is not a number of seconds (inf: no limit)")
         self.ticks = 0
 
     def tick(self) -> None:
@@ -260,18 +249,17 @@ class _CliqueSearch:
 
     Candidates come in non-increasing color order and each try shrinks the
     candidate set, so the first candidate whose bound cannot beat the best
-    ends the node. `seed`, a finished search on the same graph, lends its
-    order, remapped adjacency and best clique.
+    ends the node; `_expand` keeps the open nodes on a stack. `seed`, a
+    finished search on the same graph, lends its order, remapped adjacency
+    and best clique.
 
     The set-up orders the vertices by (degree desc, id), permutes the
     adjacency rows into that order in numpy blocks (`_permute`),
     color-sorts the whole graph once for the root node, and grows a greedy
     first clique from each of the first 8 vertices until one reaches the
     root's number of colors, the bound no clique exceeds; on most Beck
-    graph cores the first start does. The public entries run it on the
-    twin quotient of a Beck graph, where equal rows come at most in pairs
-    (one square-zero vertex, one not), so a set-up per class of equal rows
-    would save nothing there.
+    graph cores the first start does. On a twin quotient, where equal rows
+    come at most in pairs, a set-up per class of equal rows saves nothing.
     """
 
     def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
@@ -344,36 +332,41 @@ class _CliqueSearch:
                 uncolored ^= b
         return out
 
-    def _expand(self, r: list[int], rb: int, p: int, order=None):
-        """Branch on the candidates `p` extending clique `r` (with `rb`
-        square-zero members); `order`, the color sort of `p`, is passed
-        in only at the root, which the set-up has sorted."""
+    def _expand(self) -> None:
+        """Branch and bound over a stack of open nodes [candidates p,
+        square-zero count of the clique r so far, untried candidates in
+        color order], r holding one vertex per node below the root. A tried
+        vertex leaves p as its child opens: p is read after the child closes."""
+        r: list[int] = []
         self.deadline.tick()
-        if order is None:
-            order = self._color_sort(p, self.radj)
-        for v, c in reversed(order):
+        stack = [[(1 << self.n) - 1, 0, self.root.copy()]]  # a seeded split shares root
+        while stack:
+            node = stack[-1]
+            p, rb, order = node
+            v, c = order.pop() if order else (-1, 0)
             bound = len(r) + c
-            if bound < len(self.best) or (
+            if v == -1 or bound < len(self.best) or (
                 bound == len(self.best) and rb + (p & self.sq0).bit_count() <= self.best_b
             ):
-                return
+                stack.pop()  # no candidate left can beat the best
+                del r[-1:]  # the root has no vertex in r
+                continue
+            node[0] = p ^ (1 << v)
             v_b = rb + ((self.sq0 >> v) & 1)
-            r.append(v)
             np_ = p & self.radj[v]
             if np_:
-                self._expand(r, v_b, np_)
-            elif (len(r), v_b) > (len(self.best), self.best_b):
-                self.best, self.best_b = r.copy(), v_b
-            r.pop()
-            p ^= 1 << v
+                self.deadline.tick()
+                r.append(v)
+                stack.append([np_, v_b, self._color_sort(np_, self.radj)])
+            elif (len(r) + 1, v_b) > (len(self.best), self.best_b):
+                self.best, self.best_b = r + [v], v_b
 
-    @_deep_stack
     def run(self) -> list[int]:
         """The best clique in vertex ids, sorted; also kept as `result`."""
         if self.n:
             self._setup()
             self.deadline.check()
-            self._expand([], 0, (1 << self.n) - 1, self.root)
+            self._expand()
         self.result = sorted(self.order[v] for v in self.best)
         return self.result
 
@@ -433,16 +426,12 @@ class _KColorSearch:
     order, and a lowest-fresh-color rule kept apart in [0, t) and [t, k):
     the unused colors of one range are interchangeable at every node, those
     of two ranges are not. With t < k the clique must be square-zero and
-    have at most t vertices, so that its colors lie below t. `_solve`
-    carries the bitmask of the colors used.
+    have at most t vertices, so that its colors lie below t. `_solve` keeps
+    the colored vertices, with the colors used before each, on a stack.
     """
 
     def __init__(self, n, adj, k, clique, deadline, sq0_bits=0, t=None):
-        self.n = n
-        self.adj = adj
-        self.k = k
-        self.t = k if t is None else t
-        self.deadline = deadline
+        self.adj, self.k, self.t, self.deadline = adj, k, k if t is None else t, deadline
         self.deg = [adj[v].bit_count() for v in range(n)]
         self.color = [-1] * n
         self.dom = [(1 << (self.t if (sq0_bits >> v) & 1 else k)) - 1 for v in range(n)]
@@ -489,36 +478,46 @@ class _KColorSearch:
                 return True
         return False
 
-    def _solve(self, used: int) -> bool:
-        self.deadline.tick()
-        v = self._pick()
-        if v == -1:
-            return True
-        self.free ^= 1 << v
+    def _solve(self) -> bool:
+        """Depth first over a stack of colored vertices (v, the colors used
+        before v, its untried colors, the domains its color shrank), whose
+        domains are restored after a Hall cut or a failed child of v."""
+        stack, used = [], self.start_used
         t, low = self.t, (1 << self.t) - 1
-        fresh = ((used & low) + 1) & low | (((used >> t) + 1) << t) & ((1 << self.k) - 1)
-        for c in _bits(self.dom[v] & (used | fresh)):
-            self.color[v] = c
-            bit = 1 << c
-            changed = []
-            for u in _bits(self.adj[v] & self.free):
-                if self.dom[u] & bit:
-                    self.dom[u] &= ~bit
-                    changed.append(u)
-            if not self._hall_violated(changed) and self._solve(used | bit):
+        while True:
+            self.deadline.tick()
+            v = self._pick()
+            if v == -1:
                 return True
-            for u in changed:
-                self.dom[u] |= bit
-            self.color[v] = -1
-        self.free ^= 1 << v
-        return False
+            self.free ^= 1 << v
+            fresh = ((used & low) + 1) & low | (((used >> t) + 1) << t) & ((1 << self.k) - 1)
+            stack.append((v, used, _bits(self.dom[v] & (used | fresh)), []))
+            while stack:
+                v, used, colors, changed = stack[-1]
+                for u in changed:
+                    self.dom[u] |= 1 << self.color[v]
+                changed.clear()
+                c = next(colors, -1)
+                if c == -1:  # every color of v failed
+                    self.color[v] = -1
+                    self.free ^= 1 << v
+                    stack.pop()
+                    continue
+                self.color[v] = c
+                bit = 1 << c
+                for u in _bits(self.adj[v] & self.free):
+                    if self.dom[u] & bit:
+                        self.dom[u] &= ~bit
+                        changed.append(u)
+                if not self._hall_violated(changed):
+                    used |= bit
+                    break
+            else:
+                return False
 
-    @_deep_stack
     def run(self) -> list[int] | None:
         self.deadline.check()
-        if self._hall_violated(_bits(self.free)):
-            return None
-        if self._solve(self.start_used):
+        if not self._hall_violated(_bits(self.free)) and self._solve():
             return self.color
         return None
 

@@ -399,6 +399,13 @@ def test_cli_export_file(tmp_path, capsys):
     assert b"\r" not in data
 
 
+def test_cli_export_to_an_unwritable_path_exits_1(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.txt", tmp_path):  # no such directory; a directory
+        assert main(["export", "Z4", "--output", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
 def test_cli_export_json_format(capsys):
     rc = main(["export", "Z4", "--format", "json"])
     assert rc == 0
@@ -475,7 +482,8 @@ def test_analyze_loads_no_numpy_module_after_set_up():
 
 
 def test_import_leaves_the_recursion_limit_alone():
-    # the searches raise the limit only while they run
+    # the package sets no interpreter state at import; its searches loop
+    # over explicit stacks and never change the limit at all
     code = "import sys; a = sys.getrecursionlimit(); import beckring; print(a, sys.getrecursionlimit())"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
@@ -492,6 +500,31 @@ def test_cli_env_budget(monkeypatch, capsys):
 def test_cli_flag_overrides_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("BECKRING_BUDGET", "0")
     assert main(["analyze", "Z60", "--budget", "30"]) == 0
+
+
+@pytest.mark.parametrize(
+    "budget_env,argv",
+    [
+        ("abc", ["zn", "12"]),
+        ("nan", ["zn", "12"]),
+        (None, ["analyze", "AN x AN", "--s-mode", "min", "--budget", "nan"]),
+    ],
+    ids=["env-abc", "env-nan", "flag-nan"],
+)
+def test_cli_rejects_a_malformed_budget(budget_env, argv):
+    # a budget that is no number is outside input, and NaN would never
+    # expire (the min-s search on AN x AN then runs on and on): both exit 1
+    # at once, with no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("BECKRING_BUDGET", None)
+    if budget_env is not None:
+        env["BECKRING_BUDGET"] = budget_env
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "beckring.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert time.monotonic() - t0 < 10
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: budget ") and "Traceback" not in proc.stderr
 
 
 # -- suite failure surfaces -----------------------------------------------------

@@ -335,8 +335,8 @@ def test_hall_scan_honours_the_budget():
 
 
 def test_deep_decision_search_restores_the_recursion_limit():
-    # k = 1 on 1500 isolated vertices recurses once per vertex, past the
-    # default limit of 1000, which the search raises only while it runs
+    # k = 1 on 1500 isolated vertices colors one vertex per node, 1500 deep,
+    # on the search's own stack: the interpreter's limit stays as it was
     import sys
 
     from beckring.solvers import _Deadline, _KColorSearch
@@ -345,6 +345,79 @@ def test_deep_decision_search_restores_the_recursion_limit():
     search = _KColorSearch(1500, [0] * 1500, 1, [], _Deadline(float("inf")))
     assert search.run() == [0] * 1500
     assert sys.getrecursionlimit() == limit
+
+
+def _frame_depth() -> int:
+    import sys
+
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_searches_leave_the_recursion_limit_alone(monkeypatch):
+    # with about 100 frames to spare, a clique search 1100 nodes deep, a
+    # decision search 1500 deep, chi of AN x AN and min-s of AN x Z2 all
+    # run; none may change the recursion limit
+    import sys
+
+    from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch
+
+    def refuse(limit):
+        raise AssertionError(f"a search set the recursion limit to {limit}")
+
+    complete = [((1 << 1100) - 1) ^ (1 << v) for v in range(1100)]
+    an_an, an_z2 = graph("AN x AN"), graph("AN x Z2")
+    limit, set_limit = sys.getrecursionlimit(), sys.setrecursionlimit
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    set_limit(_frame_depth() + 100)
+    try:
+        assert _CliqueSearch(1100, complete, _Deadline(float("inf"))).run() == list(range(1100))
+        assert _KColorSearch(1500, [0] * 1500, 1, [], _Deadline(float("inf"))).run() == [0] * 1500
+        assert chromatic_number(an_an)[0] == 20
+        coloring, sz = min_s_optimal_coloring(an_z2)
+    finally:
+        set_limit(limit)
+    assert coloring.k == 7 and sz == (5, 5)
+
+
+@pytest.mark.parametrize(
+    "expr,clique_ticks,split_ticks,decisions",
+    [
+        ("AN", 3, 5, {5: (10, False)}),
+        ("AN x AN", 13, 22, {18: (125, False), 19: (343, False)}),
+        ("AN x Z8 x Z2", 3, 6, {11: (77, False), 12: (294, True)}),
+        ("AN x Z12", 3, 6, {10: (59, False), 11: (216, True)}),
+        ("Z8 x Z64 x Z8", 1, 1, {34: (189, True), 35: (189, True)}),
+    ],
+)
+def test_search_trees_are_pinned(expr, clique_ticks, split_ticks, decisions):
+    # one tick per node, the root included, plus one per Hall seed in the
+    # k-coloring search: the counts pin each search tree node for node
+    from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch
+
+    core = graph(expr).core()
+    deadline = _Deadline(float("inf"))
+    base = _CliqueSearch(core.n, core.adj, deadline)
+    clique = base.run()
+    assert deadline.ticks == clique_ticks
+    deadline = _Deadline(float("inf"))
+    _CliqueSearch(core.n, core.adj, deadline, core.sq0_bits, seed=base).run()
+    assert deadline.ticks == split_ticks
+    for k, (ticks, found) in decisions.items():
+        deadline = _Deadline(float("inf"))
+        coloring = _KColorSearch(core.n, core.adj, k, clique, deadline).run()
+        assert (deadline.ticks, coloring is not None) == (ticks, found)
+
+
+def test_malformed_budget_raises():
+    from beckring.errors import PreconditionError
+
+    for budget in (float("nan"), "abc", "nan"):
+        with pytest.raises(PreconditionError):
+            max_clique(graph("Z12"), budget=budget)
+    assert max_clique(graph("Z12"), budget=float("inf")).size == 3
 
 
 def test_budget_env_override(monkeypatch):
