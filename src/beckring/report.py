@@ -22,9 +22,9 @@ from .solvers import (
     _Deadline,
     best_clique_split,
     chromatic_number,
+    class_sq0_flags,
     max_clique,
     min_s_optimal_coloring,
-    s_of,
     verify_clique,
     verify_coloring,
 )
@@ -111,11 +111,9 @@ def analyze(
     # of the checks above
     if s_mode == "min_s":
         coloring, sz = min_s_optimal_coloring(g, deadline)
-        s_val = sz.s
-    else:
-        s_val = s_of(g, coloring).s
     if not verify_coloring(g, coloring):
         raise InternalCheckError("coloring witness failed re-verification")
+    s_val = sz.s if s_mode == "min_s" else sum(class_sq0_flags(g, coloring))
 
     els = ring.element_strs
     return {

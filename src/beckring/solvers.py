@@ -1,10 +1,10 @@
 """Exact clique and coloring solvers with verifiable certificates.
 
 All searches are deterministic: vertices are ordered by descending degree
-with ties broken by id, candidate sets are walked lowest-bit-first, and no
-result depends on timing. The clique and k-coloring searches loop over
-explicit stacks: no search recurses or touches the interpreter's recursion
-limit, whatever the graph's size. Budgets abort a search with the bounds
+with ties broken by id, candidate sets are walked in a fixed bit order,
+ties go to the lowest id, and no result depends on timing. The clique and
+k-coloring searches loop over explicit stacks: no search recurses or
+touches the interpreter's recursion limit, whatever the graph's size. Budgets abort a search with the bounds
 certified so far instead of returning an unproven answer: each public
 entry builds one `_Deadline` from its budget (seconds, or a running
 deadline whose end time it keeps), every search it runs ticks that
@@ -59,6 +59,7 @@ the interval of s proved so far.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from typing import NamedTuple
@@ -213,12 +214,15 @@ class SZero(NamedTuple):
 
 
 def verify_clique(g, vertices) -> bool:
-    vs = list(vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if u == v or not g.has_edge(u, v):
-                return False
-    return True
+    """True iff the vertices are distinct ids in [0, n) and pairwise
+    adjacent: each member's row, with its own bit, covers the whole set."""
+    vs = [operator.index(u) for u in vertices]
+    mask = 0
+    for u in vs:
+        if not 0 <= u < g.n or (mask >> u) & 1:
+            return False
+        mask |= 1 << u
+    return all((g.adj[u] | 1 << u) & mask == mask for u in vs)
 
 
 def verify_coloring(g, coloring: Coloring) -> bool:
@@ -303,16 +307,20 @@ class _CliqueSearch:
     def _greedy_from(self, s: int) -> list[int]:
         """A clique grown from vertex s, each step adding the candidate with
         the most candidate neighbours, the first in order on ties."""
+        radj = self.radj
         clique = [s]
-        cand = self.radj[s]
+        cand = radj[s]
         while cand:
             pick, best_deg = -1, -1
-            for v in _bits(cand):
-                d = (self.radj[v] & cand).bit_count()
-                if d > best_deg:
+            rest = cand
+            while rest:  # highest first, so that ties go to the last visited
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                d = (radj[v] & cand).bit_count()
+                if d >= best_deg:
                     pick, best_deg = v, d
             clique.append(pick)
-            cand &= self.radj[pick]
+            cand &= radj[pick]
         return clique
 
     @staticmethod
@@ -406,14 +414,20 @@ def _dsatur(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
             c += 1
         color[pick] = c
         bit = 1 << c
-        for u in _bits(adj[pick] & uncolored):
+        rest = adj[pick] & uncolored
+        while rest:
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
             if not neigh[u] & bit:
                 neigh[u] |= bit
                 r = 1 << rank[u]
-                level[sat[u]] ^= r
-                sat[u] += 1
-                level[sat[u]] |= r
-                top = max(top, sat[u])
+                s = sat[u]
+                level[s] ^= r
+                s += 1
+                sat[u] = s
+                level[s] |= r
+                if s > top:
+                    top = s
     return color
 
 
@@ -444,11 +458,17 @@ class _KColorSearch:
                 self.dom[u] &= ~(1 << i)
 
     def _pick(self) -> int:
-        pick, key = -1, None
-        for v in _bits(self.free):
-            k = (self.dom[v].bit_count(), -self.deg[v], v)
-            if pick == -1 or k < key:
-                pick, key = v, k
+        """The free vertex with the smallest domain, then the highest
+        degree, then the lowest id; -1 when none is free."""
+        dom, deg = self.dom, self.deg
+        pick, best_size, best_deg = -1, self.k + 1, -1
+        rest = self.free
+        while rest:  # highest first, so that ties go to the last visited
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            size = dom[v].bit_count()
+            if size < best_size or (size == best_size and deg[v] >= best_deg):
+                pick, best_size, best_deg = v, size, deg[v]
         return pick
 
     def _hall_violated(self, seeds) -> bool:
@@ -458,23 +478,35 @@ class _KColorSearch:
 
         Each step adds the common neighbour that widens the color union
         least, ties broken by the most neighbours among the remaining
-        candidates, then by the lowest id.
+        candidates, then by the lowest id. The candidates are walked highest
+        id first, so a full tie goes to the last one visited. Each one's
+        widened union is counted first, and its neighbours among the
+        candidates only when that widening is no larger than the best so
+        far, since only then can it win. Ticks the deadline once per seed.
         """
-        adj, dom, free = self.adj, self.dom, self.free
+        adj, dom, free, tick = self.adj, self.dom, self.free, self.deadline.tick
+        wider = self.k + 1  # than any union of domains
         for s in seeds:
-            self.deadline.tick()
+            tick()
             size, union = 1, dom[s]
+            width = union.bit_count()
             cand = adj[s] & free
-            while size <= union.bit_count() and cand:
-                pick, key = -1, None
-                for u in _bits(cand):
-                    kk = ((union | dom[u]).bit_count(), -(adj[u] & cand).bit_count())
-                    if pick == -1 or kk < key:
-                        pick, key = u, kk
+            while size <= width and cand:
+                pick, best_width, best_deg = -1, wider, -1
+                rest = cand
+                while rest:
+                    u = rest.bit_length() - 1
+                    rest ^= 1 << u
+                    w = (union | dom[u]).bit_count()
+                    if w <= best_width:
+                        d = (adj[u] & cand).bit_count()
+                        if w < best_width or d >= best_deg:
+                            pick, best_width, best_deg = u, w, d
                 size += 1
                 union |= dom[pick]
+                width = best_width
                 cand &= adj[pick]
-            if size > union.bit_count():
+            if size > width:
                 return True
         return False
 
@@ -650,12 +682,11 @@ def _chromatic_on(work, deadline: _Deadline) -> tuple[int, list[int]]:
 
 
 def class_sq0_flags(g, coloring: Coloring) -> list[bool]:
-    """Per class of the coloring, whether it holds a square-zero element."""
+    """Per class of the coloring, whether it holds a square-zero element:
+    the classes of the square-zero vertices, read off `sq0_bits`."""
     flags = [False] * coloring.k
-    mask = g.ring.square_zero_mask
-    for v in range(g.n):
-        if mask[g.element_of(v)]:
-            flags[coloring.class_of[v]] = True
+    for v in _bits(g.sq0_bits):
+        flags[coloring.class_of[v]] = True
     return flags
 
 

@@ -496,6 +496,17 @@ def test_verify_clique_rejects_non_cliques():
     assert not verify_clique(g, (4, 4))
 
 
+def test_verify_clique_rejects_ids_outside_the_graph():
+    # a negative id must not wrap around to a row from the end, and an id
+    # past the last vertex is no vertex, not an IndexError
+    g = graph("Z8")
+    assert verify_clique(g, [0, 4]) and verify_clique(g, [])
+    assert not verify_clique(g, [-1, 0])
+    assert not verify_clique(g, [-8, 4])
+    assert not verify_clique(g, [8, 0])
+    assert not verify_clique(g, [0, 4, 0])
+
+
 def test_twin_fusion_agrees_with_unfused_decision_search():
     # the production path runs the k-coloring decision search on the twin
     # quotient; cross-check both directions on the whole graph, where the
