@@ -171,8 +171,11 @@ def _cmd_bound_chi(args) -> int:
 
 
 def _cmd_zn(args) -> int:
+    # Z_N first, so that N is held to the size cap before it is factored;
+    # the formula refuses N < 1
+    ring = ring_of(f"Z{args.n}", size_cap=_size_cap(args)) if args.n >= 1 else None
     res = zn_formula(args.n)
-    g = build_graph(ring_of(f"Z{args.n}", size_cap=_size_cap(args)))
+    g = build_graph(ring)
     omega = max_clique(g, args.budget).size
     chi, _ = chromatic_number(g, args.budget)
     ok = res.value == omega == chi

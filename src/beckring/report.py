@@ -32,7 +32,7 @@ from .theorems import (
     _normalize_s_mode,
     an_condition_for,
     chi_bounds,
-    classify_nil_factor,
+    nilradical_bound,
     omega_product_formula,
     zn_formula,
 )
@@ -81,8 +81,7 @@ def analyze(
         checks.append(_check("reduced_chi", expect, chi_val, expect == chi_val))
     if ring.size >= 2:
         # the nilpotency-index bound presumes a nonzero ring
-        nil = classify_nil_factor(ring)
-        bound = nil.power_size + (1 if nil.parity == "odd" else 0)
+        bound = nilradical_bound([ring], deadline, direct_cap=0).bound
         checks.append(_check("nilradical_lower_bound", bound, omega_val, omega_val >= bound))
         condition = an_condition_for(ring)
         if condition.holds:

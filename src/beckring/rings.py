@@ -61,9 +61,6 @@ class FiniteRing:
     def neg(self, a: int) -> int:
         raise NotImplementedError
 
-    def square(self, a: int) -> int:
-        return self.mul(a, a)
-
     # -- vector arithmetic (index arrays in, index arrays out) ------------
 
     def add_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,15 +294,26 @@ def _kron(masks) -> np.ndarray:
     return out
 
 
-def _radical(n: int) -> int:
-    """The product of the distinct primes dividing n, by trial division."""
-    r = 1
-    for p in range(2, math.isqrt(n) + 1):
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
         if n % p == 0:
-            r *= p
+            e = 0
             while n % p == 0:
                 n //= p
-    return r * n  # what is left is 1 or a prime above sqrt(n)
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _radical(n: int) -> int:
+    """The product of the distinct primes dividing n."""
+    return math.prod(p for p, _ in _factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +575,11 @@ def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,
         raise DescriptorError("quotient polynomial must have degree >= 1")
     if n > 1 and coeffs[d] != 1:
         raise DescriptorError(f"quotient polynomial must be monic, leading coefficient {coeffs[d]}")
+    # before the d * (2d - 1) power rows and d^2 / 2 structure constants;
+    # a size too long to print in decimal is shown as a power
+    if n > 1 and n**d > size_cap:
+        size = n**d if d * math.log10(n) < 4000 else f"{n}^{d}"
+        raise CapacityError(f"ring size {size} exceeds cap {size_cap}")
     # rep[e] = coordinates of t^e in the basis, for e up to 2(d-1)
     rep = [[0] * d for _ in range(2 * d - 1)]
     for e in range(min(d, 2 * d - 1)):

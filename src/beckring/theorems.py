@@ -13,8 +13,9 @@ on its axis. The chromatic number of a product is sandwiched by
     sum chi_i - (n - 1)  <=  chi  <=  sum (chi_i - s_i) + prod s_i
 
 where s_i counts color classes of a proper coloring of R_i containing a
-square-zero element; the upper bound is realized by an explicit coloring
-that this module materializes and re-verifies.
+square-zero element; for any number n of factors the upper bound is
+realized by one explicit coloring, built from the factors' colorings at
+once and re-verified on the product's graph.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import CapacityError, ContractError, InternalCheckError, InvalidModulusError
 from .errors import PreconditionError
 from .graphs import BeckGraph, build_graph
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, field_factor_count, make_product
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, _factorize, field_factor_count, make_product
 from .solvers import (
     Budget,
     _Deadline,
@@ -161,51 +162,42 @@ def chi_bounds(
 def product_coloring(r1: FiniteRing, c1: Coloring, r2: FiniteRing, c2: Coloring) -> Coloring:
     """The explicit proper coloring of r1 x r2 with exactly
     s1*s2 + (k1 - s1) + (k2 - s2) colors built from proper colorings of the
-    factors; square-zero-bearing classes are moved to the front first
-    (stably by original index), and the result is re-verified before return.
+    factors, re-verified before return (see `_product_coloring`)."""
+    return _product_coloring([build_graph(r1), build_graph(r2)], [c1, c2])[1]
+
+
+def _product_coloring(graphs: list[BeckGraph], colorings: list[Coloring]) -> tuple[BeckGraph, Coloring]:
+    """The proper coloring of the product of the graphs' rings with
+    sum (k_i - s_i) + prod s_i colors, built from proper colorings of the
+    factors and verified once, on the product's graph, which it also returns.
+
+    Each factor's square-zero-bearing classes are moved to the front
+    (stably by original index), and the factors are folded in with factor
+    1 innermost, as in the product's encoding. Folding a factor with s_f of
+    k_f classes bearing into the product so far, with s of k, sends color
+    i of the product so far and class j of the factor to s_f*i + j if both
+    bear, to s*s_f + j - s_f if only i does, and to s*s_f + k_f - s_f + i - s
+    otherwise: the first s*s_f colors are then exactly the bearing ones,
+    already in front.
     """
-    return _product_coloring(build_graph(r1), c1, build_graph(r2), c2)[1]
-
-
-def _product_coloring(g1, c1: Coloring, g2, c2: Coloring) -> tuple[BeckGraph, Coloring]:
-    """product_coloring on the factors' graphs; also returns the graph of
-    the product it verified against."""
-    if not verify_coloring(g1, c1):
-        raise ContractError("first coloring is not proper for its ring")
-    if not verify_coloring(g2, c2):
-        raise ContractError("second coloring is not proper for its ring")
-    perm1, s1 = _bearing_first(g1, c1)
-    perm2, s2 = _bearing_first(g2, c2)
-    k1, k2 = c1.k, c2.k
-    rp = make_product([g1.ring, g2.ring])
-    total = s1 * s2 + (k1 - s1) + (k2 - s2)
-    assign = [0] * rp.size
-    for a in range(rp.size):
-        x, y = rp.decode(a)
-        i = perm1[c1.class_of[x]]
-        j = perm2[c2.class_of[y]]
-        if i < s1 and j < s2:
-            color = s2 * i + j
-        elif i < s1:
-            color = s1 * s2 + (j - s2)
-        else:
-            color = s1 * s2 + (k2 - s2) + (i - s1)
-        assign[a] = color
-    coloring = Coloring(tuple(assign), total)
-    gp = build_graph(rp)
+    for n, (g, c) in enumerate(zip(graphs, colorings), 1):
+        if not verify_coloring(g, c):
+            raise ContractError(f"coloring of factor {n} is not proper for its ring")
+    # the empty product, Z1: one class, holding the square-zero 0
+    col, k, s = np.zeros(1, dtype=np.int64), 1, 1
+    for g, c in zip(graphs, colorings):
+        bearing = np.array(class_sq0_flags(g, c))
+        sf = int(bearing.sum())
+        perm = np.where(bearing, bearing.cumsum(), sf + (~bearing).cumsum()) - 1
+        i, j = col[None, :], perm[np.array(c.class_of)][:, None]
+        col = np.where(i >= s, s * sf + c.k - sf + i - s,
+                       np.where(j < sf, sf * i + j, s * sf + j - sf)).ravel()
+        k, s = s * sf + (k - s) + (c.k - sf), s * sf
+    coloring = Coloring(tuple(col.tolist()), k)
+    gp = graphs[0] if len(graphs) == 1 else build_graph(make_product([g.ring for g in graphs]))
     if not verify_coloring(gp, coloring):
         raise InternalCheckError("product coloring construction produced an improper coloring")
     return gp, coloring
-
-
-def _bearing_first(g, c: Coloring) -> tuple[list[int], int]:
-    """Map old class index -> new, square-zero-bearing classes first."""
-    bearing = class_sq0_flags(g, c)
-    order = [i for i in range(c.k) if bearing[i]] + [i for i in range(c.k) if not bearing[i]]
-    perm = [0] * c.k
-    for new, old in enumerate(order):
-        perm[old] = new
-    return perm, sum(bearing)
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +216,10 @@ def zn_formula(n: int) -> ZnFormula:
     odd-exponent primes."""
     if n < 1:
         raise InvalidModulusError(f"Z_N formula needs N >= 1, got {n}")
-    factorization = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factorization.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factorization.append((m, 1))
+    factorization = _factorize(n)
     value = math.prod(p ** (e // 2) for p, e in factorization)
     value += sum(1 for _, e in factorization if e % 2 == 1)
-    return ZnFormula(n, value, tuple(factorization))
+    return ZnFormula(n, value, factorization)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +245,8 @@ class NilBound(NamedTuple):
 def classify_nil_factor(ring: FiniteRing) -> NilFactor:
     profile = ring.nilradical()
     m = profile.index_of_nilpotency
-    if m % 2 == 0:
-        param = m // 2
-        return NilFactor(m, "even", param, profile.power_sizes[param - 1])
-    param = (m + 1) // 2
-    return NilFactor(m, "odd", param, profile.power_sizes[param - 1])
+    param = (m + 1) // 2  # n for index 2n, m for index 2m - 1
+    return NilFactor(m, "odd" if m % 2 else "even", param, profile.power_sizes[param - 1])
 
 
 def nilradical_bound(
@@ -398,10 +375,11 @@ def counterexample_family(
     chi exactly one above omega.
 
     omega comes from the product clique formula; chi is certified by
-    pinching: the lower bound sum chi_i - (n-1) meets the size of the
-    explicitly constructed product coloring. A direct clique solve on the
-    graph that coloring was verified on cross-checks omega when the product
-    has at most FAMILY_DIRECT_OMEGA_CAP elements. All solves but AN's
+    pinching the chromatic sandwich: its lower bound sum chi_i - (n-1)
+    meets the size of the product coloring that realizes its upper bound.
+    No partial product is built: a direct clique solve on the product's
+    graph, which that coloring was verified on, cross-checks omega when the
+    product has at most FAMILY_DIRECT_OMEGA_CAP elements. All solves but AN's
     resolution (catalog.an_variant_stats) share one budget.
     """
     from .catalog import canonical_an_variant, canonical_anderson_naseer
@@ -412,40 +390,29 @@ def counterexample_family(
             raise PreconditionError("family factors must be nonzero rings")
         if not f.is_reduced():
             raise PreconditionError(f"family factor {f!r} is not reduced")
-    an = canonical_anderson_naseer()
-    chain = [an] + list(reduced_factors)
-    # held through the formula, the chromatic loop and the product colorings,
-    # so that they share each factor's graph and solves
+    chain = [canonical_anderson_naseer()] + list(reduced_factors)
+    # held through the formula, the bounds and the product coloring, so that
+    # they share each factor's graph and solves
     factor_graphs = [build_graph(f) for f in chain]
     prediction = omega_product_formula(chain, deadline)
-    omega = prediction.predicted
-
-    colorings = [chromatic_number(g, deadline) for g in factor_graphs]
-    lower = sum(chi_f for chi_f, _ in colorings) - (len(chain) - 1)
-
-    # each partial product's graph is built once, by the coloring step that
-    # verifies on it, and held for the next step; the last is the product's
-    cur_g, (_, cur_col) = factor_graphs[0], colorings[0]
-    for g, (_, col_f) in zip(factor_graphs[1:], colorings[1:]):
-        cur_g, cur_col = _product_coloring(cur_g, cur_col, g, col_f)
-    constructed = cur_col.k
-    if constructed != lower:
+    bounds = chi_bounds(chain, "any_optimal", deadline)
+    gp, coloring = _product_coloring(factor_graphs, [c.coloring for c in bounds.factors])
+    if coloring.k != bounds.lower:
         raise InternalCheckError(
-            f"coloring construction used {constructed} colors but the lower bound is {lower}"
+            f"coloring construction used {coloring.k} colors but the lower bound is {bounds.lower}"
         )
-    chi = lower
 
     direct_omega = None
     if prediction.product_size <= FAMILY_DIRECT_OMEGA_CAP:
-        direct_omega = max_clique(cur_g, deadline).size
+        direct_omega = max_clique(gp, deadline).size
     return FamilyReport(
         canonical_an_variant(),
         tuple(repr(f) for f in reduced_factors),
         prediction.product_size,
-        omega,
-        chi,
-        chi - omega,
-        lower,
-        constructed,
+        prediction.predicted,
+        bounds.lower,
+        bounds.lower - prediction.predicted,
+        bounds.lower,
+        coloring.k,
         direct_omega,
     )

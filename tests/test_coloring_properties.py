@@ -16,6 +16,9 @@ saturation level; it is checked against the scan it replaced, kept here as
 a reference. The clique search's set-up permutes adjacency rows in numpy
 blocks and stops its greedy seed at the root's color bound; both are
 checked against the per-row remap and an 8-start greedy written here.
+
+The n-factor product coloring is checked against the two-factor builder
+it replaced, kept here with its class reordering and folded pairwise.
 """
 
 import math
@@ -32,18 +35,32 @@ from test_ring_predicates import PROPERTY, atoms, reduced_atoms
 
 from beckring import (
     Coloring,
+    ContractError,
+    InternalCheckError,
     build_graph,
     chi_bounds,
     chromatic_number,
     make_product,
     max_clique,
+    product_coloring,
     ring_of,
     verify_coloring,
 )
+from beckring.catalog import CATALOG_EXPRS
 from beckring.oracle import CHROMATIC_ORACLE_CAP, exhaustive_chromatic_number
-from beckring.solvers import _CliqueSearch, _Deadline, _dsatur, _KColorSearch, _permute, _remap
+from beckring.solvers import (
+    _CliqueSearch,
+    _Deadline,
+    _dsatur,
+    _KColorSearch,
+    _permute,
+    _remap,
+    class_sq0_flags,
+)
+from beckring.theorems import _product_coloring
 
 AN_PRODUCT_CAP = 1024
+COLORED_CHAIN_CAP = 1024
 SPLIT_ORACLE_CAP = 14
 TWIN_GRAPH_CAP = 30
 FOREVER = float("inf")
@@ -334,3 +351,92 @@ def test_verify_coloring_matches_pairwise_oracle(data):
     g = data.draw(graphs())
     coloring = data.draw(colorings(g))
     assert verify_coloring(g, coloring) == _proper_pairwise(g, coloring)
+
+
+# -- the product coloring against the pairwise fold it replaced ----------------
+
+
+def _old_product_coloring(g1, c1: Coloring, g2, c2: Coloring):
+    """The two-factor builder the n-factor one replaced, as it was."""
+    if not verify_coloring(g1, c1):
+        raise ContractError("first coloring is not proper for its ring")
+    if not verify_coloring(g2, c2):
+        raise ContractError("second coloring is not proper for its ring")
+    perm1, s1 = _old_bearing_first(g1, c1)
+    perm2, s2 = _old_bearing_first(g2, c2)
+    k1, k2 = c1.k, c2.k
+    rp = make_product([g1.ring, g2.ring])
+    total = s1 * s2 + (k1 - s1) + (k2 - s2)
+    assign = [0] * rp.size
+    for a in range(rp.size):
+        x, y = rp.decode(a)
+        i = perm1[c1.class_of[x]]
+        j = perm2[c2.class_of[y]]
+        if i < s1 and j < s2:
+            color = s2 * i + j
+        elif i < s1:
+            color = s1 * s2 + (j - s2)
+        else:
+            color = s1 * s2 + (k2 - s2) + (i - s1)
+        assign[a] = color
+    coloring = Coloring(tuple(assign), total)
+    gp = build_graph(rp)
+    if not verify_coloring(gp, coloring):
+        raise InternalCheckError("product coloring construction produced an improper coloring")
+    return gp, coloring
+
+
+def _old_bearing_first(g, c: Coloring) -> tuple[list[int], int]:
+    """Map old class index -> new, square-zero-bearing classes first."""
+    bearing = class_sq0_flags(g, c)
+    order = [i for i in range(c.k) if bearing[i]] + [i for i in range(c.k) if not bearing[i]]
+    perm = [0] * c.k
+    for new, old in enumerate(order):
+        perm[old] = new
+    return perm, sum(bearing)
+
+
+@st.composite
+def colored_chains(draw):
+    """One to four catalog and reduced atoms, at most COLORED_CHAIN_CAP
+    elements in all (an atom that would pass the cap is skipped), each with
+    its graph and a proper coloring: a chi-coloring with its classes
+    relabelled at random and, perhaps, one vertex moved to a class of its own."""
+    atom = st.one_of(st.sampled_from(CATALOG_EXPRS).map(ring_of), reduced_atoms())
+    factors = [draw(atom)]
+    for _ in range(draw(st.integers(0, 3))):
+        f = draw(atom)
+        if math.prod(g.size for g in factors) * f.size <= COLORED_CHAIN_CAP:
+            factors.append(f)
+    graphs, colorings = [], []
+    for f in factors:
+        g = build_graph(f)
+        _, chi_coloring = chromatic_number(g)
+        label = draw(st.permutations(range(chi_coloring.k)))
+        cls, k = [label[c] for c in chi_coloring.class_of], chi_coloring.k
+        v = draw(st.integers(0, g.n - 1))
+        if draw(st.booleans()) and cls.count(cls[v]) > 1:
+            cls[v], k = k, k + 1
+        graphs.append(g)
+        colorings.append(Coloring(tuple(cls), k))
+    return graphs, colorings
+
+
+@settings(PROPERTY, max_examples=100)
+@given(colored_chains())
+def test_product_coloring_matches_the_old_fold(chain):
+    graphs, colorings = chain
+    _, coloring = _product_coloring(graphs, colorings)
+    if len(graphs) == 1:
+        # no fold: the old builder's normal form, bearing classes first
+        perm, _ = _old_bearing_first(graphs[0], colorings[0])
+        expected = Coloring(tuple(perm[c] for c in colorings[0].class_of), colorings[0].k)
+    else:
+        expected = colorings[0]
+        g = graphs[0]
+        for h, c in zip(graphs[1:], colorings[1:]):
+            g, expected = _old_product_coloring(g, expected, h, c)
+    assert (coloring.class_of, coloring.k) == (expected.class_of, expected.k)
+    if len(graphs) == 2:
+        (r1, r2), (c1, c2) = (g.ring for g in graphs), colorings
+        assert product_coloring(r1, c1, r2, c2).class_of == expected.class_of

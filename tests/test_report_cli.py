@@ -356,6 +356,19 @@ def test_cli_zn(capsys):
     assert "formula 7, solver omega 7, solver chi 7 ... PASS" in capsys.readouterr().out
 
 
+def test_cli_zn_checks_the_cap_before_factoring(monkeypatch, capsys):
+    # N = 10^17 + 3 is past the size cap, and its trial division would run
+    # for minutes: Z_N is refused (exit 3) before N is factored
+    from beckring import cli
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(cli, "zn_formula", no_factoring)
+    assert main(["zn", "100000000000000003"]) == 3
+    assert "ring size 100000000000000003 exceeds cap 4096" in capsys.readouterr().err
+
+
 def _recording(init, built):
     def record(self, *args, **kwargs):
         built.append(self)

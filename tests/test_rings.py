@@ -52,6 +52,24 @@ def test_zmod_size_cap():
         make_zmod(5000)
 
 
+def test_quotient_size_cap_checked_before_any_table():
+    # Z2[t]/(t^200) has 2^200 elements: it is refused before its 200 x 399
+    # power rows and 20100 structure constants are built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"ring size {2**200} exceeds cap 4096"):
+            make_quotient(2, (0,) * 200 + (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # past the interpreter's 4300-digit limit on printing an int
+    with pytest.raises(CapacityError, match=r"ring size 2\^20000 exceeds cap 4096"):
+        make_quotient(2, (0,) * 20000 + (1,))
+
+
 def test_z4_unique_nonzero_nilpotent():
     r = make_zmod(4)
     # exhaustive multiplication table: 2 is the only nonzero x with x^2 = 0

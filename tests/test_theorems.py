@@ -352,24 +352,29 @@ def test_family_builds_each_factor_graph_once(monkeypatch):
 
 @pytest.mark.parametrize("names", [("Z2", "Z3"), ("Z2", "Z2")], ids=" x ".join)
 def test_family_builds_each_product_graph_once(monkeypatch, names):
-    # each partial product's graph is built by the coloring step that
-    # verifies on it and held for the next step; the direct omega solve
-    # (AN x Z2 x Z2 has 128 elements) reuses the last one
-    from beckring import graphs
+    # no ring or graph is built for a partial product: the coloring is
+    # verified once, on the whole product's graph, and the direct omega
+    # solve (AN x Z2 x Z2 has 128 elements) reuses that graph
+    from beckring import graphs, rings
 
-    built = []
-    init = graphs.BeckGraph.__init__
+    built, products = [], []
+    init, product_init = graphs.BeckGraph.__init__, rings.ProductRing.__init__
 
     def counting_init(self, ring, to_ring=None):
         if to_ring is None:
             built.append(ring.size)
         init(self, ring, to_ring)
 
+    def counting_product_init(self, factors, *args, **kwargs):
+        product_init(self, factors, *args, **kwargs)
+        products.append(self.size)
+
     monkeypatch.setattr(graphs.BeckGraph, "__init__", counting_init)
+    monkeypatch.setattr(rings.ProductRing, "__init__", counting_product_init)
     rep = counterexample_family(rings_of(*names))
     assert rep.gap == 1
-    products = [size for size in built if size > 32]  # AN alone has 32 elements
-    assert len(products) == len(set(products)) == len(names)
+    assert [size for size in built if size > 32] == [rep.product_size]  # AN alone has 32 elements
+    assert set(products) == {rep.product_size}
 
 
 def test_family_rejects_non_reduced_factor():
