@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 capacity exceeded,
 4 budget exhausted, 5 verification failure. One deadline, from --budget,
 else BECKRING_BUDGET, else 60 s, bounds every solve a command makes;
 export takes no --budget, and only analyze and bound-chi take --s-mode.
+One size cap, --max-size, else 4096, holds every ring a command builds
+where it is built, AN and the counterexample product included; above it,
+predict-omega and bound-chi skip their direct solve and still answer.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _cmd_predict_omega(args) -> int:
     factors = [elaborate(a, size_cap=cap) for a in ast.atoms]
     pred = omega_product_formula(factors, args.budget, cap)
     direct = None
-    if pred.product_size <= DEFAULT_DIRECT_CAP:
+    if pred.product_size <= min(DEFAULT_DIRECT_CAP, cap):
         direct = max_clique(build_graph(make_product(factors, size_cap=cap)), args.budget).size
     ok = direct is None or direct == pred.predicted
     payload = {
@@ -142,7 +145,7 @@ def _cmd_bound_chi(args) -> int:
     factors = [elaborate(a, size_cap=cap) for a in atoms]
     bounds = chi_bounds(factors, args.s_mode, args.budget)
     exact = None
-    if math.prod(f.size for f in factors) <= DEFAULT_DIRECT_CAP:
+    if math.prod(f.size for f in factors) <= min(DEFAULT_DIRECT_CAP, cap):
         product = make_product(factors, size_cap=cap) if len(factors) > 1 else factors[0]
         exact, _ = chromatic_number(build_graph(product), args.budget)
     ok = exact is None or bounds.lower <= exact <= bounds.upper
@@ -197,7 +200,7 @@ def _cmd_zn(args) -> int:
 def _cmd_counterexample(args) -> int:
     cap = _size_cap(args)
     factors = [elaborate(parse(t), size_cap=cap) for t in args.factors]
-    rep = counterexample_family(factors, args.budget)
+    rep = counterexample_family(factors, args.budget, cap)
     ok = rep.gap == 1 and rep.constructed_colors == rep.chi_lower and (
         rep.direct_omega is None or rep.direct_omega == rep.omega
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 from .rings import (
     DEFAULT_SIZE_CAP,
     FiniteRing,
@@ -179,18 +179,14 @@ def parse(text: str) -> RingExpr:
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:
+    # the leading term prints monic also over Z1, where every coefficient
+    # reads 0, so that the text parses back to the same degree
     terms = []
     for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0 and e != 0:
-            continue
-        if e == 0:
-            if c != 0 or not terms:
-                terms.append(str(c))
-        elif e == 1:
-            terms.append("t" if c == 1 else f"{c}t")
-        else:
-            terms.append(f"t^{e}" if c == 1 else f"{c}t^{e}")
+        c = coeffs[e] if terms else 1
+        power = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+        if c:
+            terms.append(power if c == 1 and e else f"{c}{power}")
     return "+".join(terms)
 
 
@@ -208,17 +204,22 @@ def print_expr(e: RingExpr) -> str:
 
 
 def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """Realize a parsed expression as a validated ring."""
+    """Realize a parsed expression as a validated ring, each ring on the
+    way held to `size_cap` where it is built."""
     if isinstance(e, ZmodAtom):
         return make_zmod(e.n, size_cap=size_cap)
     if isinstance(e, QuotAtom):
         return make_quotient(e.n, e.coeffs, name=print_expr(e), size_cap=size_cap)
     if isinstance(e, ANAtom):
+        # AN, AN0 and AN2 have 32 elements: held to the cap here, before
+        # the ring is built or AN resolved
+        if 32 > size_cap:
+            raise CapacityError(f"ring size 32 exceeds cap {size_cap}")
         if e.variant is None:
             from .catalog import canonical_anderson_naseer
 
             return canonical_anderson_naseer()
-        return make_anderson_naseer(e.variant, size_cap=size_cap)
+        return make_anderson_naseer(e.variant)
     if isinstance(e, ProductExpr):
         return make_product([elaborate(a, size_cap) for a in e.atoms], size_cap=size_cap)
     raise TypeError(f"not a ring expression: {e!r}")

@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, DescriptorError
-from .rings import DEFAULT_SIZE_CAP, FiniteRing
+from .errors import DescriptorError
+from .rings import FiniteRing
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
@@ -130,15 +130,14 @@ class BeckGraph:
         return self._core or self
 
 
-def build_graph(ring: FiniteRing, size_cap: int = DEFAULT_SIZE_CAP) -> BeckGraph:
+def build_graph(ring: FiniteRing) -> BeckGraph:
     """The Beck graph of `ring`: the one already built while anything holds it.
+    It takes no size cap: the ring was held to its caller's cap when built.
 
     The ring keeps only a weak reference, so a graph and the solves memoised
     on it go when the last holder lets go. Long-lived rings, such as the
     cached AN ring, therefore carry no answers from one analysis to the next.
     """
-    if ring.size > size_cap:
-        raise CapacityError(f"graph on {ring.size} vertices exceeds cap {size_cap}")
     g = ring._graph() if ring._graph is not None else None
     if g is None:
         g = BeckGraph(ring)

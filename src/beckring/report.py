@@ -56,7 +56,7 @@ def analyze(
     s_mode = _normalize_s_mode(s_mode)
     ast = parse(expr_text)
     ring = elaborate(ast, size_cap=size_cap)
-    g = build_graph(ring, size_cap=size_cap)
+    g = build_graph(ring)
 
     clique = max_clique(g, deadline)
     chi_val, coloring = chromatic_number(g, deadline)
@@ -81,7 +81,7 @@ def analyze(
         checks.append(_check("reduced_chi", expect, chi_val, expect == chi_val))
     if ring.size >= 2:
         # the nilpotency-index bound presumes a nonzero ring
-        bound = nilradical_bound([ring], deadline, direct_cap=0).bound
+        bound = nilradical_bound([ring]).bound
         checks.append(_check("nilradical_lower_bound", bound, omega_val, omega_val >= bound))
         condition = an_condition_for(ring)
         if condition.holds:

@@ -566,6 +566,7 @@ def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,
     """Z_n[t] / (f) for a monic f, as a structure ring on basis 1, t, ..., t^(d-1).
 
     `poly` lists coefficients c_0..c_d ascending with c_d = 1 and d >= 1.
+    For n = 1 the zero ring, on one coordinate whatever d is.
     """
     if n == 0:
         raise InvalidModulusError("Z_0[t] is not a ring")
@@ -573,11 +574,13 @@ def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,
     d = len(coeffs) - 1
     if d < 1:
         raise DescriptorError("quotient polynomial must have degree >= 1")
-    if n > 1 and coeffs[d] != 1:
+    if n == 1:
+        return StructureRing((1,), (0,), {(0, 0): (0,)}, name=name, size_cap=size_cap)
+    if coeffs[d] != 1:
         raise DescriptorError(f"quotient polynomial must be monic, leading coefficient {coeffs[d]}")
     # before the d * (2d - 1) power rows and d^2 / 2 structure constants;
     # a size too long to print in decimal is shown as a power
-    if n > 1 and n**d > size_cap:
+    if n**d > size_cap:
         size = n**d if d * math.log10(n) < 4000 else f"{n}^{d}"
         raise CapacityError(f"ring size {size} exceeds cap {size_cap}")
     # rep[e] = coordinates of t^e in the basis, for e up to 2(d-1)
@@ -596,11 +599,11 @@ def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,
                 cur[i] = (cur[i] - top * coeffs[i]) % n
         rep[e] = cur
     products = {(i, j): tuple(rep[i + j]) for i in range(d) for j in range(i, d)}
-    unity = tuple([1 % n] + [0] * (d - 1))
+    unity = tuple([1] + [0] * (d - 1))
     return StructureRing((n,) * d, unity, products, name=name, size_cap=size_cap)
 
 
-def make_anderson_naseer(z_squared: int, size_cap: int = DEFAULT_SIZE_CAP) -> StructureRing:
+def make_anderson_naseer(z_squared: int) -> StructureRing:
     """The 32-element local ring on basis 1, x, y, z over orders (4, 2, 2, 2).
 
     Products: x^2 = y^2 = 2, z^2 = `z_squared` (0 or 2), xy = xz = 0, yz = 2.
@@ -624,8 +627,7 @@ def make_anderson_naseer(z_squared: int, size_cap: int = DEFAULT_SIZE_CAP) -> St
         (2, 3): two,
         (3, 3): (z_squared, 0, 0, 0),
     }
-    return StructureRing((4, 2, 2, 2), (1, 0, 0, 0), products,
-                         name=f"AN{z_squared}", size_cap=size_cap)
+    return StructureRing((4, 2, 2, 2), (1, 0, 0, 0), products, name=f"AN{z_squared}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dsl import ring_of
 from .errors import CapacityError, ContractError, InternalCheckError, InvalidModulusError
 from .errors import PreconditionError
 from .graphs import BeckGraph, build_graph
@@ -166,10 +167,13 @@ def product_coloring(r1: FiniteRing, c1: Coloring, r2: FiniteRing, c2: Coloring)
     return _product_coloring([build_graph(r1), build_graph(r2)], [c1, c2])[1]
 
 
-def _product_coloring(graphs: list[BeckGraph], colorings: list[Coloring]) -> tuple[BeckGraph, Coloring]:
+def _product_coloring(
+    graphs: list[BeckGraph], colorings: list[Coloring], size_cap: int = DEFAULT_SIZE_CAP
+) -> tuple[BeckGraph, Coloring]:
     """The proper coloring of the product of the graphs' rings with
     sum (k_i - s_i) + prod s_i colors, built from proper colorings of the
-    factors and verified once, on the product's graph, which it also returns.
+    factors and verified once, on the product's graph, which it also
+    returns; the product's ring is held to `size_cap`.
 
     Each factor's square-zero-bearing classes are moved to the front
     (stably by original index), and the factors are folded in with factor
@@ -194,7 +198,7 @@ def _product_coloring(graphs: list[BeckGraph], colorings: list[Coloring]) -> tup
                        np.where(j < sf, sf * i + j, s * sf + j - sf)).ravel()
         k, s = s * sf + (k - s) + (c.k - sf), s * sf
     coloring = Coloring(tuple(col.tolist()), k)
-    gp = graphs[0] if len(graphs) == 1 else build_graph(make_product([g.ring for g in graphs]))
+    gp = graphs[0] if len(graphs) == 1 else build_graph(make_product([g.ring for g in graphs], size_cap))
     if not verify_coloring(gp, coloring):
         raise InternalCheckError("product coloring construction produced an improper coloring")
     return gp, coloring
@@ -238,8 +242,6 @@ class NilBound(NamedTuple):
     factors: tuple[NilFactor, ...]
     r_count: int
     bound: int
-    omega: int | None
-    holds: bool | None
 
 
 def classify_nil_factor(ring: FiniteRing) -> NilFactor:
@@ -249,11 +251,7 @@ def classify_nil_factor(ring: FiniteRing) -> NilFactor:
     return NilFactor(m, "odd" if m % 2 else "even", param, profile.power_sizes[param - 1])
 
 
-def nilradical_bound(
-    factors: list[FiniteRing],
-    budget: Budget = None,
-    direct_cap: int = DEFAULT_DIRECT_CAP,
-) -> NilBound:
+def nilradical_bound(factors: list[FiniteRing]) -> NilBound:
     """prod |J_i^(n_i or m_i)| + r lower-bounds the product's clique number;
     reduced factors count as odd type with m = 1 (|J^1| = 1, contributing +1)."""
     if not factors:
@@ -263,13 +261,7 @@ def nilradical_bound(
     infos = tuple(classify_nil_factor(f) for f in factors)
     r_count = sum(1 for i in infos if i.parity == "odd")
     bound = math.prod(i.power_size for i in infos) + r_count
-    size = math.prod(f.size for f in factors)
-    omega = holds = None
-    if size <= direct_cap:
-        ring = make_product(list(factors)) if len(factors) > 1 else factors[0]
-        omega = max_clique(build_graph(ring), budget).size
-        holds = omega >= bound
-    return NilBound(infos, r_count, bound, omega, holds)
+    return NilBound(infos, r_count, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +361,7 @@ class FamilyReport(NamedTuple):
 
 
 def counterexample_family(
-    reduced_factors: list[FiniteRing], budget: Budget = None
+    reduced_factors: list[FiniteRing], budget: Budget = None, size_cap: int = DEFAULT_SIZE_CAP
 ) -> FamilyReport:
     """The built-in local ring times any nonzero reduced rings always has
     chi exactly one above omega.
@@ -380,9 +372,10 @@ def counterexample_family(
     No partial product is built: a direct clique solve on the product's
     graph, which that coloring was verified on, cross-checks omega when the
     product has at most FAMILY_DIRECT_OMEGA_CAP elements. All solves but AN's
-    resolution (catalog.an_variant_stats) share one budget.
+    resolution (catalog.an_variant_stats) share one budget. The product,
+    and AN when no factor is given, is held to `size_cap`.
     """
-    from .catalog import canonical_an_variant, canonical_anderson_naseer
+    from .catalog import canonical_an_variant
 
     deadline = _Deadline(budget)
     for f in reduced_factors:
@@ -390,13 +383,13 @@ def counterexample_family(
             raise PreconditionError("family factors must be nonzero rings")
         if not f.is_reduced():
             raise PreconditionError(f"family factor {f!r} is not reduced")
-    chain = [canonical_anderson_naseer()] + list(reduced_factors)
+    chain = [ring_of("AN", size_cap)] + list(reduced_factors)
     # held through the formula, the bounds and the product coloring, so that
     # they share each factor's graph and solves
     factor_graphs = [build_graph(f) for f in chain]
-    prediction = omega_product_formula(chain, deadline)
+    prediction = omega_product_formula(chain, deadline, size_cap)
     bounds = chi_bounds(chain, "any_optimal", deadline)
-    gp, coloring = _product_coloring(factor_graphs, [c.coloring for c in bounds.factors])
+    gp, coloring = _product_coloring(factor_graphs, [c.coloring for c in bounds.factors], size_cap)
     if coloring.k != bounds.lower:
         raise InternalCheckError(
             f"coloring construction used {coloring.k} colors but the lower bound is {bounds.lower}"

@@ -176,12 +176,12 @@ def product_omega_formula(products: dict, budget: Budget = None) -> CheckResult:
     return check
 
 
-def nilradical_bound(products: dict, budget: Budget = None) -> CheckResult:
+def nilradical_bound(products: dict) -> CheckResult:
     """The nilradical bound is at most the clique number, and equal to it
     when every factor meets the zero-product membership condition."""
     check = CheckResult("nilradical_bound")
     for label, (factors, omega) in products.items():
-        bound = theorems.nilradical_bound(factors, budget, direct_cap=0).bound
+        bound = theorems.nilradical_bound(factors).bound
         check.require(bound <= omega, f"{label}: bound {bound} > omega {omega}")
         if all(theorems.an_condition_for(f).holds for f in factors):
             check.require(bound == omega, f"{label}: condition holds but bound {bound} != {omega}")
@@ -324,7 +324,7 @@ def run_suite(
     products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), deadline)
     emit(product_omega_formula(products, deadline))
     emit(chi_sandwich(small_core_pairs(ring_map, limit(PRODUCT_SIZE_LIMIT)), deadline))
-    emit(nilradical_bound(products, deadline))
+    emit(nilradical_bound(products))
     emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
     fields = catalog_tuples(field_rings(), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
     emit(reduced_equality(fields, deadline))

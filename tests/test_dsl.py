@@ -147,3 +147,15 @@ def test_elaborate_propagates_capacity():
 
     with pytest.raises(CapacityError):
         ring_of("Z2[t]/(t^13)")  # 2^13 elements exceeds the cap
+
+
+def test_z1_quotient_prints_a_form_that_parses():
+    # over Z1 every coefficient reads 0, the leading one too: the printed
+    # form keeps the monic leading term, so it parses back to the same node
+    ast = parse("Z1[t]/(t^2+t+1)")
+    assert ast == QuotAtom(1, (0, 0, 0))
+    assert print_expr(ast) == "Z1[t]/(t^2)"
+    assert parse(print_expr(ast)) == ast
+    ring = ring_of("Z1[t]/(t^2+t+1)")
+    assert (ring.size, repr(ring), ring.element_str(0)) == (1, "Z1[t]/(t^2)", "(0)")
+    assert parse(repr(ring)) == ast

@@ -369,6 +369,57 @@ def test_cli_zn_checks_the_cap_before_factoring(monkeypatch, capsys):
     assert "ring size 100000000000000003 exceeds cap 4096" in capsys.readouterr().err
 
 
+def test_cli_zn_and_export_under_a_raised_cap(capsys):
+    # --max-size is the one cap: the graph of a ring built under it has no
+    # cap of its own
+    assert main(["zn", "5000", "--max-size", "10000", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["formula"], payload["omega"], payload["chi"], payload["pass"]) == (51, 51, 51, True)
+    assert main(["export", "Z5000", "--max-size", "10000"]) == 0
+    assert capsys.readouterr().out.startswith("p edge 5000 ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["counterexample", "Z7", "--max-size", "100"], "product size 224 exceeds cap 100"),
+        (["counterexample", "--max-size", "16"], "ring size 32 exceeds cap 16"),
+    ],
+    ids=["AN x Z7", "AN alone"],
+)
+def test_cli_counterexample_holds_its_product_to_the_cap(argv, message, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_counterexample_under_a_raised_cap(capsys):
+    assert main(["counterexample", "--json", "Z7", "Z7", "Z7", "--max-size", "20000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["size"], payload["omega"], payload["chi"], payload["pass"]) == (10976, 8, 9, True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "AN"], ["analyze", "AN0"], ["analyze", "AN2"], ["bound-chi", "AN"],
+     ["predict-omega", "AN x Z2"], ["export", "AN"]],
+    ids=" ".join,
+)
+def test_cli_holds_every_an_atom_to_the_cap(argv, capsys):
+    assert main(argv + ["--max-size", "16"]) == 3
+    assert capsys.readouterr().err == "error: ring size 32 exceeds cap 16\n"
+
+
+def test_cli_direct_solves_are_skipped_above_the_cap(capsys):
+    # the product is above the cap, not its factors: the formula and the
+    # bounds answer, and the direct solve, which would build it, is skipped
+    assert main(["predict-omega", "--json", "Z16 x Z16", "--max-size", "100"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["predicted_omega"], payload["direct_omega"], payload["pass"]) == (16, None, True)
+    assert main(["bound-chi", "--json", "Z4 x Z8", "--max-size", "16"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lower"], payload["upper"], payload["exact_chi"], payload["pass"]) == (4, 5, None, True)
+
+
 def _recording(init, built):
     def record(self, *args, **kwargs):
         built.append(self)

@@ -70,6 +70,23 @@ def test_quotient_size_cap_checked_before_any_table():
         make_quotient(2, (0,) * 20000 + (1,))
 
 
+def test_z1_quotient_is_one_coordinate_zero_ring():
+    # Z1[t]/(t^400) is the zero ring: built on one coordinate, not 400, so
+    # no 400 x 799 power rows or 80200 structure constants are built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        r = make_quotient(1, (0,) * 400 + (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (r.size, r.unity, r.orders, r.mul(0, 0), r.element_str(0)) == (1, 0, (1,), 0, "(0)")
+    with pytest.raises(CapacityError, match="ring size 1 exceeds cap 0"):
+        make_quotient(1, (0, 1), size_cap=0)
+
+
 def test_z4_unique_nonzero_nilpotent():
     r = make_zmod(4)
     # exhaustive multiplication table: 2 is the only nonzero x with x^2 = 0

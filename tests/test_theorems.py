@@ -216,21 +216,21 @@ def test_nilradical_bound_z8():
     nb = nilradical_bound(rings_of("Z8"))
     assert nb.factors[0].parity == "odd" and nb.factors[0].param == 2
     assert nb.bound == 2 + 1 == 3
-    assert nb.omega == 3 and nb.holds
+    assert max_clique(build_graph(make_zmod(8))).size == nb.bound
 
 
 def test_nilradical_bound_z4():
     nb = nilradical_bound(rings_of("Z4"))
     assert nb.factors[0].parity == "even" and nb.factors[0].param == 1
     assert nb.bound == 2
-    assert nb.omega == 2 and nb.holds
+    assert max_clique(build_graph(make_zmod(4))).size == nb.bound
 
 
 def test_nilradical_bound_z4_z8():
     factors = rings_of("Z4", "Z8")
     nb = nilradical_bound(factors)
     assert nb.bound == 2 * 2 + 1 == 5
-    assert nb.omega >= 5 and nb.holds
+    assert max_clique(build_graph(make_product(factors))).size >= nb.bound
     # the product formula pins it exactly; not assumed
     assert omega_product_formula(factors).predicted == 5
 
