@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError, ParseError
 from .rings import (
+    AN_SIZE,
     DEFAULT_SIZE_CAP,
     FiniteRing,
     make_anderson_naseer,
@@ -211,10 +212,10 @@ def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     if isinstance(e, QuotAtom):
         return make_quotient(e.n, e.coeffs, name=print_expr(e), size_cap=size_cap)
     if isinstance(e, ANAtom):
-        # AN, AN0 and AN2 have 32 elements: held to the cap here, before
-        # the ring is built or AN resolved
-        if 32 > size_cap:
-            raise CapacityError(f"ring size 32 exceeds cap {size_cap}")
+        # AN, AN0 and AN2 are held to the cap here, before the ring is
+        # built or AN resolved
+        if AN_SIZE > size_cap:
+            raise CapacityError(f"ring size {AN_SIZE} exceeds cap {size_cap}")
         if e.variant is None:
             from .catalog import canonical_anderson_naseer
 

@@ -31,6 +31,7 @@ from .errors import (
 )
 
 DEFAULT_SIZE_CAP = 4096
+AN_SIZE = 32  # elements of the built-in local ring, 4 * 2 * 2 * 2
 DEFAULT_VALIDATION_CAP = 64
 # bytes of each int64 (a, b, c) temporary of validate: 128 KB ran faster
 # than 1 MB blocks and than one first operand at a time

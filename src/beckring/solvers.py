@@ -37,6 +37,10 @@ branch and bound (San Segundo, "A new DSATUR-based algorithm for exact
 vertex coloring", 2012; Furini, Gabrel and Ternier, "An improved
 DSATUR-based branch-and-bound algorithm for the vertex coloring problem",
 Networks 2017) on the graph where each used color is merged into one vertex.
+Its seeds are the vertices whose domain the last assignment shrank. A scan
+from every free vertex before the first node runs only for min-s's
+decisions: when k >= omega and no vertex is held below t < k, it provably
+cannot fire (see `_KColorSearch`), and every caller passes k >= omega.
 The same search decides min-s: "is s <= t" asks for a chi-coloring whose
 square-zero vertices all take colors below t, so their domains start as
 [0, t), the lowest-fresh-color rule runs apart in [0, t) and [t, k), and
@@ -442,6 +446,17 @@ class _KColorSearch:
     of two ranges are not. With t < k the clique must be square-zero and
     have at most t vertices, so that its colors lie below t. `_solve` keeps
     the colored vertices, with the colors used before each, on a stack.
+
+    The root Hall check, a clique grown from every free vertex, runs only
+    when t < k. With t = k and k >= omega it cannot fire: at the root a
+    color i is missing from a free vertex's domain only if the vertex
+    neighbours pre-colored member i, so a clique U of free vertices whose
+    domains' union has fewer than |U| colors, with the members that
+    neighbour all of U, would be a clique of more than k vertices. Every
+    caller passes k >= omega: chi's searches start at omega, min-s runs at
+    k = chi. With t < k a free square-zero vertex next to every floor member
+    can have an empty domain, so the check stays. The check only prunes:
+    skipping it changes no verdict.
     """
 
     def __init__(self, n, adj, k, clique, deadline, sq0_bits=0, t=None):
@@ -514,7 +529,7 @@ class _KColorSearch:
         """Depth first over a stack of colored vertices (v, the colors used
         before v, its untried colors, the domains its color shrank), whose
         domains are restored after a Hall cut or a failed child of v."""
-        stack, used = [], self.start_used
+        stack, used, dom = [], self.start_used, self.dom
         t, low = self.t, (1 << self.t) - 1
         while True:
             self.deadline.tick()
@@ -523,11 +538,11 @@ class _KColorSearch:
                 return True
             self.free ^= 1 << v
             fresh = ((used & low) + 1) & low | (((used >> t) + 1) << t) & ((1 << self.k) - 1)
-            stack.append((v, used, _bits(self.dom[v] & (used | fresh)), []))
+            stack.append((v, used, _bits(dom[v] & (used | fresh)), []))
             while stack:
                 v, used, colors, changed = stack[-1]
                 for u in changed:
-                    self.dom[u] |= 1 << self.color[v]
+                    dom[u] |= 1 << self.color[v]
                 changed.clear()
                 c = next(colors, -1)
                 if c == -1:  # every color of v failed
@@ -537,9 +552,13 @@ class _KColorSearch:
                     continue
                 self.color[v] = c
                 bit = 1 << c
-                for u in _bits(self.adj[v] & self.free):
-                    if self.dom[u] & bit:
-                        self.dom[u] &= ~bit
+                rest = self.adj[v] & self.free
+                while rest:  # lowest first: `changed` orders the Hall seeds
+                    b = rest & -rest
+                    rest ^= b
+                    u = b.bit_length() - 1
+                    if dom[u] & bit:
+                        dom[u] ^= bit
                         changed.append(u)
                 if not self._hall_violated(changed):
                     used |= bit
@@ -549,9 +568,9 @@ class _KColorSearch:
 
     def run(self) -> list[int] | None:
         self.deadline.check()
-        if not self._hall_violated(_bits(self.free)) and self._solve():
-            return self.color
-        return None
+        if self.t < self.k and self._hall_violated(_bits(self.free)):
+            return None
+        return self.color if self._solve() else None
 
 
 # ---------------------------------------------------------------------------

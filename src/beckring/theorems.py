@@ -373,7 +373,8 @@ def counterexample_family(
     graph, which that coloring was verified on, cross-checks omega when the
     product has at most FAMILY_DIRECT_OMEGA_CAP elements. All solves but AN's
     resolution (catalog.an_variant_stats) share one budget. The product,
-    and AN when no factor is given, is held to `size_cap`.
+    and AN when no factor is given, is held to `size_cap` before any factor
+    is solved.
     """
     from .catalog import canonical_an_variant
 
@@ -384,6 +385,9 @@ def counterexample_family(
         if not f.is_reduced():
             raise PreconditionError(f"family factor {f!r} is not reduced")
     chain = [ring_of("AN", size_cap)] + list(reduced_factors)
+    size = math.prod(f.size for f in chain)
+    if size > size_cap:  # before any factor solve
+        raise CapacityError(f"product size {size} exceeds cap {size_cap}")
     # held through the formula, the bounds and the product coloring, so that
     # they share each factor's graph and solves
     factor_graphs = [build_graph(f) for f in chain]

@@ -10,6 +10,7 @@ call the same functions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import theorems
@@ -19,7 +20,7 @@ from .errors import BeckringError, BudgetError
 from .graphs import BeckGraph, build_graph
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
 from .report import analyze
-from .rings import FiniteRing, ProductRing, make_product
+from .rings import AN_SIZE, DEFAULT_SIZE_CAP, FiniteRing, ProductRing, make_product
 from .solvers import (
     _chromatic,
     _clique_search,
@@ -233,14 +234,19 @@ def reduced_equality(field_products: dict, budget: Budget = None) -> CheckResult
     return check
 
 
-def counterexample_family(factor_names, budget: Budget = None) -> CheckResult:
-    """AN times each list of reduced factors has chi - omega = 1, chi pinched
-    by the constructed coloring and omega cross-checked by a direct solve
-    where the family report has one."""
+def counterexample_family(
+    factor_names, budget: Budget = None, max_product: int = DEFAULT_SIZE_CAP
+) -> CheckResult:
+    """AN times each list of reduced factors of at most `max_product`
+    elements has chi - omega = 1, chi pinched by the constructed coloring and
+    omega cross-checked by a direct solve where the family report has one."""
     check = CheckResult("counterexample_family")
     for names in factor_names:
         label = " x ".join(("AN",) + tuple(names))
-        rep = theorems.counterexample_family([ring_of(n) for n in names], budget)
+        factors = [ring_of(n) for n in names]
+        if AN_SIZE * math.prod(f.size for f in factors) > max_product:
+            continue
+        rep = theorems.counterexample_family(factors, budget)
         check.require(rep.gap == 1, f"{label}: gap {rep.gap}")
         check.require(
             rep.constructed_colors == rep.chi_lower,
@@ -302,6 +308,8 @@ def run_suite(
         return min(default, max_size) if max_size is not None else default
 
     ring_map = dict(rings) if rings is not None else dict(catalog_rings())
+    if max_size is not None:  # the one ring size cap, as on every command
+        ring_map = {name: ring for name, ring in ring_map.items() if ring.size <= max_size}
     checks: list[CheckResult] = []
 
     def emit(check: CheckResult):
@@ -328,7 +336,7 @@ def run_suite(
     emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
     fields = catalog_tuples(field_rings(), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
     emit(reduced_equality(fields, deadline))
-    emit(counterexample_family(FAMILY_FACTORS, deadline))
+    emit(counterexample_family(FAMILY_FACTORS, deadline, limit(DEFAULT_SIZE_CAP)))
     emit(dsl_round_trip(DSL_EXPRS, ISOMORPHIC_PAIRS, deadline))
     emit(report_json_round_trip(ring_map, deadline))
     emit(s_statistic(graphs, deadline))

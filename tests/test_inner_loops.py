@@ -1,12 +1,17 @@
 """The solvers' inner loops against the loops they replaced.
 
-The Hall check and the vertex pick of the k-coloring search, DSATUR and
-the clique search's greedy seed walk their candidate bits inline and
-compare plain ints. Each one must make the same choice at every step as
-the loop it replaced, which compared tuple keys over the `_bits`
-generator: a copy of each old loop is kept here, and on random graphs
-with random domains, free sets and seeds the two must give the same
-verdicts, picks, colorings, cliques and deadline ticks.
+The Hall check, the vertex pick and the domain update of the k-coloring
+search, DSATUR and the clique search's greedy seed walk their candidate
+bits inline and compare plain ints. Each one must make the same choice at
+every step as the loop it replaced, which compared tuple keys or walked
+the `_bits` generator: a copy of each old loop is kept here, and on random
+graphs with random domains, free sets and seeds the two must give the same
+verdicts, picks, Hall seeds, colorings, cliques and deadline ticks.
+
+The k-coloring search skips its root Hall scan when no square-zero vertex
+is held below t < k. A copy of the old `run`, which always scanned, is kept
+too: with a maximum clique pre-colored and k >= omega the scan never fires,
+and skipping it changes the ticks by exactly its seed count.
 """
 
 import random
@@ -60,6 +65,65 @@ def _hall_by_tuple_key(self, seeds) -> bool:
 class _TupleKeySearch(_KColorSearch):
     _pick = _pick_by_tuple_key
     _hall_violated = _hall_by_tuple_key
+
+
+def _solve_by_generator(self) -> bool:
+    stack, used = [], self.start_used
+    t, low = self.t, (1 << self.t) - 1
+    while True:
+        self.deadline.tick()
+        v = self._pick()
+        if v == -1:
+            return True
+        self.free ^= 1 << v
+        fresh = ((used & low) + 1) & low | (((used >> t) + 1) << t) & ((1 << self.k) - 1)
+        stack.append((v, used, _bits(self.dom[v] & (used | fresh)), []))
+        while stack:
+            v, used, colors, changed = stack[-1]
+            for u in changed:
+                self.dom[u] |= 1 << self.color[v]
+            changed.clear()
+            c = next(colors, -1)
+            if c == -1:
+                self.color[v] = -1
+                self.free ^= 1 << v
+                stack.pop()
+                continue
+            self.color[v] = c
+            bit = 1 << c
+            for u in _bits(self.adj[v] & self.free):
+                if self.dom[u] & bit:
+                    self.dom[u] &= ~bit
+                    changed.append(u)
+            if not self._hall_violated(changed):
+                used |= bit
+                break
+        else:
+            return False
+
+
+def _run_with_root_scan(self) -> list[int] | None:
+    self.deadline.check()
+    if not self._hall_violated(_bits(self.free)) and self._solve():
+        return self.color
+    return None
+
+
+class _SeedRecordingSearch(_KColorSearch):
+    """Records the seeds of each Hall check, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seed_lists = []
+
+    def _hall_violated(self, seeds) -> bool:
+        seeds = list(seeds)
+        self.seed_lists.append(seeds)
+        return super()._hall_violated(seeds)
+
+
+class _GeneratorWalkSearch(_SeedRecordingSearch):
+    _solve = _solve_by_generator
 
 
 def _dsatur_with_max(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
@@ -171,6 +235,17 @@ def decisions(draw):
     return n, adj, k, clique[:k], sq0, t
 
 
+@st.composite
+def plain_decisions(draw):
+    """A k-coloring decision as chi's searches make it: a maximum clique
+    pre-colored and k >= omega, on a random graph of up to 24 vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 24))
+    adj = _random_graph(rng, n, draw(st.sampled_from((0.2, 0.5, 0.7, 0.85, 0.95))))
+    clique = _CliqueSearch(n, adj, _Deadline(FOREVER)).run()
+    return n, adj, max(1, len(clique) + draw(st.integers(0, 3))), clique
+
+
 # -- the equivalences ---------------------------------------------------------
 
 
@@ -212,6 +287,43 @@ def test_decision_search_matches_the_old_loops(case):
     old = _TupleKeySearch(n, adj, k, clique, _Deadline(FOREVER), sq0, t)
     assert new.run() == old.run()
     assert new.deadline.ticks == old.deadline.ticks
+
+
+@STATES
+@given(decisions())
+def test_domain_walk_matches_the_old_loop(case):
+    n, adj, k, clique, sq0, t = case
+    new = _SeedRecordingSearch(n, adj, k, clique, _Deadline(FOREVER), sq0, t)
+    old = _GeneratorWalkSearch(n, adj, k, clique, _Deadline(FOREVER), sq0, t)
+    assert new.run() == old.run()
+    assert new.seed_lists == old.seed_lists
+    assert new.deadline.ticks == old.deadline.ticks
+
+
+@STATES
+@given(plain_decisions())
+def test_root_hall_scan_cannot_fire_at_k_at_least_omega(case):
+    n, adj, k, clique = case
+    scan = _KColorSearch(n, adj, k, clique, _Deadline(FOREVER))
+    assert not scan._hall_violated(_bits(scan.free))
+    new, old = (_KColorSearch(n, adj, k, clique, _Deadline(FOREVER)) for _ in range(2))
+    assert new.run() == _run_with_root_scan(old)
+    assert old.deadline.ticks - new.deadline.ticks == n - len(clique)  # the root seeds
+
+
+def test_root_hall_scan_stays_for_min_s():
+    # square-zero vertices 0 and 2 held below t = 1 of k = 2 colors, with 0
+    # the pre-colored floor: 2, next to 0, has no color left. The root scan
+    # refutes the decision at seed 2, after seed 1, before any node
+    adj = [0b110, 0b001, 0b001]
+
+    class NoNodes(_KColorSearch):
+        def _solve(self):
+            raise AssertionError("a node was searched")
+
+    search = NoNodes(3, adj, 2, [0], _Deadline(FOREVER), 0b101, 1)
+    assert search.run() is None and search.deadline.ticks == 2
+    assert _KColorSearch(3, adj, 2, [0], _Deadline(FOREVER), 0b101, 2).run() == [0, 1, 1]
 
 
 @STATES

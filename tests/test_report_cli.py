@@ -483,6 +483,18 @@ def test_cli_verify_suite_restricted(capsys):
     assert "suite: ALL PASS" in out
 
 
+def test_cli_verify_suite_holds_the_catalog_to_the_cap(capsys):
+    # --max-size is the ring size cap here too: AN's 32 elements and the
+    # counterexample chains on it are left out, the 7 smaller catalog rings
+    # are checked
+    assert main(["verify-suite", "--max-size", "16", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    passed = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert payload["pass"]
+    assert passed["ring_axioms"] == passed["report_json_round_trip"] == passed["s_statistic"] == 7
+    assert passed["counterexample_family"] == 0
+
+
 _SETUP_CONTENTS = """
 import sys
 from beckring import rings

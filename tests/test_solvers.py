@@ -321,16 +321,31 @@ def test_search_set_up_honours_the_budget(solve):
 
 
 def test_hall_scan_honours_the_budget():
-    # a root Hall check grows a clique from each of the 1387 core vertices
-    # of AN^3, about 4 s in all: it ticks the deadline once per seed
+    # AN^3: omega = 67 on a 1387-vertex core. Within 1 s chi's searches
+    # refute k = 67 and stop inside k = 68. A min-s decision (square-zero
+    # vertices held below the 64 colors of the floor, of k = 70) keeps the
+    # root Hall scan, a clique grown from each of the 1323 free vertices, a
+    # few ms each: it ticks the deadline once per seed, so expiry cuts it
     import time
+
+    from beckring.solvers import _Deadline, _KColorSearch, _OutOfTime, _sq0_clique_floor
 
     g = build_graph(ring_of("AN x AN x AN", size_cap=40000))
     t0 = time.monotonic()
     with pytest.raises(BudgetError) as exc:
         chromatic_number(g, budget=1.0)
     assert time.monotonic() - t0 < 2.5
-    assert 67 <= exc.value.lower <= exc.value.upper <= 70
+    assert 68 <= exc.value.lower <= exc.value.upper <= 70
+    core = g.core()
+    floor = _sq0_clique_floor(core, _Deadline(float("inf")))
+    assert len(floor) == 64
+    deadline = _Deadline(0.2)
+    search = _KColorSearch(core.n, core.adj, 70, floor, deadline, core.sq0_bits, len(floor))
+    t0 = time.monotonic()
+    with pytest.raises(_OutOfTime):
+        search.run()
+    assert time.monotonic() - t0 < 1.0
+    assert deadline.ticks % 64 == 0 and deadline.ticks < core.n - len(floor)  # cut inside the scan
 
 
 def test_deep_decision_search_restores_the_recursion_limit():
@@ -384,11 +399,11 @@ def test_searches_leave_the_recursion_limit_alone(monkeypatch):
 @pytest.mark.parametrize(
     "expr,clique_ticks,split_ticks,decisions",
     [
-        ("AN", 3, 5, {5: (10, False)}),
-        ("AN x AN", 13, 22, {18: (125, False), 19: (343, False)}),
-        ("AN x Z8 x Z2", 3, 6, {11: (77, False), 12: (294, True)}),
-        ("AN x Z12", 3, 6, {10: (59, False), 11: (216, True)}),
-        ("Z8 x Z64 x Z8", 1, 1, {34: (189, True), 35: (189, True)}),
+        ("AN", 3, 5, {5: (2, False)}),
+        ("AN x AN", 13, 22, {18: (4, False), 19: (222, False)}),
+        ("AN x Z8 x Z2", 3, 6, {11: (2, False), 12: (219, True)}),
+        ("AN x Z12", 3, 6, {10: (3, False), 11: (160, True)}),
+        ("Z8 x Z64 x Z8", 1, 1, {34: (95, True), 35: (95, True)}),
     ],
 )
 def test_search_trees_are_pinned(expr, clique_ticks, split_ticks, decisions):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from beckring import (
+    CapacityError,
     ContractError,
     InternalCheckError,
     InvalidModulusError,
@@ -375,6 +376,33 @@ def test_family_builds_each_product_graph_once(monkeypatch, names):
     assert rep.gap == 1
     assert [size for size in built if size > 32] == [rep.product_size]  # AN alone has 32 elements
     assert set(products) == {rep.product_size}
+
+
+def test_family_refuses_a_product_above_the_cap_before_any_solve(monkeypatch):
+    # AN x Z7 has 224 elements: refused before the formula's splits or any
+    # factor's coloring runs a clique search or DSATUR
+    from beckring import solvers
+    from beckring.catalog import canonical_anderson_naseer
+
+    canonical_anderson_naseer()  # AN is resolved once per process, apart from the family
+    searches = []
+    clique_init, dsatur = solvers._CliqueSearch.__init__, solvers._dsatur
+
+    def counting_init(self, *args, **kwargs):
+        searches.append("clique")
+        clique_init(self, *args, **kwargs)
+
+    def counting_dsatur(*args):
+        searches.append("dsatur")
+        return dsatur(*args)
+
+    monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
+    monkeypatch.setattr(solvers, "_dsatur", counting_dsatur)
+    with pytest.raises(CapacityError, match="product size 224 exceeds cap 100"):
+        counterexample_family(rings_of("Z7"), size_cap=100)
+    assert searches == []
+    assert counterexample_family(rings_of("Z7"), size_cap=224).gap == 1
+    assert "clique" in searches and "dsatur" in searches
 
 
 def test_family_rejects_non_reduced_factor():
