@@ -21,15 +21,17 @@ from beckring import (
 )
 
 for names in (("Z4", "Z4"), ("Z8", "Z8"), ("Z8", "Z9"), ("Z9", "Z9"), ("Z2", "AN")):
-    factors = [ring_of(n) for n in names]
+    product = make_product([ring_of(n) for n in names])
+    factors = product.factors
     label = " x ".join(names)
-    exact = chromatic_number(build_graph(make_product(factors)))[0]
+    g = build_graph(product)  # holds the factors' graphs, which every call below shares
+    exact = chromatic_number(g)[0]
     for mode in ("any_optimal", "min_s"):
         b = chi_bounds(factors, mode)
         ss = ", ".join(f"s={f.s}" + ("" if f.s_exact else "?") for f in b.factors)
         print(f"{label} [{mode:>11}]: {b.lower} <= chi <= {b.upper}  ({ss}); exact chi = {exact}")
     b = chi_bounds(factors)
-    col = product_coloring(factors[0], b.factors[0].coloring, factors[1], b.factors[1].coloring)
-    ok = verify_coloring(build_graph(make_product(factors)), col)
+    col = product_coloring(product, [f.coloring for f in b.factors])
+    ok = verify_coloring(g, col)
     print(f"{label}: constructed coloring uses {col.k} colors, proper = {ok}")
     print()

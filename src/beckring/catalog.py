@@ -15,9 +15,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .dsl import ring_of
-from .errors import InternalCheckError
+from .errors import CapacityError, InternalCheckError
 from .graphs import build_graph
-from .rings import FiniteRing, make_anderson_naseer
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, make_anderson_naseer
 from .solvers import chromatic_number, max_clique
 
 CATALOG_EXPRS = ("Z2", "Z3", "Z4", "Z8", "Z9", "Z12", "Z2[t]/(t^2)", "AN")
@@ -56,14 +56,27 @@ def canonical_anderson_naseer() -> FiniteRing:
     return ring
 
 
-@lru_cache(maxsize=None)
-def catalog_rings() -> dict[str, FiniteRing]:
-    return {expr: ring_of(expr) for expr in CATALOG_EXPRS}
+def catalog_rings(size_cap: int = DEFAULT_SIZE_CAP) -> dict[str, FiniteRing]:
+    """The catalog rings of at most `size_cap` elements, built once per cap."""
+    return rings_under(CATALOG_EXPRS, size_cap)
+
+
+def field_rings(size_cap: int = DEFAULT_SIZE_CAP) -> dict[str, FiniteRing]:
+    """The field catalog rings of at most `size_cap` elements, built once per cap."""
+    return rings_under(FIELD_EXPRS, size_cap)
 
 
 @lru_cache(maxsize=None)
-def field_rings() -> dict[str, FiniteRing]:
-    return {expr: ring_of(expr) for expr in FIELD_EXPRS}
+def rings_under(exprs: tuple[str, ...], size_cap: int) -> dict[str, FiniteRing]:
+    """expr -> ring for the expressions of at most `size_cap` elements; a larger
+    ring is refused before any table is built or AN resolved, and left out."""
+    rings = {}
+    for expr in exprs:
+        try:
+            rings[expr] = ring_of(expr, size_cap)
+        except CapacityError:
+            pass
+    return rings
 
 
 def catalog_tuples(rings: dict[str, FiniteRing], arities, max_product: int) -> dict[str, list]:

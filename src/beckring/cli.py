@@ -45,7 +45,7 @@ def _add_flags(p: _Parser, report: bool = True, s_mode: bool = False):
     if report:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--budget", type=float, default=None, help="command time budget in seconds")
-    p.add_argument("--max-size", type=int, default=None, help="override the ring size cap")
+    p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_CAP, help="override the ring size cap")
     if s_mode:
         p.add_argument("--s-mode", choices=["any", "min"], default="any",
                        help="pick s from any optimal coloring or minimize it")
@@ -96,12 +96,8 @@ def _emit(payload: dict, as_json: bool, text: str, ok: bool) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _size_cap(args) -> int:
-    return args.max_size if args.max_size is not None else DEFAULT_SIZE_CAP
-
-
 def _cmd_analyze(args) -> int:
-    report = analyze(args.expr, budget=args.budget, s_mode=args.s_mode, size_cap=_size_cap(args))
+    report = analyze(args.expr, budget=args.budget, s_mode=args.s_mode, size_cap=args.max_size)
     return _emit(report, args.json, render_report(report), all(c["pass"] for c in report["checks"]))
 
 
@@ -109,12 +105,11 @@ def _cmd_predict_omega(args) -> int:
     ast = parse(args.expr)
     if not isinstance(ast, ProductExpr) or len(ast.atoms) < 2:
         raise _UsageError("predict-omega needs a product of at least two factors")
-    cap = _size_cap(args)
-    factors = [elaborate(a, size_cap=cap) for a in ast.atoms]
-    pred = omega_product_formula(factors, args.budget, cap)
+    factors = [elaborate(a, size_cap=args.max_size) for a in ast.atoms]
+    pred = omega_product_formula(factors, args.budget, args.max_size)
     direct = None
-    if pred.product_size <= min(DEFAULT_DIRECT_CAP, cap):
-        direct = max_clique(build_graph(make_product(factors, size_cap=cap)), args.budget).size
+    if pred.product_size <= min(DEFAULT_DIRECT_CAP, args.max_size):
+        direct = max_clique(build_graph(make_product(factors, size_cap=args.max_size)), args.budget).size
     ok = direct is None or direct == pred.predicted
     payload = {
         "ring": print_expr(ast),
@@ -141,12 +136,11 @@ def _cmd_predict_omega(args) -> int:
 def _cmd_bound_chi(args) -> int:
     ast = parse(args.expr)
     atoms = ast.atoms if isinstance(ast, ProductExpr) else (ast,)
-    cap = _size_cap(args)
-    factors = [elaborate(a, size_cap=cap) for a in atoms]
+    factors = [elaborate(a, size_cap=args.max_size) for a in atoms]
     bounds = chi_bounds(factors, args.s_mode, args.budget)
     exact = None
-    if math.prod(f.size for f in factors) <= min(DEFAULT_DIRECT_CAP, cap):
-        product = make_product(factors, size_cap=cap) if len(factors) > 1 else factors[0]
+    if math.prod(f.size for f in factors) <= min(DEFAULT_DIRECT_CAP, args.max_size):
+        product = make_product(factors, size_cap=args.max_size) if len(factors) > 1 else factors[0]
         exact, _ = chromatic_number(build_graph(product), args.budget)
     ok = exact is None or bounds.lower <= exact <= bounds.upper
     payload = {
@@ -176,7 +170,7 @@ def _cmd_bound_chi(args) -> int:
 def _cmd_zn(args) -> int:
     # Z_N first, so that N is held to the size cap before it is factored;
     # the formula refuses N < 1
-    ring = ring_of(f"Z{args.n}", size_cap=_size_cap(args)) if args.n >= 1 else None
+    ring = ring_of(f"Z{args.n}", size_cap=args.max_size) if args.n >= 1 else None
     res = zn_formula(args.n)
     g = build_graph(ring)
     omega = max_clique(g, args.budget).size
@@ -198,9 +192,8 @@ def _cmd_zn(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    cap = _size_cap(args)
-    factors = [elaborate(parse(t), size_cap=cap) for t in args.factors]
-    rep = counterexample_family(factors, args.budget, cap)
+    factors = [elaborate(parse(t), size_cap=args.max_size) for t in args.factors]
+    rep = counterexample_family(factors, args.budget, args.max_size)
     ok = rep.gap == 1 and rep.constructed_colors == rep.chi_lower and (
         rep.direct_omega is None or rep.direct_omega == rep.omega
     )
@@ -227,7 +220,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    ring = elaborate(parse(args.expr), size_cap=_size_cap(args))
+    ring = elaborate(parse(args.expr), size_cap=args.max_size)
     text = export_graph(build_graph(ring), args.format)
     if args.output:
         try:
@@ -272,6 +265,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_size < 1:  # a cap that holds no ring at all
+            raise _UsageError(f"argument --max-size: expected a positive integer, got {args.max_size}")
         if "budget" in args:  # one deadline per command
             args.budget = _Deadline(args.budget)
         return _COMMANDS[args.command](args)

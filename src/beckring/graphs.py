@@ -17,8 +17,9 @@ of its own, and its quotient is read from the classes.
 
 Each graph is built once per ring and reduced once: `build_graph` returns
 the ring's live graph while anything holds it, and `BeckGraph.core` keeps
-its core. Every graph carries `solved`, the memo in which the solvers keep
-the searches they finish on that graph.
+its core, and the graph of a whole product its factors' graphs, so no
+caller keeps them alive. Every graph carries `solved`, the memo in which
+the solvers keep the searches they finish on that graph.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class BeckGraph:
     """Beck's graph induced on the ring elements `to_ring`: vertex v is
     element to_ring[v], and u ~ v iff u != v and their elements multiply to 0.
 
-    `to_ring` None means every element, in ring order.
+    `to_ring` None means every element, in ring order. The graph of a whole
+    product keeps its factors' graphs, `factor_graphs` ([] on any other).
     """
 
     def __init__(self, ring: FiniteRing, to_ring: list[int] | None = None):
@@ -52,6 +54,7 @@ class BeckGraph:
         self.n = len(self.to_ring)
         self.sq0_bits = _pack_rows(self._of(ring.square_zero_mask)[None])[0]
         self.solved: dict = {}
+        self.factor_graphs = [build_graph(f) for f in ring.factors] if self._whole else []
         # the core (None while unbuilt or if the graph is its own),
         # `group`, the core vertex of each vertex, and `reps`, the vertex
         # that stands for each core vertex (the first of its class)

@@ -94,14 +94,12 @@ def analyze(
                 )
             )
     if isinstance(ast, ProductExpr):
-        factors = ring.factors
-        # held through both checks, so that they share each factor's graph and solves
-        factor_graphs = [build_graph(f) for f in factors]  # noqa: F841
-        pred = omega_product_formula(factors, deadline, size_cap)
+        # g holds the factors' graphs, so both checks share their solves
+        pred = omega_product_formula(ring.factors, deadline, size_cap)
         checks.append(
             _check("product_omega_formula", pred.predicted, omega_val, pred.predicted == omega_val)
         )
-        bounds = chi_bounds(factors, s_mode, deadline)
+        bounds = chi_bounds(ring.factors, s_mode, deadline)
         checks.append(_check("chi_lower_bound", bounds.lower, chi_val, chi_val >= bounds.lower))
         checks.append(_check("chi_upper_bound", bounds.upper, chi_val, chi_val <= bounds.upper))
 

@@ -29,7 +29,7 @@ import numpy as np
 from .dsl import ring_of
 from .errors import CapacityError, ContractError, InternalCheckError, InvalidModulusError
 from .errors import PreconditionError
-from .graphs import BeckGraph, build_graph
+from .graphs import build_graph
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, _factorize, field_factor_count, make_product
 from .solvers import (
     Budget,
@@ -160,20 +160,10 @@ def chi_bounds(
     return ChiBounds(cols, lower, upper, mode)
 
 
-def product_coloring(r1: FiniteRing, c1: Coloring, r2: FiniteRing, c2: Coloring) -> Coloring:
-    """The explicit proper coloring of r1 x r2 with exactly
-    s1*s2 + (k1 - s1) + (k2 - s2) colors built from proper colorings of the
-    factors, re-verified before return (see `_product_coloring`)."""
-    return _product_coloring([build_graph(r1), build_graph(r2)], [c1, c2])[1]
-
-
-def _product_coloring(
-    graphs: list[BeckGraph], colorings: list[Coloring], size_cap: int = DEFAULT_SIZE_CAP
-) -> tuple[BeckGraph, Coloring]:
-    """The proper coloring of the product of the graphs' rings with
-    sum (k_i - s_i) + prod s_i colors, built from proper colorings of the
-    factors and verified once, on the product's graph, which it also
-    returns; the product's ring is held to `size_cap`.
+def product_coloring(product: FiniteRing, colorings: list[Coloring]) -> Coloring:
+    """The proper coloring of `product` with sum (k_i - s_i) + prod s_i
+    colors, built from one proper coloring of each of its factors and
+    verified once, on the product's graph.
 
     Each factor's square-zero-bearing classes are moved to the front
     (stably by original index), and the factors are folded in with factor
@@ -184,12 +174,15 @@ def _product_coloring(
     otherwise: the first s*s_f colors are then exactly the bearing ones,
     already in front.
     """
-    for n, (g, c) in enumerate(zip(graphs, colorings), 1):
+    if not colorings or len(colorings) != len(product.factors):
+        raise ContractError(f"{product!r} has {len(product.factors)} factors, got {len(colorings)} colorings")
+    gp = build_graph(product)
+    for n, (g, c) in enumerate(zip(gp.factor_graphs, colorings), 1):
         if not verify_coloring(g, c):
             raise ContractError(f"coloring of factor {n} is not proper for its ring")
     # the empty product, Z1: one class, holding the square-zero 0
     col, k, s = np.zeros(1, dtype=np.int64), 1, 1
-    for g, c in zip(graphs, colorings):
+    for g, c in zip(gp.factor_graphs, colorings):
         bearing = np.array(class_sq0_flags(g, c))
         sf = int(bearing.sum())
         perm = np.where(bearing, bearing.cumsum(), sf + (~bearing).cumsum()) - 1
@@ -198,10 +191,9 @@ def _product_coloring(
                        np.where(j < sf, sf * i + j, s * sf + j - sf)).ravel()
         k, s = s * sf + (k - s) + (c.k - sf), s * sf
     coloring = Coloring(tuple(col.tolist()), k)
-    gp = graphs[0] if len(graphs) == 1 else build_graph(make_product([g.ring for g in graphs], size_cap))
     if not verify_coloring(gp, coloring):
         raise InternalCheckError("product coloring construction produced an improper coloring")
-    return gp, coloring
+    return coloring
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +376,23 @@ def counterexample_family(
             raise PreconditionError("family factors must be nonzero rings")
         if not f.is_reduced():
             raise PreconditionError(f"family factor {f!r} is not reduced")
-    chain = [ring_of("AN", size_cap)] + list(reduced_factors)
-    size = math.prod(f.size for f in chain)
-    if size > size_cap:  # before any factor solve
-        raise CapacityError(f"product size {size} exceeds cap {size_cap}")
-    # held through the formula, the bounds and the product coloring, so that
-    # they share each factor's graph and solves
-    factor_graphs = [build_graph(f) for f in chain]
-    prediction = omega_product_formula(chain, deadline, size_cap)
-    bounds = chi_bounds(chain, "any_optimal", deadline)
-    gp, coloring = _product_coloring(factor_graphs, [c.coloring for c in bounds.factors], size_cap)
+    # refused above the cap before any factor solve; the product's graph holds
+    # its factors' graphs, which the formula, the bounds and the coloring share
+    product = make_product([ring_of("AN", size_cap), *reduced_factors], size_cap)
+    gp = build_graph(product)
+    prediction = omega_product_formula(product.factors, deadline, size_cap)
+    bounds = chi_bounds(product.factors, "any_optimal", deadline)
+    coloring = product_coloring(product, [c.coloring for c in bounds.factors])
     if coloring.k != bounds.lower:
         raise InternalCheckError(
             f"coloring construction used {coloring.k} colors but the lower bound is {bounds.lower}"
         )
 
-    direct_omega = None
-    if prediction.product_size <= FAMILY_DIRECT_OMEGA_CAP:
-        direct_omega = max_clique(gp, deadline).size
+    direct_omega = max_clique(gp, deadline).size if product.size <= FAMILY_DIRECT_OMEGA_CAP else None
     return FamilyReport(
         canonical_an_variant(),
         tuple(repr(f) for f in reduced_factors),
-        prediction.product_size,
+        product.size,
         prediction.predicted,
         bounds.lower,
         bounds.lower - prediction.predicted,

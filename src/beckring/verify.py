@@ -10,17 +10,16 @@ call the same functions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from . import theorems
-from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings
+from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings, rings_under
 from .dsl import parse, print_expr, ring_of
-from .errors import BeckringError, BudgetError
+from .errors import BeckringError, BudgetError, CapacityError
 from .graphs import BeckGraph, build_graph
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
 from .report import analyze
-from .rings import AN_SIZE, DEFAULT_SIZE_CAP, FiniteRing, ProductRing, make_product
+from .rings import DEFAULT_SIZE_CAP, FiniteRing, ProductRing, make_product
 from .solvers import (
     _chromatic,
     _clique_search,
@@ -194,14 +193,12 @@ def chi_sandwich(pairs: dict[str, ProductRing], budget: Budget = None) -> CheckR
     upper end."""
     check = CheckResult("chi_sandwich")
     for label, product in pairs.items():
-        factors = product.factors
-        bounds = theorems.chi_bounds(factors, "any_optimal", budget)
+        g = build_graph(product)  # holds the factors' graphs through the bounds and the coloring
+        bounds = theorems.chi_bounds(product.factors, "any_optimal", budget)
         lo, hi = bounds.lower, bounds.upper
-        chi, _ = chromatic_number(build_graph(product), budget)
+        chi, _ = chromatic_number(g, budget)
         check.require(lo <= chi <= hi, f"{label}: chi {chi} outside [{lo}, {hi}]")
-        col = theorems.product_coloring(
-            factors[0], bounds.factors[0].coloring, factors[1], bounds.factors[1].coloring
-        )
+        col = theorems.product_coloring(product, [f.coloring for f in bounds.factors])
         check.require(col.k == hi, f"{label}: constructed {col.k} colors, upper {hi}")
     return check
 
@@ -239,14 +236,16 @@ def counterexample_family(
 ) -> CheckResult:
     """AN times each list of reduced factors of at most `max_product`
     elements has chi - omega = 1, chi pinched by the constructed coloring and
-    omega cross-checked by a direct solve where the family report has one."""
+    omega cross-checked by a direct solve where the family report has one.
+    A chain above `max_product` is refused before it is solved, and left out."""
     check = CheckResult("counterexample_family")
     for names in factor_names:
         label = " x ".join(("AN",) + tuple(names))
-        factors = [ring_of(n) for n in names]
-        if AN_SIZE * math.prod(f.size for f in factors) > max_product:
+        try:
+            factors = [ring_of(n, max_product) for n in names]
+            rep = theorems.counterexample_family(factors, budget, max_product)
+        except CapacityError:
             continue
-        rep = theorems.counterexample_family(factors, budget)
         check.require(rep.gap == 1, f"{label}: gap {rep.gap}")
         check.require(
             rep.constructed_colors == rep.chi_lower,
@@ -262,15 +261,16 @@ def counterexample_family(
 
 def dsl_round_trip(exprs, isomorphic_pairs, budget: Budget = None) -> CheckResult:
     """Printing then parsing gives back the same syntax tree, and rings the
-    Chinese remainder theorem makes isomorphic agree on (omega, chi)."""
+    Chinese remainder theorem makes isomorphic agree on (omega, chi); each
+    pair is a dict of two expressions and their rings."""
     check = CheckResult("dsl_round_trip")
     for expr in exprs:
         ast = parse(expr)
         check.require(parse(print_expr(ast)) == ast, f"{expr}: round trip broke")
     for pair in isomorphic_pairs:
-        a, b = (build_graph(ring_of(t)) for t in pair)
+        a, b = (build_graph(ring) for ring in pair.values())
         same = _omega_chi(a, budget) == _omega_chi(b, budget)
-        check.require(same, f"{pair}: isomorphic rings disagree")
+        check.require(same, f"{tuple(pair)}: isomorphic rings disagree")
     return check
 
 
@@ -298,18 +298,19 @@ def s_statistic(graphs: dict[str, BeckGraph], budget: Budget = None) -> CheckRes
 
 
 def run_suite(
-    max_size: int | None = None,
+    max_size: int = DEFAULT_SIZE_CAP,
     budget: Budget = None,
     rings: dict | None = None,
     progress=None,
 ) -> SuiteResult:
+    """Every check over the catalog, or `rings`; `max_size` is the one ring
+    size cap: no ring above it is built or checked, and it clamps every sweep."""
     deadline = _Deadline(budget)  # the whole suite runs on one budget
     def limit(default: int) -> int:
-        return min(default, max_size) if max_size is not None else default
+        return min(default, max_size)
 
-    ring_map = dict(rings) if rings is not None else dict(catalog_rings())
-    if max_size is not None:  # the one ring size cap, as on every command
-        ring_map = {name: ring for name, ring in ring_map.items() if ring.size <= max_size}
+    rings = catalog_rings(max_size) if rings is None else rings
+    ring_map = {name: ring for name, ring in rings.items() if ring.size <= max_size}
     checks: list[CheckResult] = []
 
     def emit(check: CheckResult):
@@ -334,10 +335,11 @@ def run_suite(
     emit(chi_sandwich(small_core_pairs(ring_map, limit(PRODUCT_SIZE_LIMIT)), deadline))
     emit(nilradical_bound(products))
     emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
-    fields = catalog_tuples(field_rings(), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
+    fields = catalog_tuples(field_rings(max_size), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
     emit(reduced_equality(fields, deadline))
-    emit(counterexample_family(FAMILY_FACTORS, deadline, limit(DEFAULT_SIZE_CAP)))
-    emit(dsl_round_trip(DSL_EXPRS, ISOMORPHIC_PAIRS, deadline))
+    emit(counterexample_family(FAMILY_FACTORS, deadline, max_size))
+    pairs = [rings_under(pair, max_size) for pair in ISOMORPHIC_PAIRS]
+    emit(dsl_round_trip(DSL_EXPRS, [pair for pair in pairs if len(pair) == 2], deadline))
     emit(report_json_round_trip(ring_map, deadline))
     emit(s_statistic(graphs, deadline))
     return SuiteResult(checks)

@@ -1,11 +1,14 @@
 """Beck graph construction, core reduction, and export formats."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from beckring import DescriptorError, build_graph, export_graph, make_product, make_zmod, ring_of
 from beckring.catalog import catalog_rings
+from beckring.graphs import BeckGraph
 
 
 def test_z4_graph_is_a_star():
@@ -67,6 +70,36 @@ def test_core_is_its_own_core_with_matching_edges():
         assert graph.edges() == [
             (u, v) for u in range(graph.n) for v in range(u + 1, graph.n) if graph.has_edge(u, v)
         ]
+
+
+def test_a_product_graph_keeps_its_factor_graphs():
+    p = ring_of("Z4 x Z3 x Z2")
+    g = build_graph(p)
+    assert len(g.factor_graphs) == len(p.factors) == 3
+    for i, f in enumerate(p.factors):
+        assert g.factor_graphs[i] is build_graph(f)
+    # a core, any other induced graph and the graph of a ring that is not a
+    # product keep none
+    assert g.core() is not g and g.core().factor_graphs == []
+    assert BeckGraph(p, [0, 1, 2]).factor_graphs == []
+    assert build_graph(ring_of("Z12")).factor_graphs == []
+
+
+def test_factor_graphs_live_as_long_as_the_product_graph():
+    # nothing but the product's graph holds its factors' graphs, and it
+    # makes no reference cycle: letting go of it frees them all at once
+    gc.collect()
+    p = ring_of("Z4 x Z9")
+    g = build_graph(p)
+    refs = [weakref.ref(h) for h in [g, *g.factor_graphs]]
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    gc.disable()
+    try:
+        del g
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_export_dimacs_z2():

@@ -13,7 +13,7 @@ from beckring.cli import build_parser, main
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
 from beckring import make_product, make_structure_ring, make_zmod
-from beckring.rings import ProductRing, StructureRing, ZmodRing
+from beckring.rings import DEFAULT_SIZE_CAP, ProductRing, StructureRing, ZmodRing
 from beckring.errors import NotARingError, PreconditionError
 from beckring.theorems import counterexample_family, reduced_theorem_check
 
@@ -286,7 +286,7 @@ def test_cli_parses_after_a_usage_error(capsys):
     assert build_parser() is parser
     args = parser.parse_args(["export", "Z4"])
     assert (args.command, args.expr, args.format) == ("export", "Z4", "dimacs")
-    assert (args.max_size, args.output) == (None, None)
+    assert (args.max_size, args.output) == (DEFAULT_SIZE_CAP, None)
     # export reads no --json, --budget or --s-mode, so it takes none
     assert not {"json", "budget", "s_mode"} & set(vars(args))
     assert main(["export", "Z4"]) == 0
@@ -409,6 +409,21 @@ def test_cli_holds_every_an_atom_to_the_cap(argv, capsys):
     assert capsys.readouterr().err == "error: ring size 32 exceeds cap 16\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-suite", "--max-size", "0", "--json"], ["analyze", "Z4", "--max-size", "-1"],
+     ["export", "Z4", "--max-size", "0"]],
+    ids=" ".join,
+)
+def test_cli_max_size_is_a_positive_integer(argv, capsys):
+    # a cap below 1 holds no ring at all: a usage error, not an empty suite
+    # that passes or a capacity error on every ring
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: argument --max-size: expected a positive integer, got ")
+
+
 def test_cli_direct_solves_are_skipped_above_the_cap(capsys):
     # the product is above the cap, not its factors: the formula and the
     # bounds answer, and the direct solve, which would build it, is skipped
@@ -481,6 +496,55 @@ def test_cli_verify_suite_restricted(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "suite: ALL PASS" in out
+
+
+def _recording_built(init, built):
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    return record
+
+
+def test_suite_builds_no_ring_above_the_cap(monkeypatch):
+    # --max-size holds every ring the suite builds: no catalog or field ring,
+    # isomorphic pair or counterexample chain above it is built or graphed,
+    # and AN, above it, is not resolved
+    from beckring import catalog, graphs
+
+    catalog.rings_under.cache_clear()  # so that the catalog rings are built here
+    built, graphed = [], []
+    for kind in (ZmodRing, ProductRing, StructureRing):
+        monkeypatch.setattr(kind, "__init__", _recording_built(kind.__init__, built))
+    monkeypatch.setattr(graphs.BeckGraph, "__init__", _recording_built(graphs.BeckGraph.__init__, graphed))
+    result = run_suite(max_size=8)
+    assert result.ok
+    assert built and max(ring.size for ring in built) <= 8
+    assert graphed and max(g.ring.size for g in graphed) <= 8
+    passed = {c.name: c.passed for c in result.checks}
+    # 5 catalog rings (Z9, Z12 and AN are left out); 16 expressions round-trip,
+    # and of the isomorphic pairs only Z6 and Z2 x Z3 fit
+    assert passed["ring_axioms"] == 5
+    assert passed["dsl_round_trip"] == 17
+    assert passed["counterexample_family"] == 0
+
+
+def test_chi_sandwich_builds_each_product_graph_once(monkeypatch):
+    # each pair's graph holds its factors' graphs through the bounds, the
+    # chi solve and the product coloring, which is verified on that graph:
+    # no second graph or ring of the product is built
+    from beckring import graphs, verify
+    from beckring.catalog import catalog_rings
+
+    pairs = verify.small_core_pairs(catalog_rings(), verify.PRODUCT_SIZE_LIMIT)
+    graphed, products = [], []
+    monkeypatch.setattr(graphs.BeckGraph, "__init__", _recording_built(graphs.BeckGraph.__init__, graphed))
+    monkeypatch.setattr(ProductRing, "__init__", _recording_built(ProductRing.__init__, products))
+    check = verify.chi_sandwich(pairs)
+    assert (check.passed, check.failed) == (2 * len(pairs), 0)
+    product_graphs = [g.ring for g in graphed if isinstance(g.ring, ProductRing) and g.n == g.ring.size]
+    assert len(pairs) == 27
+    assert sorted(map(id, product_graphs)) == sorted(map(id, pairs.values()))
+    assert products == []
 
 
 def test_cli_verify_suite_holds_the_catalog_to_the_cap(capsys):
@@ -636,7 +700,7 @@ def test_suite_surfaces_not_a_ring():
 def test_suite_exit_5_through_cli(monkeypatch, capsys):
     import beckring.verify as verify_mod
 
-    monkeypatch.setattr(verify_mod, "catalog_rings", _broken_catalog)
+    monkeypatch.setattr(verify_mod, "catalog_rings", lambda size_cap: _broken_catalog())
     rc = main(["verify-suite", "--max-size", "16"])
     assert rc == 5
     assert "FAILURES PRESENT" in capsys.readouterr().out

@@ -151,23 +151,25 @@ def test_product_coloring_z4_z2():
     r1, r2 = ring_of("Z4"), ring_of("Z2")
     _, c1 = chromatic_number(build_graph(r1))
     _, c2 = chromatic_number(build_graph(r2))
-    col = product_coloring(r1, c1, r2, c2)
+    product = make_product([r1, r2])
+    col = product_coloring(product, [c1, c2])
     assert col.k == 3
-    assert verify_coloring(build_graph(make_product([r1, r2])), col)
+    assert verify_coloring(build_graph(product), col)
 
 
 def test_product_coloring_z2_z2_matches_exact():
     r = ring_of("Z2")
     _, c = chromatic_number(build_graph(r))
-    col = product_coloring(r, c, r, c)
+    product = make_product([r, r])
+    col = product_coloring(product, [c, c])
     assert col.k == 3
-    assert chromatic_number(build_graph(make_product([r, r])))[0] == 3
+    assert chromatic_number(build_graph(product))[0] == 3
 
 
 def test_product_coloring_z9_z9_matches_zn_of_81():
     r = ring_of("Z9")
     _, c = chromatic_number(build_graph(r))
-    col = product_coloring(r, c, r, c)
+    col = product_coloring(make_product([r, r]), [c, c])
     assert col.k == 9
     assert zn_formula(81).value == 9
 
@@ -178,7 +180,20 @@ def test_product_coloring_rejects_improper_input():
     r = ring_of("Z4")
     bad = Coloring((0, 0, 0, 0), 1)
     with pytest.raises(ContractError):
-        product_coloring(r, bad, r, bad)
+        product_coloring(make_product([r, r]), [bad, bad])
+
+
+def test_product_coloring_takes_one_coloring_per_factor():
+    r = ring_of("Z4")
+    _, c = chromatic_number(build_graph(r))
+    with pytest.raises(ContractError, match="Z4 x Z4 x Z4 has 3 factors, got 2 colorings"):
+        product_coloring(make_product([r, r, r]), [c, c])
+    with pytest.raises(ContractError, match="Z4 has 1 factors, got 0 colorings"):
+        product_coloring(make_product([r]), [])
+    # a ring that is not a product has no factors, so no count of colorings fits
+    for colorings in ([], [c]):
+        with pytest.raises(ContractError, match="Z4 has 0 factors"):
+            product_coloring(r, colorings)
 
 
 # -- Z_N closed form -----------------------------------------------------------
