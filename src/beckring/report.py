@@ -8,7 +8,8 @@ The JSON schema is fixed, with stable key order for diff-ability:
      split: {B, C}, s, checks: [{name, expected, actual, pass}]}
 
 Witness elements are rendered in coordinate-tuple form, never as raw
-indices.
+indices. The coloring and s come from theorems.factor_coloring, the
+reduced-ring checks from theorems.reduced_theorem_check.
 """
 
 from __future__ import annotations
@@ -16,24 +17,16 @@ from __future__ import annotations
 from .dsl import ProductExpr, ZmodAtom, elaborate, parse, print_expr
 from .errors import InternalCheckError
 from .graphs import build_graph
-from .rings import DEFAULT_SIZE_CAP, field_factor_count
-from .solvers import (
-    Budget,
-    _Deadline,
-    best_clique_split,
-    chromatic_number,
-    class_sq0_flags,
-    max_clique,
-    min_s_optimal_coloring,
-    verify_clique,
-    verify_coloring,
-)
+from .rings import DEFAULT_SIZE_CAP
+from .solvers import Budget, _Deadline, best_clique_split, chromatic_number, max_clique, verify_clique
 from .theorems import (
     _normalize_s_mode,
     an_condition_for,
     chi_bounds,
+    factor_coloring,
     nilradical_bound,
     omega_product_formula,
+    reduced_theorem_check,
     zn_formula,
 )
 
@@ -59,7 +52,7 @@ def analyze(
     g = build_graph(ring)
 
     clique = max_clique(g, deadline)
-    chi_val, coloring = chromatic_number(g, deadline)
+    chi_val = chromatic_number(g, deadline)[0]
     split = best_clique_split(g, deadline)
 
     if not verify_clique(g, clique.vertices):
@@ -76,9 +69,10 @@ def analyze(
         checks.append(_check("zn_formula_omega", zn.value, omega_val, zn.value == omega_val))
         checks.append(_check("zn_formula_chi", zn.value, chi_val, zn.value == chi_val))
     if ring.is_reduced():
-        expect = field_factor_count(ring) + 1
-        checks.append(_check("reduced_omega", expect, omega_val, expect == omega_val))
-        checks.append(_check("reduced_chi", expect, chi_val, expect == chi_val))
+        reduced = reduced_theorem_check(ring, deadline)
+        expect = reduced.r_count + 1
+        checks.append(_check("reduced_omega", expect, reduced.omega, expect == reduced.omega))
+        checks.append(_check("reduced_chi", expect, reduced.chi, expect == reduced.chi))
     if ring.size >= 2:
         # the nilpotency-index bound presumes a nonzero ring
         bound = nilradical_bound([ring]).bound
@@ -103,14 +97,10 @@ def analyze(
         checks.append(_check("chi_lower_bound", bounds.lower, chi_val, chi_val >= bounds.lower))
         checks.append(_check("chi_upper_bound", bounds.upper, chi_val, chi_val <= bounds.upper))
 
-    # min-s last: cut short by the budget it still answers, with the
-    # chi-coloring and an upper bound on s, so it must not take the time
-    # of the checks above
-    if s_mode == "min_s":
-        coloring, sz = min_s_optimal_coloring(g, deadline)
-    if not verify_coloring(g, coloring):
-        raise InternalCheckError("coloring witness failed re-verification")
-    s_val = sz.s if s_mode == "min_s" else sum(class_sq0_flags(g, coloring))
+    # the reported coloring last: min-s, cut short by the budget, still
+    # answers, with the chi-coloring and an upper bound on s, so it must
+    # not take the time of the checks above
+    final = factor_coloring(ring, s_mode, deadline)
 
     els = ring.element_strs
     return {
@@ -126,9 +116,9 @@ def analyze(
             "power_sizes": list(profile.power_sizes),
         },
         "omega": {"value": omega_val, "witness": [els[v] for v in clique.vertices]},
-        "chi": {"value": chi_val, "classes": [[els[v] for v in cls] for cls in coloring.classes()]},
+        "chi": {"value": chi_val, "classes": [[els[v] for v in cls] for cls in final.coloring.classes()]},
         "split": {"B": [els[v] for v in split.b_part], "C": [els[v] for v in split.c_part]},
-        "s": s_val,
+        "s": final.s,
         "checks": checks,
     }
 

@@ -8,14 +8,16 @@ rest C, picking among maximum cliques one with |B| largest:
     omega(R_1 x ... x R_n) = prod |B_i| + sum |C_i|
 
 realized by the clique (B_1 x ... x B_n) together with each C_i embedded
-on its axis. The chromatic number of a product is sandwiched by
+on its axis; that witness is checked factor by factor, and no ring of
+the product is built. The chromatic number of a product is sandwiched by
 
     sum chi_i - (n - 1)  <=  chi  <=  sum (chi_i - s_i) + prod s_i
 
 where s_i counts color classes of a proper coloring of R_i containing a
 square-zero element; for any number n of factors the upper bound is
 realized by one explicit coloring, built from the factors' colorings at
-once and re-verified on the product's graph.
+once and re-verified on the product's graph. factor_coloring gives each
+factor's coloring and s, re-verified, to analyze and verify-suite too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .solvers import (
     class_sq0_flags,
     max_clique,
     min_s_optimal_coloring,
-    s_of,
+    verify_clique,
     verify_coloring,
 )
 
@@ -73,34 +75,34 @@ def omega_product_formula(
     factors: list[FiniteRing], budget: Budget = None, size_cap: int = DEFAULT_SIZE_CAP
 ) -> OmegaPrediction:
     """Evaluate prod |B_i| + sum |C_i| and materialize the witness clique;
-    the splits share one budget. Only the witness, not the product, whose
-    encoding alone is read, is held to `size_cap`."""
+    the splits share one budget. No ring of the product is built: the
+    witness is laid out in the product's encoding, and only it is held to
+    `size_cap`."""
     if not factors:
         raise PreconditionError("omega_product_formula needs at least one factor")
     deadline = _Deadline(budget)
-    splits = tuple(best_clique_split(build_graph(f), deadline) for f in factors)
+    graphs = [build_graph(f) for f in factors]  # held for the witness check
+    splits = tuple(best_clique_split(g, deadline) for g in graphs)
     predicted = math.prod(s.b_size for s in splits) + sum(s.c_size for s in splits)
     if predicted > size_cap:
         raise CapacityError(f"witness clique of {predicted} vertices exceeds cap {size_cap}")
-    ring = make_product(list(factors), size_cap=math.inf)
-    return OmegaPrediction(splits, predicted, _materialize_witness(ring, factors, splits), ring.size)
+    witness = _materialize_witness(factors, splits)
+    return OmegaPrediction(splits, predicted, witness, math.prod(f.size for f in factors))
 
 
-def _materialize_witness(ring, factors, splits) -> Clique:
-    # members multiply to zero iff they do in every coordinate: the witness
-    # is a clique iff in each factor's zero relation the pairs of B_i and C_i
-    # and the squares of B_i (box members share coordinates) are, so no
-    # product pair is scanned
+def _materialize_witness(factors, splits) -> Clique:
+    # members multiply to zero iff they do in every coordinate, and box
+    # members share coordinates: the witness is a clique iff in each factor
+    # B_i + C_i is one and every member of B_i squares to zero
     for i, (f, split) in enumerate(zip(factors, splits), 1):
-        cls, rows = f.ann_classes
-        ids = np.array(split.b_part + split.c_part, dtype=np.int64)
-        nonzero = ~rows[cls[ids]][:, ids]
-        bad = np.argwhere(np.triu(nonzero, 1) | np.diag(np.arange(len(ids)) < split.b_size) & nonzero)
-        if bad.size:
-            u, v = (f.element_str(int(x)) for x in ids[bad[0]])
-            raise InternalCheckError(f"witness clique has nonzero product {u}*{v} in factor {i}")
-    verts = [ring.encode(combo) for combo in iter_product(*[s.b_part for s in splits])]
-    verts += [c * stride for s, stride in zip(splits, ring.strides) for c in s.c_part]
+        g, b_part = build_graph(f), split.b_part
+        if not (verify_clique(g, b_part + split.c_part) and all(g.sq0_bits >> b & 1 for b in b_part)):
+            raise InternalCheckError(f"witness clique check failed in factor {i}")
+    # the product's encoding: coordinate 1 fastest, strides the running products of the sizes
+    strides = [math.prod(f.size for f in factors[:i]) for i in range(len(factors))]
+    box = iter_product(*[split.b_part for split in splits])
+    verts = [sum(b * stride for b, stride in zip(combo, strides)) for combo in box]
+    verts += [c * stride for split, stride in zip(splits, strides) for c in split.c_part]
     return Clique(tuple(sorted(verts)))
 
 
@@ -133,13 +135,18 @@ def _normalize_s_mode(s_mode: str) -> str:
 
 
 def factor_coloring(ring: FiniteRing, s_mode: str, budget: Budget = None) -> FactorColoring:
+    """chi of `ring`, a chi-coloring, re-verified, and its s: of the
+    chi-coloring (any_optimal) or least over them, or the best the budget
+    allowed, with `s_exact` False (min_s)."""
     g = build_graph(ring)
-    mode = _normalize_s_mode(s_mode)
-    if mode == "min_s":
+    if _normalize_s_mode(s_mode) == "min_s":
         coloring, sz = min_s_optimal_coloring(g, budget)
-        return FactorColoring(coloring.k, sz.s, sz.exact, coloring)
-    chi, coloring = chromatic_number(g, budget)
-    return FactorColoring(chi, s_of(g, coloring).s, True, coloring)
+    else:
+        coloring, sz = chromatic_number(g, budget)[1], None
+    if not verify_coloring(g, coloring):
+        raise InternalCheckError("coloring witness failed re-verification")
+    s = sum(class_sq0_flags(g, coloring))
+    return FactorColoring(coloring.k, s, sz is None or sz.lower == s, coloring)
 
 
 def chi_bounds(

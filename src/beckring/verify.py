@@ -3,8 +3,8 @@
 Each check is a module-level function that runs over the instance set it
 is given and records per-instance failures in a CheckResult; the suite
 passes only when every check has zero failures. `run_suite` runs them over
-the built-in catalog (or an injected ring set), and the acceptance tests
-call the same functions.
+the built-in catalog, and the acceptance tests call the same functions;
+they keep no copy of a check the theorem layer makes.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .solvers import (
     best_clique_split,
     chromatic_number,
     max_clique,
-    min_s_optimal_coloring,
-    s_of,
 )
 
 PRODUCT_SIZE_LIMIT = 256
@@ -285,32 +283,31 @@ def report_json_round_trip(exprs, budget: Budget = None) -> CheckResult:
 
 
 def s_statistic(graphs: dict[str, BeckGraph], budget: Budget = None) -> CheckResult:
-    """A reduced ring has s = 1 under min-s; any ring has s >= 1."""
+    """A reduced ring has s = 1 under min-s; any ring has s >= 1, each
+    from theorems.factor_coloring, which re-verifies the coloring."""
     check = CheckResult("s_statistic")
     for name, g in graphs.items():
-        if g.ring.is_reduced():
-            _, sz = min_s_optimal_coloring(g, budget)
-            check.require(sz.s == 1, f"{name}: reduced ring with min s = {sz.s}")
+        reduced = g.ring.is_reduced()
+        s = theorems.factor_coloring(g.ring, "min_s" if reduced else "any_optimal", budget).s
+        if reduced:
+            check.require(s == 1, f"{name}: reduced ring with min s = {s}")
         else:
-            _, col = chromatic_number(g, budget)
-            check.require(s_of(g, col).s >= 1, f"{name}: s < 1")
+            check.require(s >= 1, f"{name}: s < 1")
     return check
 
 
 def run_suite(
     max_size: int = DEFAULT_SIZE_CAP,
     budget: Budget = None,
-    rings: dict | None = None,
     progress=None,
 ) -> SuiteResult:
-    """Every check over the catalog, or `rings`; `max_size` is the one ring
-    size cap: no ring above it is built or checked, and it clamps every sweep."""
+    """Every check over the catalog; `max_size` is the one ring size cap: no
+    ring above it is built or checked, and it clamps every sweep."""
     deadline = _Deadline(budget)  # the whole suite runs on one budget
     def limit(default: int) -> int:
         return min(default, max_size)
 
-    rings = catalog_rings(max_size) if rings is None else rings
-    ring_map = {name: ring for name, ring in rings.items() if ring.size <= max_size}
+    ring_map = catalog_rings(max_size)
     checks: list[CheckResult] = []
 
     def emit(check: CheckResult):

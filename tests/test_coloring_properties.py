@@ -421,6 +421,7 @@ def colored_chains(draw):
     return graphs, colorings
 
 
+@pytest.mark.isolated
 @settings(PROPERTY, max_examples=100)
 @given(colored_chains())
 def test_product_coloring_matches_the_old_fold(chain):

@@ -249,6 +249,7 @@ def plain_decisions(draw):
 # -- the equivalences ---------------------------------------------------------
 
 
+@pytest.mark.isolated
 @STATES
 @given(search_states())
 def test_hall_check_matches_the_old_loop(state):
@@ -260,6 +261,7 @@ def test_hall_check_matches_the_old_loop(state):
     assert (new_all, new.deadline.ticks) == (old_all, old.deadline.ticks)
 
 
+@pytest.mark.isolated
 def test_hall_check_matches_the_old_loop_on_a_full_tie():
     # from seed 0 (color 0), candidates 1..4 all widen the union to two
     # colors and each has one neighbour among them: 1 (color 1) leads to 3
@@ -272,6 +274,7 @@ def test_hall_check_matches_the_old_loop_on_a_full_tie():
         assert _search(cls, state)._hall_violated([0])
 
 
+@pytest.mark.isolated
 @STATES
 @given(search_states())
 def test_pick_matches_the_old_loop(state):
@@ -279,6 +282,7 @@ def test_pick_matches_the_old_loop(state):
     assert new._pick() == old._pick()
 
 
+@pytest.mark.isolated
 @STATES
 @given(decisions())
 def test_decision_search_matches_the_old_loops(case):
@@ -289,6 +293,7 @@ def test_decision_search_matches_the_old_loops(case):
     assert new.deadline.ticks == old.deadline.ticks
 
 
+@pytest.mark.isolated
 @STATES
 @given(decisions())
 def test_domain_walk_matches_the_old_loop(case):
@@ -300,6 +305,7 @@ def test_domain_walk_matches_the_old_loop(case):
     assert new.deadline.ticks == old.deadline.ticks
 
 
+@pytest.mark.isolated
 @STATES
 @given(plain_decisions())
 def test_root_hall_scan_cannot_fire_at_k_at_least_omega(case):
@@ -311,6 +317,7 @@ def test_root_hall_scan_cannot_fire_at_k_at_least_omega(case):
     assert old.deadline.ticks - new.deadline.ticks == n - len(clique)  # the root seeds
 
 
+@pytest.mark.isolated
 def test_root_hall_scan_stays_for_min_s():
     # square-zero vertices 0 and 2 held below t = 1 of k = 2 colors, with 0
     # the pre-colored floor: 2, next to 0, has no color left. The root scan
@@ -326,6 +333,7 @@ def test_root_hall_scan_stays_for_min_s():
     assert _KColorSearch(3, adj, 2, [0], _Deadline(FOREVER), 0b101, 2).run() == [0, 1, 1]
 
 
+@pytest.mark.isolated
 @STATES
 @given(search_states(max_n=80))
 def test_dsatur_matches_the_old_loop(state):
@@ -335,6 +343,7 @@ def test_dsatur_matches_the_old_loop(state):
     assert new.ticks == old.ticks
 
 
+@pytest.mark.isolated
 @STATES
 @given(search_states(max_n=80))
 def test_greedy_clique_matches_the_old_loop(state):

@@ -80,6 +80,7 @@ def test_analyze_product_checks_present():
     assert all(c["pass"] for c in rep["checks"])
 
 
+@pytest.mark.isolated
 def test_analyze_searches_each_graph_once(monkeypatch):
     # omega, the split and chi of the ring share one clique search on its
     # core, and the two product checks share each factor's solves
@@ -136,6 +137,7 @@ def _cli(*argv):
     return call
 
 
+@pytest.mark.isolated
 @pytest.mark.parametrize(
     "call",
     [
@@ -442,6 +444,7 @@ def _recording(init, built):
     return record
 
 
+@pytest.mark.isolated
 @pytest.mark.parametrize(
     "argv", [["analyze", "Z8 x Z64 x Z8"], ["zn", "1500"], ["predict-omega", "Z8 x Z25"]]
 )
@@ -505,6 +508,7 @@ def _recording_built(init, built):
     return record
 
 
+@pytest.mark.isolated
 def test_suite_builds_no_ring_above_the_cap(monkeypatch):
     # --max-size holds every ring the suite builds: no catalog or field ring,
     # isomorphic pair or counterexample chain above it is built or graphed,
@@ -528,6 +532,7 @@ def test_suite_builds_no_ring_above_the_cap(monkeypatch):
     assert passed["counterexample_family"] == 0
 
 
+@pytest.mark.isolated
 def test_chi_sandwich_builds_each_product_graph_once(monkeypatch):
     # each pair's graph holds its factors' graphs through the bounds, the
     # chi solve and the product coloring, which is verified on that graph:
@@ -689,8 +694,11 @@ def _broken_catalog():
     return {"Z4": make_zmod(4), "bad": bad}
 
 
-def test_suite_surfaces_not_a_ring():
-    result = run_suite(max_size=16, rings=_broken_catalog())
+def test_suite_surfaces_not_a_ring(monkeypatch):
+    import beckring.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "catalog_rings", lambda size_cap: _broken_catalog())
+    result = run_suite(max_size=16)
     assert not result.ok
     axioms = next(c for c in result.checks if c.name == "ring_axioms")
     assert axioms.failed == 1

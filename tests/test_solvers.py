@@ -273,6 +273,7 @@ def test_budget_error_carries_lower_bound():
     assert verify_clique(g, exc.value.witness)
 
 
+@pytest.mark.isolated
 def test_budget_error_chromatic_interval():
     g = graph("AN")
     with pytest.raises(BudgetError) as exc:
@@ -280,6 +281,7 @@ def test_budget_error_chromatic_interval():
     assert exc.value.lower <= 6 <= exc.value.upper
 
 
+@pytest.mark.isolated
 def test_min_s_budget_error_carries_bounds():
     # expiry before chi is known reaches the caller as a BudgetError with
     # certified bounds on s
@@ -396,6 +398,7 @@ def test_searches_leave_the_recursion_limit_alone(monkeypatch):
     assert coloring.k == 7 and sz == (5, 5)
 
 
+@pytest.mark.isolated
 @pytest.mark.parametrize(
     "expr,clique_ticks,split_ticks,decisions",
     [
@@ -471,6 +474,7 @@ def test_memo_goes_with_its_graph():
         max_clique(build_graph(r), budget=0)
 
 
+@pytest.mark.isolated
 def test_each_work_graph_is_searched_once(monkeypatch):
     from beckring import solvers
 

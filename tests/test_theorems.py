@@ -1,6 +1,7 @@
 """Product formulas, bounds, constructions, and the counterexample family."""
 
 import gc
+import json
 import re
 
 import pytest
@@ -94,14 +95,44 @@ def test_a_corrupted_split_fails_the_witness_check():
     witness += [product.encode((c, 0)) for c in first.c_part]
     witness += [product.encode((0, c)) for c in splits[1].c_part]
     assert any(product.mul(u, v) for i, u in enumerate(witness) for v in witness[i + 1:])
-    # the check runs in the factors: the first nonzero product among Z8's
-    # members, squares of B included, names the fault
-    z8, members = factors[0], b_part + first.c_part
-    u, v = next((u, v) for i, u in enumerate(members) for j, v in enumerate(members)
-                if (i < j or i == j < len(b_part)) and z8.mul(u, v) != 0)
-    message = f"nonzero product {z8.element_str(u)}*{z8.element_str(v)} in factor 1"
-    with pytest.raises(InternalCheckError, match=re.escape(message) + "$"):
-        _materialize_witness(product, factors, splits)
+    # the check runs in the factors, and names the faulty one
+    with pytest.raises(InternalCheckError, match="witness clique check failed in factor 1$"):
+        _materialize_witness(factors, splits)
+
+
+def test_a_square_nonzero_member_of_b_fails_the_witness_check():
+    # Z6's maximum clique {0, 2, 3} with its C part {2, 3} (2*2 = 4, 3*3 = 3)
+    # moved into B: the factor's part is still a clique, so only the
+    # square-zero test catches it
+    factors = rings_of("Z6", "Z2")
+    splits = [best_clique_split(build_graph(f)) for f in factors]
+    first = splits[0]
+    assert first.c_part
+    splits[0] = CliqueSplit(first.clique, first.b_part + first.c_part, ())
+    with pytest.raises(InternalCheckError, match="witness clique check failed in factor 1$"):
+        _materialize_witness(factors, splits)
+
+
+@pytest.mark.isolated
+def test_the_formula_builds_no_product_ring(monkeypatch, capsys):
+    # the witness is laid out in the product's encoding from the factor
+    # sizes; the family builds its one product itself
+    from beckring import cli, rings
+
+    products = []
+    product_init = rings.ProductRing.__init__
+
+    def counting_product_init(self, factors, *args, **kwargs):
+        product_init(self, factors, *args, **kwargs)
+        products.append(self.size)
+
+    monkeypatch.setattr(rings.ProductRing, "__init__", counting_product_init)
+    assert omega_product_formula(rings_of("Z4", "Z8")).product_size == 32
+    assert cli.main(["predict-omega", "AN x AN x AN", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["predicted_omega"] == 4 ** 3 + 3
+    assert products == []
+    counterexample_family(rings_of("Z2", "Z3"))
+    assert products == [192]
 
 
 # -- chromatic bounds ---------------------------------------------------------
@@ -142,6 +173,25 @@ def test_chi_bounds_min_s_mode_never_looser():
 def test_chi_bounds_bad_mode():
     with pytest.raises(PreconditionError):
         chi_bounds(rings_of("Z4"), "median")
+
+
+@pytest.mark.parametrize("s_mode", ["any_optimal", "min_s"])
+def test_factor_coloring_reverifies_the_coloring(monkeypatch, s_mode):
+    # one class for every vertex: 0 neighbours every other element, so the
+    # coloring is improper on any ring of two or more elements
+    from beckring import theorems
+    from beckring.report import analyze
+    from beckring.solvers import Coloring, SZero
+
+    def one_class(g):
+        return Coloring((0,) * g.n, 1)
+
+    monkeypatch.setattr(theorems, "chromatic_number", lambda g, budget=None: (1, one_class(g)))
+    monkeypatch.setattr(theorems, "min_s_optimal_coloring", lambda g, budget=None: (one_class(g), SZero(1, 1)))
+    with pytest.raises(InternalCheckError, match="coloring witness failed re-verification"):
+        theorems.factor_coloring(ring_of("Z4"), s_mode)
+    with pytest.raises(InternalCheckError, match="coloring witness failed re-verification"):
+        analyze("AN x Z2", s_mode=s_mode)
 
 
 # -- the explicit product coloring --------------------------------------------
@@ -340,6 +390,7 @@ def test_family_with_z2_z3_direct_skipped():
     assert rep.direct_omega is None
 
 
+@pytest.mark.isolated
 def test_family_builds_each_factor_graph_once(monkeypatch):
     # the formula, the chromatic loop and the product colorings share the
     # chain's factor graphs instead of rebuilding them
@@ -366,6 +417,7 @@ def test_family_builds_each_factor_graph_once(monkeypatch):
         assert sum(1 for r, full in built if r is f and not full) <= 1
 
 
+@pytest.mark.isolated
 @pytest.mark.parametrize("names", [("Z2", "Z3"), ("Z2", "Z2")], ids=" x ".join)
 def test_family_builds_each_product_graph_once(monkeypatch, names):
     # no ring or graph is built for a partial product: the coloring is
