@@ -11,9 +11,10 @@ a chi-coloring. A core is its own core.
 
 Adjacency is stored as one machine-word-packed bitset per vertex (a Python
 int), the format the branch-and-bound solvers consume directly. It is
-packed on first use from the ring's zero relation, which the ring keeps as
-one row per annihilator class, once per class; the graph keeps no matrix
-of its own, and its quotient is read from the classes.
+packed only when a search or a verifier asks for it, from the ring's zero
+relation, which the ring keeps as one row per annihilator class, once per
+class; the graph keeps no matrix of its own. Its quotient and its edge
+list, which `export_graph` writes, are read from the classes.
 
 Each graph is built once per ring and reduced once: `build_graph` returns
 the ring's live graph while anything holds it, and `BeckGraph.core` keeps
@@ -24,7 +25,6 @@ the solvers keep the searches they finish on that graph.
 
 from __future__ import annotations
 
-import json
 import weakref
 from functools import cached_property
 
@@ -85,17 +85,25 @@ class BeckGraph:
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges (u, v) with u < v, sorted lexicographically: the bits
-        above u of each row u, lowest first."""
-        out = []
-        for u, row in enumerate(self.adj):
-            row >>= u + 1
-            while row:
-                low = row & -row
-                out.append((u, u + low.bit_length()))
-                row ^= low
-        return out
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as two int arrays (u, v), u < v, in lexicographic
+        order, read from the ring's annihilator classes, never from `adj`:
+        the neighbours of u are the columns of its class's row, and those
+        above u are its edges (a square-zero vertex's own column is not)."""
+        cls, rows = self.ring.ann_classes
+        own = self._of(cls)
+        if not self._whole:
+            used, own = np.unique(own, return_inverse=True)
+            rows = rows.take(used, 0).take(self.to_ring, 1)
+        # the flat index class * n + column lists each class's columns in
+        # ascending order; u's edges are the part of its class's run above u
+        n = self.n
+        key = np.flatnonzero(rows)
+        lo = np.searchsorted(key, own * n + np.arange(n), side="right")
+        count = np.searchsorted(key, own * n + n) - lo
+        start = np.cumsum(count) - count
+        u = np.repeat(np.arange(n), count)
+        return u, key[np.arange(len(u)) + np.repeat(lo - start, count)] % n
 
     def element_of(self, v: int) -> int:
         return self.to_ring[v]
@@ -149,13 +157,20 @@ def build_graph(ring: FiniteRing) -> BeckGraph:
 
 
 def export_graph(g: BeckGraph, fmt: str) -> str:
-    """Serialize as DIMACS ("p edge n m" header, 1-based) or JSON (0-based)."""
+    """Serialize as DIMACS ("p edge n m" header, 1-based) or JSON (0-based),
+    one text block per vertex: the labels of its edges above it, joined."""
     fmt = fmt.strip().lower()
-    edges = g.edges()
+    if fmt not in ("dimacs", "json"):
+        raise DescriptorError(f"unknown export format {fmt!r} (expected dimacs or json)")
+    u, v = g.edges()
+    base = int(fmt == "dimacs")
+    labels = list(map(str, range(base, g.n + base)))
+    v_labels = np.array(labels, dtype=object)[v].tolist()
+    ends = np.searchsorted(u, np.arange(g.n + 1)).tolist()
+    spans = [(labels[x], v_labels[a:b]) for x, (a, b) in enumerate(zip(ends, ends[1:])) if a < b]
     if fmt == "dimacs":
-        lines = [f"p edge {g.n} {len(edges)}"]
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
+        lines = [f"p edge {g.n} {len(u)}"]
+        lines.extend(f"e {x} " + f"\ne {x} ".join(ys) for x, ys in spans)
         return "\n".join(lines)
-    if fmt == "json":
-        return json.dumps({"n": g.n, "edges": [[u, v] for u, v in edges]})
-    raise DescriptorError(f"unknown export format {fmt!r} (expected dimacs or json)")
+    pairs = ", ".join(f"[{x}, " + f"], [{x}, ".join(ys) + "]" for x, ys in spans)
+    return f'{{"n": {g.n}, "edges": [{pairs}]}}'

@@ -53,7 +53,8 @@ number with its coloring are memoised in the `solved` dict of the core
 they ran on, so one analysis that asks for omega, the split and chi of the
 same graph, or solves the same factor for two theorem checks, pays for
 one clique search: omega, the seed of the split and chi's lower bound
-share it.
+share it. The chi-coloring lifted to a graph is memoised on that graph,
+so it is lifted once however often chi is asked.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again. The
 one answer short of its goal is min-s once chi is known: it comes back with
@@ -661,9 +662,12 @@ def chromatic_number(g, budget: Budget = None) -> tuple[int, Coloring]:
     needs as many distinct colors as it has vertices, and it refutes k = 18
     and k = 19 on AN x AN, whose chi is 20.
     """
-    work, group, _ = _core(g)
-    k, color = _chromatic(work, _Deadline(budget))
-    return k, _lift(color, group, k)
+    memo = _solved(g)
+    if "coloring" not in memo:
+        work, group, _ = _core(g)
+        k, color = _chromatic(work, _Deadline(budget))
+        memo["coloring"] = k, _lift(color, group, k)
+    return memo["coloring"]
 
 
 def _chromatic(work, deadline: _Deadline) -> tuple[int, list[int]]:

@@ -1,4 +1,10 @@
-"""Beck graph construction, core reduction, and export formats."""
+"""Beck graph construction, core reduction, and export formats.
+
+`BeckGraph.edges` and `export_graph` read the edges from the ring's
+annihilator classes; they are checked against a walk over the bits of the
+packed adjacency and the per-edge formatters that walk fed, kept here as
+oracles, and against the edge count of Z2^k in closed form.
+"""
 
 import gc
 import json
@@ -10,17 +16,30 @@ from beckring import DescriptorError, build_graph, export_graph, make_product, m
 from beckring.catalog import catalog_rings
 from beckring.graphs import BeckGraph
 
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # a test-only dependency: the property test below skips
+    given = None
+else:
+    from test_ring_predicates import PROPERTY, rings
+
+
+def edge_list(g):
+    """`g.edges()` as a list of (u, v) pairs."""
+    return list(zip(*(side.tolist() for side in g.edges())))
+
 
 def test_z4_graph_is_a_star():
     g = build_graph(make_zmod(4))
     # 2*2 = 0 is a self-pair, not an edge; exactly the three spokes remain
-    assert g.edges() == [(0, 1), (0, 2), (0, 3)]
+    assert edge_list(g) == [(0, 1), (0, 2), (0, 3)]
     assert g.edge_count() == 3
 
 
 def test_z2_single_edge():
     g = build_graph(make_zmod(2))
-    assert g.edges() == [(0, 1)]
+    assert edge_list(g) == [(0, 1)]
 
 
 def test_z2xz2_edges():
@@ -29,7 +48,7 @@ def test_z2xz2_edges():
     a, b = r.encode((1, 0)), r.encode((0, 1))
     assert g.has_edge(a, b)
     # pairwise scan: three spokes from 0 plus (1,0)-(0,1)
-    assert sorted(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2)]
+    assert sorted(edge_list(g)) == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
 
 def test_adjacency_matches_multiplication():
@@ -67,7 +86,7 @@ def test_core_is_its_own_core_with_matching_edges():
     c = g.core()
     assert c.core() is c
     for graph in (g, c):
-        assert graph.edges() == [
+        assert edge_list(graph) == [
             (u, v) for u in range(graph.n) for v in range(u + 1, graph.n) if graph.has_edge(u, v)
         ]
 
@@ -127,6 +146,75 @@ def test_export_json():
 def test_export_unknown_format():
     with pytest.raises(DescriptorError):
         export_graph(build_graph(make_zmod(4)), "graphml")
+
+
+# -- oracles ------------------------------------------------------------------
+
+
+def walked_edges(g):
+    """Edges (u, v), u < v, lexicographic: the bits above u of each packed row u."""
+    out = []
+    for u, row in enumerate(g.adj):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            out.append((u, u + low.bit_length()))
+            row ^= low
+    return out
+
+
+def formatted_per_edge(g, fmt):
+    """The export text written one edge at a time, JSON through json.dumps."""
+    edges = walked_edges(g)
+    if fmt == "dimacs":
+        return "\n".join([f"p edge {g.n} {len(edges)}"] + [f"e {u + 1} {v + 1}" for u, v in edges])
+    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in edges]})
+
+
+def assert_edges_match_the_oracles(g):
+    u, v = g.edges()
+    assert edge_list(g) == walked_edges(g)
+    assert u.dtype.kind == v.dtype.kind == "i"
+    for fmt in ("dimacs", "json"):
+        assert export_graph(g, fmt) == formatted_per_edge(g, fmt)
+
+
+def test_edges_of_z1_and_catalog_graphs_match_the_oracles():
+    assert edge_list(build_graph(make_zmod(1))) == []
+    for ring in [make_zmod(1), *catalog_rings().values()]:
+        g = build_graph(ring)
+        assert_edges_match_the_oracles(g)
+        assert_edges_match_the_oracles(g.core())
+
+
+if given is not None:
+
+    @PROPERTY
+    @given(rings(max_size=128), st.randoms(use_true_random=False))
+    def test_edges_match_the_oracles_on_random_rings(ring, rnd):
+        g = build_graph(ring)
+        assert_edges_match_the_oracles(g)
+        assert_edges_match_the_oracles(g.core())
+        # any induced graph, its elements in any order, is read as `adj` reads it
+        assert_edges_match_the_oracles(BeckGraph(ring, rnd.sample(range(ring.size), rnd.randint(0, ring.size))))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_z2_power_edge_count_in_closed_form(k):
+    # the ordered pairs of Z2^k with disjoint supports number 3^k, and only
+    # (0, 0) pairs an element with itself
+    g = build_graph(make_product([make_zmod(2)] * k))
+    u, v = g.edges()
+    assert len(u) == len(v) == (3**k - 1) // 2
+    assert (u < v).all()
+    assert export_graph(g, "dimacs").split("\n", 1)[0] == f"p edge {2**k} {(3**k - 1) // 2}"
+
+
+def test_export_packs_no_adjacency():
+    g = build_graph(make_product([make_zmod(4), make_zmod(6)]))
+    for fmt in ("dimacs", "json"):
+        export_graph(g, fmt)
+    assert "adj" not in vars(g)
 
 
 def test_structural_invariants_on_catalog():

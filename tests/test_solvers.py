@@ -9,6 +9,8 @@ from beckring import (
     best_clique_split,
     build_graph,
     chromatic_number,
+    make_product,
+    make_zmod,
     max_clique,
     min_s_optimal_coloring,
     ring_of,
@@ -493,6 +495,27 @@ def test_each_work_graph_is_searched_once(monkeypatch):
     assert len(searched) == 1  # the core, for omega, the split and chi
     assert (max_clique(g), best_clique_split(g), chromatic_number(g)) == first
     assert len(searched) == 1
+
+
+def test_chi_coloring_is_lifted_once(monkeypatch):
+    from beckring import solvers
+
+    lifts = []
+    lift = solvers._lift
+    monkeypatch.setattr(solvers, "_lift", lambda *args: lifts.append(args) or lift(*args))
+    g = build_graph(make_product([make_zmod(8), make_zmod(9)]))
+    first = chromatic_number(g)
+    assert chromatic_number(g) is first
+    assert len(lifts) == 1
+
+
+def test_chi_cut_short_is_not_memoised():
+    g = build_graph(make_product([make_zmod(8), make_zmod(9)]))
+    with pytest.raises(BudgetError):
+        chromatic_number(g, budget=0)
+    k, coloring = chromatic_number(g, budget=10)
+    assert k == coloring.k and verify_coloring(g, coloring)
+    assert chromatic_number(g, budget=0) == (k, coloring)
 
 
 # -- verification helpers ---------------------------------------------------
