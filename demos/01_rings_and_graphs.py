@@ -17,7 +17,7 @@ for expr in ("Z12", "Z2[t]/(t^2)", "Z4 x Z3", "AN"):
           f"(local={ring.is_local()}, reduced={ring.is_reduced()})")
     print(f"  units {int(ring.unit_mask.sum())}, "
           f"zero-divisors {int(ring.zero_divisor_mask.sum())}, "
-          f"nilradical size {len(profile.ideal)} with index {profile.index_of_nilpotency}")
+          f"nilradical size {profile.power_sizes[0]} with index {profile.index_of_nilpotency}")
     print(f"  graph: {g.n} vertices, {g.edge_count()} edges; core keeps {c.n} vertices "
           "(one per class of twins)")
 

@@ -111,7 +111,7 @@ def analyze(
         "units": int(ring.unit_mask.sum()),
         "zero_divisors": int(ring.zero_divisor_mask.sum()),
         "nilradical": {
-            "size": len(profile.ideal),
+            "size": profile.power_sizes[0],
             "index": profile.index_of_nilpotency,
             "power_sizes": list(profile.power_sizes),
         },

@@ -10,6 +10,8 @@ builds its classes and its other predicates from its factors' by
 Kronecker products, and units follow from zero divisors, so graphs of
 rings up to the size cap build quickly; so do the nilradical's powers
 (`nil_power_masks`): a product's from its factors', Z_n's in closed form.
+Those masks are the one form of the nilradical: `nilradical()` counts them,
+and the ideal functions take and return membership masks.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class FiniteRing:
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
     # -- vector arithmetic (index arrays in, index arrays out) ------------
 
     def add_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,10 +70,6 @@ class FiniteRing:
         raise NotImplementedError
 
     # -- element presentation ---------------------------------------------
-
-    def coords(self, a: int):
-        """Decoded coordinate form (int for Z_n, tuple otherwise)."""
-        raise NotImplementedError
 
     def element_str(self, a: int) -> str:
         raise NotImplementedError
@@ -180,15 +175,6 @@ class FiniteRing:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_unit(self, a: int) -> bool:
-        return bool(self.unit_mask[self._check(a)])
-
-    def is_zero_divisor(self, a: int) -> bool:
-        return bool(self.zero_divisor_mask[self._check(a)])
-
-    def is_nilpotent(self, a: int) -> bool:
-        return bool(self.nilpotent_mask[self._check(a)])
-
     @cached_property
     def _local(self) -> bool:
         return self.size == 1 or int(self.idempotent_mask.sum()) == 2
@@ -210,34 +196,21 @@ class FiniteRing:
             per = [f.nil_power_masks for f in self.factors]
             return tuple(_kron([p[min(k, len(p) - 1)] for p in per]) for k in range(max(map(len, per))))
         if isinstance(self, ZmodRing):
-            divisors = [r := _radical(self.n)]
+            divisors = [r := math.prod(p for p, _ in _factorize(self.n))]  # rad(n)
             while divisors[-1] != self.n:
                 divisors.append(math.gcd(divisors[-1] * r, self.n))
             return tuple(np.arange(self.n) % d == 0 for d in divisors)
-        masks, power = [self.nilpotent_mask], self._nil_gens
+        gens, _ = _span(self, np.flatnonzero(self.nilpotent_mask).tolist())
+        masks, power = [self.nilpotent_mask], gens
         while masks[-1].sum() > 1:
-            power, mask = _span(self, _products(self, power, self._nil_gens))
+            power, mask = _span(self, _products(self, power, gens))
             masks.append(mask)
         return tuple(masks)
 
-    @cached_property
-    def _nil_gens(self) -> tuple[int, ...]:
-        """Generators of J: the factors' in their own coordinates, Z_n's rad(n), else `_span`'s."""
-        if self.factors:
-            return tuple(sorted(g * s for f, s in zip(self.factors, self.strides) for g in f._nil_gens))
-        if isinstance(self, ZmodRing):
-            return (r,) if (r := _radical(self.n)) < self.n else ()
-        return tuple(_span(self, np.flatnonzero(self.nilpotent_mask).tolist())[0])
-
-    @cached_property
-    def _nilradical(self) -> "NilradicalProfile":
-        masks = self.nil_power_masks
-        j = Ideal(self, frozenset(np.flatnonzero(masks[0]).tolist()), self._nil_gens)
-        return NilradicalProfile(j, len(masks), tuple(int(np.count_nonzero(m)) for m in masks))
-
     def nilradical(self) -> "NilradicalProfile":
-        """The nilradical, its nilpotency index and power sizes; computed once."""
-        return self._nilradical
+        """The nilpotency index and the power sizes, counted from `nil_power_masks`."""
+        masks = self.nil_power_masks
+        return NilradicalProfile(len(masks), tuple(int(np.count_nonzero(m)) for m in masks))
 
     # -- axiom validation ---------------------------------------------------
 
@@ -312,11 +285,6 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _radical(n: int) -> int:
-    """The product of the distinct primes dividing n."""
-    return math.prod(p for p, _ in _factorize(n))
-
-
 # ---------------------------------------------------------------------------
 # concrete kinds
 # ---------------------------------------------------------------------------
@@ -345,17 +313,11 @@ class ZmodRing(FiniteRing):
     def mul(self, a, b):
         return (self._check(a) * self._check(b)) % self.n
 
-    def neg(self, a):
-        return (-self._check(a)) % self.n
-
     def add_many(self, a, b):
         return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.n
 
     def mul_many(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.n
-
-    def coords(self, a):
-        return self._check(a)
 
     def element_str(self, a):
         return str(self._check(a))
@@ -378,9 +340,6 @@ class _MixedRadixRing(FiniteRing):
             a, c = divmod(a, r)
             out.append(c)
         return tuple(out)
-
-    def coords(self, a):
-        return self.decode(self._check(a))
 
 
 class ProductRing(_MixedRadixRing):
@@ -408,10 +367,6 @@ class ProductRing(_MixedRadixRing):
     def mul(self, a, b):
         pa, pb = self.decode(self._check(a)), self.decode(self._check(b))
         return self.encode(tuple(f.mul(x, y) for f, x, y in zip(self.factors, pa, pb)))
-
-    def neg(self, a):
-        pa = self.decode(self._check(a))
-        return self.encode(tuple(f.neg(x) for f, x in zip(self.factors, pa)))
 
     def _vec(self, op, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -495,10 +450,6 @@ class StructureRing(_MixedRadixRing):
     def add(self, a, b):
         pa, pb = self.decode(self._check(a)), self.decode(self._check(b))
         return self.encode(tuple((x + y) % o for x, y, o in zip(pa, pb, self.orders)))
-
-    def neg(self, a):
-        pa = self.decode(self._check(a))
-        return self.encode(tuple((-x) % o for x, o in zip(pa, self.orders)))
 
     def mul(self, a, b):
         pa, pb = self.decode(self._check(a)), self.decode(self._check(b))
@@ -636,47 +587,9 @@ def make_anderson_naseer(z_squared: int) -> StructureRing:
 # ---------------------------------------------------------------------------
 
 
-class Ideal:
-    """An ideal of `ring`, immutable and compared by value: not a tuple, as
-    len() and `in` read its elements."""
-
-    __slots__ = ("ring", "elements", "generators")
-
-    def __init__(self, ring: FiniteRing, elements: frozenset[int], generators: tuple[int, ...]):
-        for name, value in zip(self.__slots__, (ring, elements, generators)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r} of an Ideal")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.ring, self.elements, self.generators
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is Ideal else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "Ideal(ring={!r}, elements={!r}, generators={!r})".format(*self._key())
-
-    def __reduce__(self):
-        return Ideal, self._key()
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 class NilradicalProfile(NamedTuple):
-    """J, its index m and |J|, ..., |J^m| = 1, read from `nil_power_masks`."""
+    """The nilradical J's index m and |J|, ..., |J^m| = 1, read from `nil_power_masks`."""
 
-    ideal: Ideal
     index_of_nilpotency: int
     power_sizes: tuple[int, ...]
 
@@ -709,26 +622,31 @@ def _products(ring: FiniteRing, ga, gb) -> list[int]:
     return np.flatnonzero(seen).tolist()
 
 
-def ideal_generate(ring: FiniteRing, gens) -> Ideal:
-    """Smallest additively closed, multiplication-absorbing set containing gens."""
-    gens = tuple(sorted({ring._check(g) for g in gens}))
-    _, covered = _span(ring, gens)
-    return Ideal(ring, frozenset(np.flatnonzero(covered).tolist()), gens)
+def _members(ring: FiniteRing, mask) -> np.ndarray:
+    if np.shape(mask) != (ring.size,):
+        raise PreconditionError(f"membership mask of shape {np.shape(mask)} for a ring of {ring.size} elements")
+    return np.flatnonzero(mask)
 
 
-def ideal_product(i: Ideal, j: Ideal) -> Ideal:
-    if i.ring is not j.ring:
-        raise PreconditionError("ideal product requires ideals of the same ring")
-    ga, gb = (ideal.generators or tuple(ideal.elements) for ideal in (i, j))
-    return ideal_generate(i.ring, _products(i.ring, ga, gb))
+def ideal_generate(ring: FiniteRing, gens) -> np.ndarray:
+    """Mask of the smallest ideal containing the elements of the mask `gens`."""
+    return _span(ring, _members(ring, gens))[1]
 
 
-def ideal_power(i: Ideal, k: int) -> Ideal:
+def ideal_product(ring: FiniteRing, i, j) -> np.ndarray:
+    """Mask of IJ for the ideals I and J generated by the masks i and j: the
+    span of the products of their generators."""
+    ga, gb = (_span(ring, _members(ring, m))[0] for m in (i, j))
+    return _span(ring, _products(ring, ga, gb))[1]
+
+
+def ideal_power(ring: FiniteRing, i, k: int) -> np.ndarray:
+    """Mask of I^k for the ideal I generated by the mask i."""
     if k < 1:
         raise PreconditionError(f"ideal power requires k >= 1, got {k}")
-    out = i
+    out = ideal_generate(ring, i)
     for _ in range(k - 1):
-        out = ideal_product(out, i)
+        out = ideal_product(ring, out, i)
     return out
 
 

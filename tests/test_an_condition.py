@@ -3,7 +3,9 @@
 `check_an_condition` decides both of its checks with boolean-matrix
 expressions over the zero relation. The scan below walks the relation one
 row at a time, as the definition reads, on the catalog rings and on random
-products of up to 1100 elements, Anderson-Naseer factors included.
+products of up to 1100 elements, Anderson-Naseer factors included. Its
+J^p and J^(p+1) are `ideal_power` masks spanned from the nilpotents of a
+squaring scan, not the ring's own `nil_power_masks`.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given
 
-from test_ring_predicates import PROPERTY, rings
+from test_ring_predicates import PROPERTY, rings, squaring_nilpotents
 
 from beckring import ideal_power, make_product, ring_of
 from beckring.catalog import catalog_rings
@@ -21,11 +23,8 @@ from beckring.theorems import an_condition_for, check_an_condition, classify_nil
 
 def scanned_an_condition(ring, kind, param):
     """(membership_ok, boundary_ok, witness), walking every x with its zero-product partners."""
-    ideal = ring.nilradical().ideal
-    in_jp = np.zeros(ring.size, dtype=bool)
-    in_jp[list(ideal_power(ideal, param).elements)] = True
-    in_jp1 = np.zeros(ring.size, dtype=bool)
-    in_jp1[list(ideal_power(ideal, param + 1).elements)] = True
+    nilradical = squaring_nilpotents(ring)
+    in_jp, in_jp1 = (ideal_power(ring, nilradical, k) for k in (param, param + 1))
     membership_ok = True
     boundary_ok = True if kind == "even" else None
     witness = None

@@ -1,14 +1,11 @@
 """The result records and the parsed expression nodes are immutable values:
 equal fields give equal records with equal hashes, and no field can be
-reassigned. They are NamedTuples, and Ideal a plain class, because both
-cost next to nothing to define when the package is imported."""
-
-import copy
+reassigned. They are NamedTuples, which cost next to nothing to define
+when the package is imported."""
 
 import pytest
 
 from beckring import dsl, rings, solvers, theorems
-from beckring.rings import Ideal, make_zmod
 
 RECORDS = [
     cls
@@ -39,19 +36,3 @@ def test_record_is_an_immutable_value(cls):
         with pytest.raises(AttributeError):
             setattr(a, name, -1)
 
-
-def test_ideal_is_an_immutable_value():
-    ring = make_zmod(4)
-    a, b = Ideal(ring, frozenset({0, 2}), (2,)), Ideal(ring, frozenset({0, 2}), (2,))
-    assert a == b and not a != b and hash(a) == hash(b)
-    assert a != Ideal(make_zmod(4), frozenset({0, 2}), (2,))
-    assert (len(a), 2 in a, 1 in a) == (2, True, False)
-    assert copy.copy(a) == a and copy.deepcopy(a).elements == a.elements
-    assert repr(a) == "Ideal(ring=Z4, elements=frozenset({0, 2}), generators=(2,))"
-    for name in ("ring", "elements", "generators"):
-        with pytest.raises(AttributeError):
-            setattr(a, name, None)
-        with pytest.raises(AttributeError):
-            delattr(a, name)
-    with pytest.raises(AttributeError):
-        a.other = 1

@@ -9,6 +9,7 @@ the definition alone, on random products of catalog atoms and monic
 quotients Z_n[t]/(f). The powers of a product's nilradical are built from
 its factors' and Z_n's from a closed form; the generic path spans J from
 the nilpotents and generates each next power from products of generators.
+`ideal_generate` and `ideal_power`, on membership masks, meet the same scan.
 """
 
 import numpy as np
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 from beckring import (
     field_factor_count,
     ideal_generate,
+    ideal_power,
     make_anderson_naseer,
     make_product,
     make_quotient,
     make_zmod,
 )
-from beckring.rings import Ideal, _span
+from beckring.rings import _span
 
 MAX_SIZE = 1100
 BLOCK = 128
@@ -121,26 +123,22 @@ def primitive_idempotent_count(ring):
 
 
 def generic_nil_powers(ring):
-    """J, J^2, ..., {0} on the ring itself: J spanned from the nilpotents,
-    and J^(k+1) generated by the products of J^k's generators with J's,
-    one scalar product at a time."""
-    members = np.flatnonzero(squaring_nilpotents(ring)).tolist()
-    gens, _ = _span(ring, members)
-    powers = [Ideal(ring, frozenset(members), tuple(gens))]
-    while len(powers[-1]) > 1:
-        prev = powers[-1]
-        powers.append(ideal_generate(ring, {ring.mul(a, b) for a in prev.generators for b in gens}))
+    """Masks of J, J^2, ..., {0} on the ring itself: J spanned from the
+    nilpotents of the squaring scan, and J^(k+1) spanned by the products of
+    J^k's generators with J's, one scalar product at a time."""
+    gens, mask = _span(ring, np.flatnonzero(squaring_nilpotents(ring)).tolist())
+    powers, power = [mask], gens
+    while powers[-1].sum() > 1:
+        power, mask = _span(ring, sorted({ring.mul(a, b) for a in power for b in gens}))
+        powers.append(mask)
     return powers
 
 
 def assert_nil_powers_match(ring, powers):
-    assert [np.flatnonzero(m).tolist() for m in ring.nil_power_masks] == [sorted(p.elements) for p in powers]
+    assert [m.tolist() for m in ring.nil_power_masks] == [p.tolist() for p in powers]
     profile = ring.nilradical()
-    # generators too: a product's are its factors', each in its own
-    # coordinate, which are the ones the span over ascending nilpotents keeps
-    assert profile.ideal == powers[0]
     assert profile.index_of_nilpotency == len(powers)
-    assert profile.power_sizes == tuple(len(p) for p in powers)
+    assert profile.power_sizes == tuple(int(p.sum()) for p in powers)
 
 
 # -- properties ---------------------------------------------------------------
@@ -177,9 +175,11 @@ def test_nilpotents_match_repeated_squaring(ring):
 @PROPERTY
 @given(rings())
 def test_nil_powers_match_the_generic_path(ring):
-    assert_nil_powers_match(ring, generic_nil_powers(ring))
-    ideal = ring.nilradical().ideal
-    assert ideal_generate(ring, ideal.generators).elements == ideal.elements
+    powers = generic_nil_powers(ring)
+    assert_nil_powers_match(ring, powers)
+    assert np.array_equal(ideal_generate(ring, powers[0]), powers[0])
+    for k, mask in enumerate(powers, 1):
+        assert np.array_equal(ideal_power(ring, powers[0], k), mask)
 
 
 def test_zmod_nil_powers_match_the_generic_path():
