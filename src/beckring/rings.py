@@ -157,14 +157,8 @@ class FiniteRing:
 
     @cached_property
     def nilpotent_mask(self) -> np.ndarray:
-        if self.factors:
-            return _kron([f.nilpotent_mask for f in self.factors])
-        # x nilpotent iff x^(2^k) = 0 once 2^k >= size; log2 squaring rounds.
-        v = np.arange(self.size, dtype=np.int64)
-        rounds = max(1, (self.size - 1).bit_length())
-        for _ in range(rounds):
-            v = self.mul_many(v, v)
-        return v == 0
+        """The nilradical J, the first of `nil_power_masks`."""
+        return self.nil_power_masks[0]
 
     @cached_property
     def idempotent_mask(self) -> np.ndarray:
@@ -191,7 +185,8 @@ class FiniteRing:
     def nil_power_masks(self) -> tuple[np.ndarray, ...]:
         """Masks of J, J^2, ..., J^m = {0} for the nilradical J of index m: a
         product's J^k is the product of its factors' J_i^k ({0} past their own
-        index), Z_n's is (gcd(rad(n)^k, n)); other rings span products of generators."""
+        index), Z_n's is (gcd(rad(n)^k, n)); other rings find J by squaring and
+        span products of its generators."""
         if self.factors:
             per = [f.nil_power_masks for f in self.factors]
             return tuple(_kron([p[min(k, len(p) - 1)] for p in per]) for k in range(max(map(len, per))))
@@ -200,8 +195,12 @@ class FiniteRing:
             while divisors[-1] != self.n:
                 divisors.append(math.gcd(divisors[-1] * r, self.n))
             return tuple(np.arange(self.n) % d == 0 for d in divisors)
-        gens, _ = _span(self, np.flatnonzero(self.nilpotent_mask).tolist())
-        masks, power = [self.nilpotent_mask], gens
+        # x nilpotent iff x^(2^k) = 0 once 2^k >= size; log2 squaring rounds.
+        v = np.arange(self.size, dtype=np.int64)
+        for _ in range(max(1, (self.size - 1).bit_length())):
+            v = self.mul_many(v, v)
+        masks = [v == 0]
+        power = gens = _span(self, np.flatnonzero(masks[0]).tolist())[0]
         while masks[-1].sum() > 1:
             power, mask = _span(self, _products(self, power, gens))
             masks.append(mask)
@@ -476,9 +475,11 @@ class StructureRing(_MixedRadixRing):
         return coords @ self._strides_arr
 
     def mul_many(self, a, b):
-        ca, cb = self._decode_many(a), self._decode_many(b)
-        pairs = ca[..., :, None] * cb[..., None, :]
-        coords = (pairs.reshape(*pairs.shape[:-2], self.k * self.k) @ self._tensor) % self._orders_arr
+        # a's k x k matrix of multiplication, then b's coordinates through it:
+        # no k x k temporary per pair
+        k, ca, cb = self.k, self._decode_many(a), self._decode_many(b)
+        by_a = (ca @ self._tensor.reshape(k, k * k)).reshape(*ca.shape[:-1], k, k)
+        coords = (cb[..., None, :] @ by_a)[..., 0, :] % self._orders_arr
         return coords @ self._strides_arr
 
     def element_str(self, a):

@@ -4,14 +4,14 @@ All searches are deterministic: vertices are ordered by descending degree
 with ties broken by id, candidate sets are walked in a fixed bit order,
 ties go to the lowest id, and no result depends on timing. The clique and
 k-coloring searches loop over explicit stacks: no search recurses or
-touches the interpreter's recursion limit, whatever the graph's size. Budgets abort a search with the bounds
-certified so far instead of returning an unproven answer: each public
-entry builds one `_Deadline` from its budget (seconds, or a running
-deadline whose end time it keeps), every search it runs ticks that
-deadline once per node, as DSATUR does once per pick, the Hall check once
-per seed and the clique search's set-up once per block of 256 adjacency
-rows and per greedy start, and expiry anywhere comes back to the caller as
-a BudgetError carrying the bounds found so far.
+touches the interpreter's recursion limit, whatever the graph's size.
+Budgets abort a search with the bounds certified so far instead of
+returning an unproven answer: each public entry builds one `_Deadline`
+from its budget (seconds, or a running deadline whose end time it keeps),
+every search it runs ticks that deadline once per node, as DSATUR does
+once per pick and the Hall check once per seed, the clique search's
+set-up reads it once per block of 256 adjacency rows, and expiry anywhere
+comes back to the caller as a BudgetError carrying the bounds found so far.
 
 Every search on a Beck graph runs on its core, the twin quotient (see
 `BeckGraph.core`). A coloring of the core is lifted back by giving each
@@ -37,15 +37,12 @@ branch and bound (San Segundo, "A new DSATUR-based algorithm for exact
 vertex coloring", 2012; Furini, Gabrel and Ternier, "An improved
 DSATUR-based branch-and-bound algorithm for the vertex coloring problem",
 Networks 2017) on the graph where each used color is merged into one vertex.
-Its seeds are the vertices whose domain the last assignment shrank. A scan
-from every free vertex before the first node runs only for min-s's
-decisions: when k >= omega and no vertex is held below t < k, it provably
-cannot fire (see `_KColorSearch`), and every caller passes k >= omega.
-The same search decides min-s: "is s <= t" asks for a chi-coloring whose
-square-zero vertices all take colors below t, so their domains start as
-[0, t), the lowest-fresh-color rule runs apart in [0, t) and [t, k), and
-the pre-colored clique is a largest square-zero clique, whose size is also
-the floor of s.
+Its seeds are the vertices whose domain the last assignment shrank; no
+check runs before the first node. The same search decides min-s: "is
+s <= t" asks for a chi-coloring whose square-zero vertices all take
+colors below t, so their domains start as [0, t), the lowest-fresh-color
+rule runs apart in [0, t) and [t, k), and the pre-colored clique is a
+largest square-zero clique, whose size is also the floor of s.
 
 Each graph is searched once. The finished maximum-clique search (vertex
 order, remapped adjacency, result), the best split and the chromatic
@@ -265,10 +262,9 @@ class _CliqueSearch:
     The set-up orders the vertices by (degree desc, id), permutes the
     adjacency rows into that order in numpy blocks (`_permute`),
     color-sorts the whole graph once for the root node, and grows a greedy
-    first clique from each of the first 8 vertices until one reaches the
-    root's number of colors, the bound no clique exceeds; on most Beck
-    graph cores the first start does. On a twin quotient, where equal rows
-    come at most in pairs, a set-up per class of equal rows saves nothing.
+    first clique from the first vertex, of the highest degree. On a twin
+    quotient, where equal rows come at most in pairs, a set-up per class
+    of equal rows saves nothing.
     """
 
     def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
@@ -290,24 +286,8 @@ class _CliqueSearch:
             self.radj = _permute(self.adj, self.order, self.deadline)
             self.root = self._color_sort((1 << self.n) - 1, self.radj)
         self.sq0 = _remap(self.sq0_bits, self.pos)
-        self.best = list(self.seed.best) if self.seed else self._greedy_clique()
+        self.best = list(self.seed.best) if self.seed else self._greedy_from(0)
         self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
-
-    def _greedy_clique(self) -> list[int]:
-        """The largest of the greedy cliques from the first 8 vertices, the
-        earliest on ties. No start follows one that reaches the number of
-        colors of the root's color sort: no clique is larger, so no later
-        start could replace it."""
-        colors = self.root[-1][1]
-        best: list[int] = []
-        for s in range(min(self.n, 8)):
-            if len(best) == colors:
-                break
-            self.deadline.check()
-            clique = self._greedy_from(s)
-            if len(clique) > len(best):
-                best = clique
-        return best
 
     def _greedy_from(self, s: int) -> list[int]:
         """A clique grown from vertex s, each step adding the candidate with
@@ -448,16 +428,10 @@ class _KColorSearch:
     have at most t vertices, so that its colors lie below t. `_solve` keeps
     the colored vertices, with the colors used before each, on a stack.
 
-    The root Hall check, a clique grown from every free vertex, runs only
-    when t < k. With t = k and k >= omega it cannot fire: at the root a
-    color i is missing from a free vertex's domain only if the vertex
-    neighbours pre-colored member i, so a clique U of free vertices whose
-    domains' union has fewer than |U| colors, with the members that
-    neighbour all of U, would be a clique of more than k vertices. Every
-    caller passes k >= omega: chi's searches start at omega, min-s runs at
-    k = chi. With t < k a free square-zero vertex next to every floor member
-    can have an empty domain, so the check stays. The check only prunes:
-    skipping it changes no verdict.
+    The Hall check runs after each assignment, from the vertices whose
+    domains it shrank, and only prunes. A free vertex the pre-colored
+    clique left with no color is the first pick, so it refutes at the
+    first node.
     """
 
     def __init__(self, n, adj, k, clique, deadline, sq0_bits=0, t=None):
@@ -569,8 +543,6 @@ class _KColorSearch:
 
     def run(self) -> list[int] | None:
         self.deadline.check()
-        if self.t < self.k and self._hall_violated(_bits(self.free)):
-            return None
         return self.color if self._solve() else None
 
 

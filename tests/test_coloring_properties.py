@@ -264,30 +264,26 @@ def test_permute_matches_the_per_row_remap(case):
     assert _permute(adj, order, _Deadline(FOREVER)) == want
 
 
-def _greedy_from_8_starts(n: int, radj: list[int]) -> list[int]:
-    """From each of the first 8 vertices, add the candidate with the most
-    candidate neighbours, the first on ties; keep the first largest."""
-    best: list[int] = []
-    for s in range(min(n, 8)):
-        clique, cand = [s], radj[s]
-        while cand:
-            pick = max((v for v in range(n) if cand >> v & 1),
-                       key=lambda v: ((radj[v] & cand).bit_count(), -v))
-            clique.append(pick)
-            cand &= radj[pick]
-        if len(clique) > len(best):
-            best = clique
-    return best
+def _greedy_from_first(n: int, radj: list[int]) -> list[int]:
+    """From vertex 0, add the candidate with the most candidate neighbours,
+    the first on ties."""
+    clique, cand = [0], radj[0]
+    while cand:
+        pick = max((v for v in range(n) if cand >> v & 1),
+                   key=lambda v: ((radj[v] & cand).bit_count(), -v))
+        clique.append(pick)
+        cand &= radj[pick]
+    return clique
 
 
 @SMALL_GRAPHS
 @given(st.one_of(split_graphs(), graphs().map(lambda g: (g, 0))))
-def test_greedy_seed_stopped_at_the_color_bound_matches_8_starts(case):
+def test_unseeded_search_starts_from_the_greedy_clique_of_the_first_vertex(case):
     g, sq0 = case
     search = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), sq0)
     if g.n:
         search._setup()
-        assert search.best == _greedy_from_8_starts(g.n, search.radj)
+        assert search.best == _greedy_from_first(g.n, search.radj)
 
 
 @SMALL_GRAPHS

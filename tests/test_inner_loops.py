@@ -8,10 +8,11 @@ the `_bits` generator: a copy of each old loop is kept here, and on random
 graphs with random domains, free sets and seeds the two must give the same
 verdicts, picks, Hall seeds, colorings, cliques and deadline ticks.
 
-The k-coloring search skips its root Hall scan when no square-zero vertex
-is held below t < k. A copy of the old `run`, which always scanned, is kept
-too: with a maximum clique pre-colored and k >= omega the scan never fires,
-and skipping it changes the ticks by exactly its seed count.
+The k-coloring search makes no Hall scan from every free vertex before its
+first node. A copy of the old `run`, which always scanned, is kept too:
+with a maximum clique pre-colored and k >= omega the scan never fires, and
+skipping it changes the ticks by exactly its seed count; with square-zero
+vertices held below t < k, skipping it changes no verdict.
 """
 
 import random
@@ -246,6 +247,23 @@ def plain_decisions(draw):
     return n, adj, max(1, len(clique) + draw(st.integers(0, 3))), clique
 
 
+@st.composite
+def min_s_decisions(draw):
+    """A k-coloring decision as min-s makes it: k >= omega and k >= 2, a
+    random half of the vertices square-zero and held to the colors below
+    t < k, and a square-zero clique of at most t vertices pre-colored."""
+    n, adj, k, _ = draw(plain_decisions())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = max(k, 2)
+    sq0 = sum(1 << v for v in range(n) if rng.random() < 0.5)
+    t = draw(st.integers(1, k - 1))
+    floor = []
+    for v in _bits(sq0):
+        if len(floor) < t and all(adj[u] >> v & 1 for u in floor):
+            floor.append(v)
+    return n, adj, k, floor, sq0, t
+
+
 # -- the equivalences ---------------------------------------------------------
 
 
@@ -318,18 +336,26 @@ def test_root_hall_scan_cannot_fire_at_k_at_least_omega(case):
 
 
 @pytest.mark.isolated
-def test_root_hall_scan_stays_for_min_s():
+@STATES
+@given(min_s_decisions())
+def test_skipping_the_root_hall_scan_changes_no_min_s_verdict(case):
+    n, adj, k, clique, sq0, t = case
+    new, old = (_KColorSearch(n, adj, k, clique, _Deadline(FOREVER), sq0, t) for _ in range(2))
+    assert new.run() == _run_with_root_scan(old)
+
+
+@pytest.mark.isolated
+def test_an_empty_domain_refutes_min_s_at_the_first_node():
     # square-zero vertices 0 and 2 held below t = 1 of k = 2 colors, with 0
-    # the pre-colored floor: 2, next to 0, has no color left. The root scan
-    # refutes the decision at seed 2, after seed 1, before any node
+    # the pre-colored floor: 2, next to 0, has no color left. It is the first
+    # pick, so the first node refutes the decision, in 1 tick and with no
+    # Hall check, where the old root scan took 2 ticks
     adj = [0b110, 0b001, 0b001]
-
-    class NoNodes(_KColorSearch):
-        def _solve(self):
-            raise AssertionError("a node was searched")
-
-    search = NoNodes(3, adj, 2, [0], _Deadline(FOREVER), 0b101, 1)
-    assert search.run() is None and search.deadline.ticks == 2
+    search = _SeedRecordingSearch(3, adj, 2, [0], _Deadline(FOREVER), 0b101, 1)
+    assert search.run() is None and search.deadline.ticks == 1
+    assert search.seed_lists == []
+    old = _KColorSearch(3, adj, 2, [0], _Deadline(FOREVER), 0b101, 1)
+    assert _run_with_root_scan(old) is None and old.deadline.ticks == 2
     assert _KColorSearch(3, adj, 2, [0], _Deadline(FOREVER), 0b101, 2).run() == [0, 1, 1]
 
 

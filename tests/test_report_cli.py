@@ -104,8 +104,8 @@ def test_analyze_searches_each_graph_once(monkeypatch):
 
 
 def test_greedy_seed_stops_at_the_first_start(monkeypatch):
-    # on the cores of this product and of its factors the first greedy
-    # clique already meets the root's color bound, so no second start is made
+    # the clique search seeds its bound with one greedy clique, on the cores
+    # of this product and of its factors alike
     from beckring import solvers
 
     searches, starts = [], []

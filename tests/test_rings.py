@@ -297,6 +297,22 @@ def test_zero_divisor_and_unit_predicates(n, zd, unit):
     assert not r.zero_divisor_mask[unit]
 
 
+@pytest.mark.parametrize("n,poly", [(4, (1, 2, 0, 3, 0, 1)), (2, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))])
+def test_mul_many_matches_scalar_mul_on_a_1024_element_quotient(n, poly):
+    # pairs, a column against a row, and one operand a scalar: each product
+    # as scalar mul computes it from the structure constants
+    ring = make_quotient(n, poly)
+    assert ring.size == 1024
+    rng = random.Random(1024)
+    a = np.array([rng.randrange(1024) for _ in range(300)], dtype=np.int64)
+    b = np.array([rng.randrange(1024) for _ in range(300)], dtype=np.int64)
+    assert ring.mul_many(a, b).tolist() == [ring.mul(int(x), int(y)) for x, y in zip(a, b)]
+    table = ring.mul_many(a[:24, None], b[None, :24])
+    assert table.tolist() == [[ring.mul(int(x), int(y)) for y in b[:24]] for x in a[:24]]
+    assert ring.mul_many(a, b[0]).tolist() == [ring.mul(int(x), int(b[0])) for x in a]
+    assert int(ring.mul_many(a[0], b[0])) == ring.mul(int(a[0]), int(b[0]))
+
+
 def test_nilpotent_power_iteration():
     r = make_zmod(8)
     assert r.nilpotent_mask[2]

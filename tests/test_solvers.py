@@ -18,13 +18,14 @@ from beckring import (
     verify_clique,
     verify_coloring,
 )
-from beckring.catalog import catalog_rings
+from beckring.catalog import CATALOG_EXPRS, catalog_rings
 from beckring.oracle import (
     enumerate_maximum_cliques,
     exhaustive_chromatic_number,
     exhaustive_max_clique,
     max_b_over_maximum_cliques,
 )
+from beckring.solvers import _CliqueSearch, _Deadline
 
 
 def graph(expr):
@@ -83,6 +84,24 @@ def test_zero_ring_solvers():
     assert chi == 1 and col.k == 1
     split = best_clique_split(g)
     assert split.b_part == (0,) and split.c_part == ()
+
+
+# the fixed requests of bench/workloads.py's solve-hard workload
+SOLVE_HARD_FIXED = (
+    "AN x AN", "AN x Z8 x Z2", "AN x Z2", "AN x Z3", "AN x Z4", "AN x Z5", "AN x Z7", "AN x Z8",
+    "AN x Z2 x Z2", "AN x Z2 x Z3", "AN x Z2 x Z2 x Z2", "AN x Z2[t]/(t^2)", "AN x Z2[t]/(t^2+t+1)",
+)
+
+
+@pytest.mark.parametrize("expr", CATALOG_EXPRS + SOLVE_HARD_FIXED)
+def test_no_later_greedy_start_beats_the_first_on_these_cores(expr):
+    # the clique search seeds its bound with one greedy clique, from the
+    # vertex of the highest degree: on these cores none of the next seven
+    # starts would have found a larger one
+    core = graph(expr).core()
+    search = _CliqueSearch(core.n, core.adj, _Deadline(float("inf")))
+    search._setup()
+    assert all(len(search._greedy_from(s)) <= len(search.best) for s in range(min(core.n, 8)))
 
 
 # -- chromatic number -------------------------------------------------------
@@ -326,10 +345,11 @@ def test_search_set_up_honours_the_budget(solve):
 
 def test_hall_scan_honours_the_budget():
     # AN^3: omega = 67 on a 1387-vertex core. Within 1 s chi's searches
-    # refute k = 67 and stop inside k = 68. A min-s decision (square-zero
-    # vertices held below the 64 colors of the floor, of k = 70) keeps the
-    # root Hall scan, a clique grown from each of the 1323 free vertices, a
-    # few ms each: it ticks the deadline once per seed, so expiry cuts it
+    # refute k = 67 and stop inside k = 68. In a min-s decision (square-zero
+    # vertices held below the 64 colors of the floor, of k = 70) each Hall
+    # check grows a clique from every vertex the last assignment shrank, a
+    # few ms each on this core: it ticks the deadline once per seed, so
+    # expiry cuts it before as many ticks as there are free vertices
     import time
 
     from beckring.solvers import _Deadline, _KColorSearch, _OutOfTime, _sq0_clique_floor
@@ -349,7 +369,7 @@ def test_hall_scan_honours_the_budget():
     with pytest.raises(_OutOfTime):
         search.run()
     assert time.monotonic() - t0 < 1.0
-    assert deadline.ticks % 64 == 0 and deadline.ticks < core.n - len(floor)  # cut inside the scan
+    assert deadline.ticks % 64 == 0 and deadline.ticks < core.n - len(floor)
 
 
 def test_deep_decision_search_restores_the_recursion_limit():
