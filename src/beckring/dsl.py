@@ -1,12 +1,14 @@
 """Ring-expression language.
 
-Grammar (whitespace-insensitive, "x"/"X" separates product factors):
+Grammar ("x"/"X" separates product factors):
 
     expr := atom ( "x" atom )*
     atom := "Z" INT | "Z" INT "[t]/(" poly ")" | "AN" | "AN0" | "AN2"
     poly := term ( ("+"|"-") term )*
     term := INT | INT? "t" ("^" INT)?
 
+Whitespace may separate tokens, but never splits a number or "AN"; "AN 0"
+is "AN0". Numbers are runs of decimal digits.
 Quotient polynomials must be monic of degree >= 1; coefficients fold into
 canonical residues mod the base modulus, so "t^2-2" over Z4 is "t^2+2".
 "AN" picks whichever z^2 variant of the 32-element built-in has clique
@@ -15,6 +17,7 @@ number 5 and chromatic number 6; "AN0"/"AN2" force the variant.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import CapacityError, ParseError
@@ -59,70 +62,55 @@ for _kind in (ZmodAtom, QuotAtom, ANAtom, ProductExpr):
 del _kind
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def try_lit(self, lit: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def expect_lit(self, lit: str):
-        if not self.try_lit(lit):
-            raise ParseError(f"expected {lit!r}", self.pos)
-
-    def try_int(self) -> tuple[int, int] | None:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            return None
-        return int(self.text[start : self.pos]), start
-
-    def expect_int(self, what: str) -> tuple[int, int]:
-        got = self.try_int()
-        if got is None:
-            raise ParseError(f"expected {what}", self.pos)
-        return got
+# a token is AN with its optional variant digit, a run of decimal digits or
+# any other single character; the whitespace before each is skipped
+_TOKEN = re.compile(r"\s*(AN(?:\s*[02])?|\d+|\S)")
+_Tokens = list[tuple[str, int]]  # (token, offset) pairs, the next one last
 
 
-def _parse_poly(sc: _Scanner, n: int) -> tuple[int, ...]:
+def _tokens(text: str) -> _Tokens:
+    """The tokens of `text` above an end marker "" at offset len(text)."""
+    toks = [(m[1], m.start(1)) for m in _TOKEN.finditer(text)]
+    toks.append(("", len(text)))
+    return toks[::-1]
+
+
+def _take(toks: _Tokens, lit: str | None) -> tuple[str | int, int] | None:
+    """Pop the next token and its offset if it is `lit`, or a number (as an
+    int) for None; else None."""
+    tok, off = toks[-1]
+    if tok == lit or lit is None and tok.isdecimal():
+        toks.pop()
+        return tok if lit else int(tok), off
+    return None
+
+
+def _expect(toks: _Tokens, lit: str | None, what: str = "") -> tuple[str | int, int]:
+    got = _take(toks, lit)
+    if got is None:
+        raise ParseError(f"expected {what or repr(lit)}", toks[-1][1])
+    return got
+
+
+def _parse_poly(toks: _Tokens, n: int, start: int) -> tuple[int, ...]:
     coeffs: dict[int, int] = {}
     degree = 0
     sign = 1
-    start = sc.pos
     while True:
-        c_val, c_off = 1, sc.pos
-        got = sc.try_int()
-        has_coeff = got is not None
-        if has_coeff:
-            c_val, c_off = got
-        if sc.try_lit("t"):
+        coeff = _take(toks, None)
+        if _take(toks, "t"):
             exp = 1
-            if sc.try_lit("^"):
-                exp, _ = sc.expect_int("exponent after '^'")
-        elif has_coeff:
+            if _take(toks, "^"):
+                exp, _ = _expect(toks, None, "exponent after '^'")
+        elif coeff:
             exp = 0
         else:
-            raise ParseError("expected polynomial term", sc.pos)
-        coeffs[exp] = coeffs.get(exp, 0) + sign * c_val
+            raise ParseError("expected polynomial term", toks[-1][1])
+        coeffs[exp] = coeffs.get(exp, 0) + sign * (coeff[0] if coeff else 1)
         degree = max(degree, exp)
-        if sc.try_lit("+"):
+        if _take(toks, "+"):
             sign = 1
-        elif sc.try_lit("-"):
+        elif _take(toks, "-"):
             sign = -1
         else:
             break
@@ -137,43 +125,34 @@ def _parse_poly(sc: _Scanner, n: int) -> tuple[int, ...]:
     return out
 
 
-def _parse_atom(sc: _Scanner) -> RingExpr:
-    sc.skip_ws()
-    if sc.try_lit("AN"):
-        if sc.try_lit("0"):
-            return ANAtom(0)
-        if sc.try_lit("2"):
-            return ANAtom(2)
-        return ANAtom(None)
-    if sc.try_lit("Z"):
-        n, n_off = sc.expect_int("modulus after 'Z'")
+def _parse_atom(toks: _Tokens) -> RingExpr:
+    tok, off = toks[-1]
+    if tok.startswith("AN"):
+        toks.pop()
+        return ANAtom(int(tok[-1]) if len(tok) > 2 else None)
+    if _take(toks, "Z"):
+        n, n_off = _expect(toks, None, "modulus after 'Z'")
         if n == 0:
             raise ParseError("invalid modulus Z0", n_off)
-        if sc.try_lit("["):
-            sc.expect_lit("t")
-            sc.expect_lit("]")
-            sc.expect_lit("/")
-            sc.expect_lit("(")
-            coeffs = _parse_poly(sc, n)
-            sc.expect_lit(")")
+        if _take(toks, "["):
+            for lit in "t]/":
+                _expect(toks, lit)
+            # the polynomial's errors point just past its "("
+            coeffs = _parse_poly(toks, n, _expect(toks, "(")[1] + 1)
+            _expect(toks, ")")
             return QuotAtom(n, coeffs)
         return ZmodAtom(n)
-    raise ParseError("expected a ring atom (Zn, Zn[t]/(...), AN, AN0, AN2)", sc.pos)
+    raise ParseError("expected a ring atom (Zn, Zn[t]/(...), AN, AN0, AN2)", off)
 
 
 def parse(text: str) -> RingExpr:
-    """Parse a ring expression; raises ParseError with a byte offset."""
-    sc = _Scanner(text)
-    atoms = [_parse_atom(sc)]
-    while True:
-        sc.skip_ws()
-        if sc.pos < len(sc.text) and sc.text[sc.pos] in "xX":
-            sc.pos += 1
-            atoms.append(_parse_atom(sc))
-        else:
-            break
-    if not sc.at_end():
-        raise ParseError("unexpected trailing input", sc.pos)
+    """Parse a ring expression; raises ParseError at a character offset."""
+    toks = _tokens(text)
+    atoms = [_parse_atom(toks)]
+    while _take(toks, "x") or _take(toks, "X"):
+        atoms.append(_parse_atom(toks))
+    if toks[-1][0]:
+        raise ParseError("unexpected trailing input", toks[-1][1])
     if len(atoms) == 1:
         return atoms[0]
     return ProductExpr(tuple(atoms))

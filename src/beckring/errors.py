@@ -50,7 +50,7 @@ class CapacityError(BeckringError):
 
 
 class ParseError(BeckringError):
-    """Ring-expression syntax error, with a byte offset into the input."""
+    """Ring-expression syntax error, with the offset of a character of the input."""
 
     exit_code = EXIT_PARSE
 

@@ -393,9 +393,9 @@ class StructureRing(_MixedRadixRing):
 
     Elements are coordinate tuples (c_1, ..., c_k) with c_i modulo the i-th
     additive order; multiplication extends the basis-pair table bilinearly.
-    The table itself need not define a ring: validation is exhaustive for
-    sizes up to `validation_cap` and raises NotARingError naming a failing
-    triple otherwise.
+    The table itself need not define a ring: construction validates it
+    exhaustively up to DEFAULT_VALIDATION_CAP elements, raising
+    NotARingError naming a failing triple.
     """
 
     kind = "structure"
@@ -407,7 +407,6 @@ class StructureRing(_MixedRadixRing):
         products: dict,
         name: str | None = None,
         size_cap: int = DEFAULT_SIZE_CAP,
-        validation_cap: int = DEFAULT_VALIDATION_CAP,
     ):
         orders = tuple(int(o) for o in additive_orders)
         if not orders or any(o < 1 for o in orders):
@@ -443,7 +442,7 @@ class StructureRing(_MixedRadixRing):
         self._strides_arr = np.array(self.strides, dtype=np.int64)
         self.unity = self.encode(tuple(c % o for c, o in zip(unity_coords, orders)))
         self.name = name
-        if size <= validation_cap:
+        if size <= DEFAULT_VALIDATION_CAP:
             self.validate()
 
     def add(self, a, b):
@@ -506,12 +505,8 @@ def make_structure_ring(
     products,
     name: str | None = None,
     size_cap: int = DEFAULT_SIZE_CAP,
-    validation_cap: int = DEFAULT_VALIDATION_CAP,
 ) -> StructureRing:
-    return StructureRing(
-        additive_orders, unity_coords, products,
-        name=name, size_cap=size_cap, validation_cap=validation_cap,
-    )
+    return StructureRing(additive_orders, unity_coords, products, name=name, size_cap=size_cap)
 
 
 def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,

@@ -277,23 +277,17 @@ class ANConditionResult(NamedTuple):
     witness: tuple[int, int] | None
 
 
-def check_an_condition(ring: FiniteRing, kind: str, param: int) -> ANConditionResult:
-    """Exhaustively check, over all pairs with x*y = 0:
+def check_an_condition(ring: FiniteRing) -> ANConditionResult:
+    """Exhaustively check, over all pairs with x*y = 0, the condition for the
+    ring's own nilpotency type (`classify_nil_factor`):
 
     even type (index 2n, param n): x in J^n or y in J^n, and additionally
     if x not in J^(n+1) then y in J^n;
     odd type (index 2m-1, param m): x in J^m or y in J^m.
     """
     masks = ring.nil_power_masks  # masks[k - 1] is J^k
-    m = len(masks)
-    if kind == "even":
-        if m != 2 * param:
-            raise PreconditionError(f"ring has nilpotency index {m}, not even 2*{param}")
-    elif kind == "odd":
-        if m != 2 * param - 1:
-            raise PreconditionError(f"ring has nilpotency index {m}, not odd 2*{param}-1")
-    else:
-        raise PreconditionError(f"kind must be 'even' or 'odd', got {kind!r}")
+    info = classify_nil_factor(ring)
+    kind, param = info.parity, info.param
     # both checks fail at an x with a zero-product partner outside J^p
     (cls, rows), outside = ring.ann_classes, ~masks[param - 1]
     has_bad = (rows & outside).any(axis=1)[cls]
@@ -313,9 +307,8 @@ def check_an_condition(ring: FiniteRing, kind: str, param: int) -> ANConditionRe
 
 
 def an_condition_for(ring: FiniteRing) -> ANConditionResult:
-    """Classify the ring's nilpotency index and run the matching check."""
-    info = classify_nil_factor(ring)
-    return check_an_condition(ring, info.parity, info.param)
+    """`check_an_condition`, under the name the benchmark tracer wraps."""
+    return check_an_condition(ring)
 
 
 # ---------------------------------------------------------------------------

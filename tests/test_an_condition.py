@@ -44,7 +44,8 @@ def scanned_an_condition(ring, kind, param):
 
 def assert_matches_scan(ring):
     info = classify_nil_factor(ring)
-    res = check_an_condition(ring, info.parity, info.param)
+    res = check_an_condition(ring)
+    assert (res.kind, res.param) == (info.parity, info.param)
     membership_ok, boundary_ok, witness = scanned_an_condition(ring, info.parity, info.param)
     assert (res.membership_ok, res.boundary_ok, res.witness) == (membership_ok, boundary_ok, witness)
     assert res.holds == (membership_ok and boundary_ok is not False)

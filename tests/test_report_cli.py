@@ -678,19 +678,20 @@ def test_cli_rejects_a_malformed_budget(budget_env, argv):
 def _broken_catalog():
     # u*u = v, u*v = 1, v*v = 0 is not associative; validation is deferred so
     # the suite trips over it instead of the constructor
-    bad = make_structure_ring(
-        (2, 2, 2),
-        (1, 0, 0),
-        {
-            (0, 0): (1, 0, 0),
-            (0, 1): (0, 1, 0),
-            (0, 2): (0, 0, 1),
-            (1, 1): (0, 0, 1),
-            (1, 2): (1, 0, 0),
-            (2, 2): (0, 0, 0),
-        },
-        validation_cap=0,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beckring.rings, "DEFAULT_VALIDATION_CAP", 0)
+        bad = make_structure_ring(
+            (2, 2, 2),
+            (1, 0, 0),
+            {
+                (0, 0): (1, 0, 0),
+                (0, 1): (0, 1, 0),
+                (0, 2): (0, 0, 1),
+                (1, 1): (0, 0, 1),
+                (1, 2): (1, 0, 0),
+                (2, 2): (0, 0, 0),
+            },
+        )
     return {"Z4": make_zmod(4), "bad": bad}
 
 

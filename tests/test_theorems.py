@@ -31,7 +31,7 @@ from beckring import (
 )
 from beckring.oracle import exhaustive_max_clique
 from beckring.solvers import Clique, CliqueSplit, best_clique_split
-from beckring.theorems import _materialize_witness, an_condition_for
+from beckring.theorems import _materialize_witness, an_condition_for, classify_nil_factor
 
 
 def rings_of(*texts):
@@ -311,14 +311,18 @@ def test_nilradical_bound_reduced_factor_contributes_plus_one():
 
 
 def test_an_condition_z4():
-    res = check_an_condition(ring_of("Z4"), "even", 1)
+    info = classify_nil_factor(ring_of("Z4"))
+    res = check_an_condition(ring_of("Z4"))
+    assert (res.kind, res.param) == (info.parity, info.param) == ("even", 1)
     assert res.holds and res.membership_ok and res.boundary_ok
     g = build_graph(ring_of("Z4"))
     assert max_clique(g).size == chromatic_number(g)[0] == 2
 
 
 def test_an_condition_z8():
-    res = check_an_condition(ring_of("Z8"), "odd", 2)
+    info = classify_nil_factor(ring_of("Z8"))
+    res = check_an_condition(ring_of("Z8"))
+    assert (res.kind, res.param) == (info.parity, info.param) == ("odd", 2)
     assert res.holds
     assert res.boundary_ok is None
 
@@ -331,15 +335,6 @@ def test_an_condition_fails_on_an_ring():
     r = ring_of("AN")
     x, y = res.witness
     assert r.mul(x, y) == 0
-
-
-def test_an_condition_parameter_validation():
-    with pytest.raises(PreconditionError):
-        check_an_condition(ring_of("Z4"), "odd", 1)
-    with pytest.raises(PreconditionError):
-        check_an_condition(ring_of("Z8"), "even", 1)
-    with pytest.raises(PreconditionError):
-        check_an_condition(ring_of("Z8"), "prime", 2)
 
 
 # -- reduced rings ---------------------------------------------------------------
