@@ -26,20 +26,12 @@ def _is_clique(mask: int, adj: list[int]) -> bool:
 
 def exhaustive_max_clique(g) -> tuple[int, list[int]]:
     """Maximum clique size and the first witness in subset order."""
-    n = g.n
-    if n > MAX_CLIQUE_ORACLE_CAP:
-        raise PreconditionError(f"clique oracle caps at {MAX_CLIQUE_ORACLE_CAP} vertices, got {n}")
-    best_size, best_mask = 0, 0
-    for mask in range(1 << n):
-        sz = mask.bit_count()
-        if sz > best_size and _is_clique(mask, g.adj):
-            best_size, best_mask = sz, mask
-    verts = sorted(g.element_of(v) for v in range(n) if (best_mask >> v) & 1)
-    return best_size, verts
+    first = enumerate_maximum_cliques(g)[0]
+    return len(first), first
 
 
 def enumerate_maximum_cliques(g) -> list[list[int]]:
-    """All maximum cliques, as sorted ring-element lists."""
+    """All maximum cliques, as sorted ring-element lists, in subset order."""
     n = g.n
     if n > MAX_CLIQUE_ORACLE_CAP:
         raise PreconditionError(f"clique oracle caps at {MAX_CLIQUE_ORACLE_CAP} vertices, got {n}")

@@ -136,8 +136,6 @@ class FiniteRing:
 
         In a finite ring, multiplication by a non-zero-divisor is injective, hence onto.
         """
-        if self.factors:
-            return _kron([f.unit_mask for f in self.factors])
         out = ~self.zero_divisor_mask
         out[0] = self.unity == 0
         return out

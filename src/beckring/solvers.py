@@ -22,8 +22,9 @@ class, which on the graph of a whole ring is the class's first ring
 element. Graph-likes that carry only `n` and `adj` are searched as given.
 
 One clique branch and bound serves omega, the split and the square-zero
-floor of min-s. It maximises (clique size, square-zero count), and the
-split search reuses the finished maximum-clique search of its graph.
+floor of min-s. It maximises (clique size, square-zero count), and one
+search of a graph yields both omega's witness, the first clique of the
+largest size it finds, and the best split.
 
 DSATUR keeps the uncolored vertices of each saturation level as one bitmask
 over their rank in (degree desc, id) order, so a pick is the lowest bit of
@@ -44,14 +45,14 @@ colors below t, so their domains start as [0, t), the lowest-fresh-color
 rule runs apart in [0, t) and [t, k), and the pre-colored clique is a
 largest square-zero clique, whose size is also the floor of s.
 
-Each graph is searched once. The finished maximum-clique search (vertex
-order, remapped adjacency, result), the best split and the chromatic
+Each graph is searched once. The finished clique search (vertex order,
+remapped adjacency, omega's witness and the split) and the chromatic
 number with its coloring are memoised in the `solved` dict of the core
 they ran on, so one analysis that asks for omega, the split and chi of the
 same graph, or solves the same factor for two theorem checks, pays for
-one clique search: omega, the seed of the split and chi's lower bound
-share it. The chi-coloring lifted to a graph is memoised on that graph,
-so it is lifted once however often chi is asked.
+one clique search: omega, the split and chi's lower bound share it. The
+chi-coloring lifted to a graph is memoised on that graph, so it is lifted
+once however often chi is asked.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again. The
 one answer short of its goal is min-s once chi is known: it comes back with
@@ -255,9 +256,11 @@ class _CliqueSearch:
 
     Candidates come in non-increasing color order and each try shrinks the
     candidate set, so the first candidate whose bound cannot beat the best
-    ends the node; `_expand` keeps the open nodes on a stack. `seed`, a
-    finished search on the same graph, lends its order, remapped adjacency
-    and best clique.
+    ends the node; `_expand` keeps the open nodes on a stack. One search
+    keeps two cliques: `best`, the lexicographic best, and `first`, the
+    first clique found of each new size. `first` is the clique of the plain
+    search: the tie-break only opens subtrees whose color bound equals the
+    best size, and such a subtree holds no larger clique.
 
     The set-up orders the vertices by (degree desc, id), permutes the
     adjacency rows into that order in numpy blocks (`_permute`),
@@ -267,26 +270,21 @@ class _CliqueSearch:
     of equal rows saves nothing.
     """
 
-    def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0, seed=None):
-        self.n, self.adj, self.sq0_bits, self.deadline, self.seed = n, adj, sq0_bits, deadline, seed
+    def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0):
+        self.n, self.adj, self.sq0_bits, self.deadline = n, adj, sq0_bits, deadline
         # vertex 0 alone is the clique known until run() has set up
-        self.order, self.best, self.result = range(n), [0] if n else [], None
+        self.order, self.result, self.split = range(n), None, None
+        self.best = self.first = [0] if n else []
 
     def _setup(self) -> None:
-        """Order, remapped adjacency and root color sort, lent by the seed
-        or built, then a first best clique."""
-        if self.seed:
-            seed = self.seed
-            self.order, self.pos, self.radj, self.root = seed.order, seed.pos, seed.radj, seed.root
-        else:
-            self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
-            self.pos = [0] * self.n
-            for i, v in enumerate(self.order):
-                self.pos[v] = i
-            self.radj = _permute(self.adj, self.order, self.deadline)
-            self.root = self._color_sort((1 << self.n) - 1, self.radj)
+        """Order and remapped adjacency, then a first best clique."""
+        self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
+        self.pos = [0] * self.n
+        for i, v in enumerate(self.order):
+            self.pos[v] = i
+        self.radj = _permute(self.adj, self.order, self.deadline)
         self.sq0 = _remap(self.sq0_bits, self.pos)
-        self.best = list(self.seed.best) if self.seed else self._greedy_from(0)
+        self.best = self.first = self._greedy_from(0)
         self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
 
     def _greedy_from(self, s: int) -> list[int]:
@@ -332,7 +330,8 @@ class _CliqueSearch:
         vertex leaves p as its child opens: p is read after the child closes."""
         r: list[int] = []
         self.deadline.tick()
-        stack = [[(1 << self.n) - 1, 0, self.root.copy()]]  # a seeded split shares root
+        full = (1 << self.n) - 1
+        stack = [[full, 0, self._color_sort(full, self.radj)]]
         while stack:
             node = stack[-1]
             p, rb, order = node
@@ -352,15 +351,19 @@ class _CliqueSearch:
                 r.append(v)
                 stack.append([np_, v_b, self._color_sort(np_, self.radj)])
             elif (len(r) + 1, v_b) > (len(self.best), self.best_b):
+                if len(r) >= len(self.best):
+                    self.first = r + [v]
                 self.best, self.best_b = r + [v], v_b
 
     def run(self) -> list[int]:
-        """The best clique in vertex ids, sorted; also kept as `result`."""
+        """The first maximum clique, in vertex ids, sorted; kept as `result`,
+        and the best clique as `split`."""
         if self.n:
             self._setup()
             self.deadline.check()
             self._expand()
-        self.result = sorted(self.order[v] for v in self.best)
+        self.result = sorted(self.order[v] for v in self.first)
+        self.split = sorted(self.order[v] for v in self.best)
         return self.result
 
 
@@ -573,12 +576,13 @@ def _lift(color: list[int], group, k: int) -> Coloring:
 
 
 def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
-    """The maximum-clique search on `work`, run once per graph. A search the
-    deadline cuts short comes back unmemoised, with result None and its best
-    clique so far."""
+    """The one clique search on `work`, run once per graph: its `result`
+    is omega's witness and its `split` the best split. A search the
+    deadline cuts short comes back unmemoised, with result None and its
+    best clique so far."""
     memo = _solved(work)
     if "clique" not in memo:
-        search = _CliqueSearch(work.n, work.adj, deadline)
+        search = _CliqueSearch(work.n, work.adj, deadline, getattr(work, "sq0_bits", 0))
         try:
             search.run()
         except _OutOfTime:
@@ -594,27 +598,20 @@ def max_clique(g, budget: Budget = None) -> Clique:
     work, _, reps = _core(g)
     search = _clique_search(work, _Deadline(budget))
     if search.result is None:
-        lb_w = sorted(reps[search.order[v]] for v in search.best)
+        lb_w = sorted(reps[search.order[v]] for v in search.first)
         raise BudgetError("max_clique", len(lb_w), witness=lb_w)
     return Clique(tuple(reps[v] for v in search.result))
 
 
 def best_clique_split(g, budget: Budget = None) -> CliqueSplit:
-    """Among all maximum cliques, one maximizing the square-zero part; on a
-    Beck graph searched on the core and lifted as max_clique's witness."""
+    """Among all maximum cliques, one maximizing the square-zero part, read
+    from the same search as max_clique; on a Beck graph searched on the
+    core and lifted as max_clique's witness."""
     work, _, reps = _core(g)
-    memo = _solved(work)
-    if "split" not in memo:
-        deadline = _Deadline(budget)
-        base = _clique_search(work, deadline)
-        if base.result is None:
-            raise BudgetError("best_clique_split", len(base.best))
-        try:
-            search = _CliqueSearch(work.n, work.adj, deadline, work.sq0_bits, seed=base)
-            memo["split"] = search.run()
-        except _OutOfTime:
-            raise BudgetError("best_clique_split", len(base.best)) from None
-    verts = tuple(reps[v] for v in memo["split"])
+    search = _clique_search(work, _Deadline(budget))
+    if search.split is None:
+        raise BudgetError("best_clique_split", len(search.best))
+    verts = tuple(reps[v] for v in search.split)
     b = tuple(v for v in verts if (g.sq0_bits >> v) & 1)
     c = tuple(v for v in verts if not (g.sq0_bits >> v) & 1)
     return CliqueSplit(Clique(verts), b, c)

@@ -229,15 +229,17 @@ def test_decision_search_refutes_exactly_below_chi(g):
 @SMALL_GRAPHS
 @given(split_graphs())
 def test_clique_search_maximises_size_then_square_zero_count(case):
-    # unseeded, and seeded with a finished plain search as the split is
+    # one search: its split is the best (size, square-zero count), and its
+    # result is the clique the plain search, with no square-zero marks, finds
     g, sq0 = case
     want = _best_split_by_enumeration(g, sq0)
-    plain = _CliqueSearch(g.n, g.adj, _Deadline(float("inf")))
-    assert len(plain.run()) == want[0]
-    for seed in (None, plain):
-        found = _CliqueSearch(g.n, g.adj, _Deadline(float("inf")), sq0, seed=seed).run()
-        assert all(g.adj[u] >> v & 1 for u in found for v in found if u != v)
-        assert (len(found), sum(sq0 >> v & 1 for v in found)) == want
+    plain = _CliqueSearch(g.n, g.adj, _Deadline(float("inf"))).run()
+    assert len(plain) == want[0]
+    search = _CliqueSearch(g.n, g.adj, _Deadline(float("inf")), sq0)
+    assert search.run() == search.result == plain
+    found = search.split
+    assert all(g.adj[u] >> v & 1 for u in found for v in found if u != v)
+    assert (len(found), sum(sq0 >> v & 1 for v in found)) == want
 
 
 @st.composite
@@ -283,7 +285,7 @@ def test_unseeded_search_starts_from_the_greedy_clique_of_the_first_vertex(case)
     search = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), sq0)
     if g.n:
         search._setup()
-        assert search.best == _greedy_from_first(g.n, search.radj)
+        assert search.best == search.first == _greedy_from_first(g.n, search.radj)
 
 
 @SMALL_GRAPHS

@@ -89,13 +89,12 @@ def test_clique_witnesses_lift_to_class_representatives(ring, after_set_up):
     # the maximum clique and the split, searched on the core, against the
     # unreduced searches on the whole graph
     g = build_graph(ring)
-    whole = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER))
+    whole = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), g.sq0_bits)
     whole.run()
-    whole_split = _CliqueSearch(g.n, g.adj, _Deadline(FOREVER), g.sq0_bits, seed=whole).run()
     clique, split = max_clique(g), best_clique_split(g)
     assert clique.size == len(whole.result)
-    whole_b = sum(g.sq0_bits >> v & 1 for v in whole_split)
-    assert (split.clique.size, split.b_size) == (len(whole_split), whole_b)
+    whole_b = sum(g.sq0_bits >> v & 1 for v in whole.split)
+    assert (split.clique.size, split.b_size) == (len(whole.split), whole_b)
     # the partial clique of a search cut short, on a fresh graph with no
     # memo: the set-up ticks once per vertex, so the cut falls in the greedy
     # starts or the branch and bound
@@ -111,6 +110,33 @@ def test_clique_witnesses_lift_to_class_representatives(ring, after_set_up):
     for vertices in (clique.vertices, split.clique.vertices, partial):
         assert verify_clique(g, vertices)
         assert all(g.reps[g.group[v]] == v for v in vertices)
+
+
+@pytest.mark.isolated
+@pytest.mark.parametrize("expr", ["AN", "AN x Z12"])
+def test_one_clique_search_cut_at_every_tick(expr):
+    # omega and the split come from one search: cut at each deadline read
+    # in turn on a fresh graph, max_clique and best_clique_split certify no
+    # more than omega, max_clique's partial clique is a clique, and a call
+    # the cut lets complete returns the uncut answer
+    ring = ring_of(expr)
+    g = build_graph(ring)
+    clique, split = max_clique(g), best_clique_split(g)
+    for entry, want in ((max_clique, clique), (best_clique_split, split)):
+        for cut in range(1000):
+            fresh = BeckGraph(ring)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "_Deadline", functools.partial(_CutDeadline, cut))
+                try:
+                    got = entry(fresh)
+                except BudgetError as e:
+                    assert 1 <= e.lower <= clique.size
+                    if entry is max_clique:
+                        assert len(e.witness) == e.lower and verify_clique(fresh, e.witness)
+                    continue
+            assert got == want
+            break
+        assert cut > 0  # the first read cuts
 
 
 class _MinSSearch:

@@ -89,11 +89,9 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     searched = []
     init = solvers._CliqueSearch.__init__
 
-    def counting_init(self, n, adj, deadline, sq0_bits=0, seed=None):
-        # a split search seeded with a finished search does not search anew
-        if seed is None:
-            searched.append((n, tuple(adj)))
-        init(self, n, adj, deadline, sq0_bits, seed)
+    def counting_init(self, n, adj, deadline, sq0_bits=0):
+        searched.append((n, tuple(adj)))
+        init(self, n, adj, deadline, sq0_bits)
 
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     rep = analyze("Z4 x Z256")
@@ -112,10 +110,9 @@ def test_greedy_seed_stops_at_the_first_start(monkeypatch):
     init = solvers._CliqueSearch.__init__
     greedy_from = solvers._CliqueSearch._greedy_from
 
-    def counting_init(self, n, adj, deadline, sq0_bits=0, seed=None):
-        if seed is None:
-            searches.append(n)
-        init(self, n, adj, deadline, sq0_bits, seed)
+    def counting_init(self, n, adj, deadline, sq0_bits=0):
+        searches.append(n)
+        init(self, n, adj, deadline, sq0_bits)
 
     def counting_from(self, s):
         starts.append(self.n)
@@ -125,7 +122,7 @@ def test_greedy_seed_stops_at_the_first_start(monkeypatch):
     monkeypatch.setattr(solvers._CliqueSearch, "_greedy_from", counting_from)
     rep = analyze("Z8 x Z64 x Z8")
     assert rep["omega"]["value"] == 34
-    # every unseeded search, the 128-vertex core of the product first,
+    # every search, the 128-vertex core of the product first,
     # makes exactly one greedy start
     assert searches[0] == 128 and starts == searches
 

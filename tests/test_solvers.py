@@ -433,17 +433,20 @@ def test_searches_leave_the_recursion_limit_alone(monkeypatch):
 )
 def test_search_trees_are_pinned(expr, clique_ticks, split_ticks, decisions):
     # one tick per node, the root included, plus one per Hall seed in the
-    # k-coloring search: the counts pin each search tree node for node
+    # k-coloring search: the counts pin each search tree node for node. The
+    # clique search runs without square-zero marks, as for the floor of
+    # min-s, and with them, as for omega and the split, where its result is
+    # the same clique
     from beckring.solvers import _CliqueSearch, _Deadline, _KColorSearch
 
     core = graph(expr).core()
     deadline = _Deadline(float("inf"))
-    base = _CliqueSearch(core.n, core.adj, deadline)
-    clique = base.run()
+    plain = _CliqueSearch(core.n, core.adj, deadline).run()
     assert deadline.ticks == clique_ticks
     deadline = _Deadline(float("inf"))
-    _CliqueSearch(core.n, core.adj, deadline, core.sq0_bits, seed=base).run()
+    clique = _CliqueSearch(core.n, core.adj, deadline, core.sq0_bits).run()
     assert deadline.ticks == split_ticks
+    assert clique == plain
     for k, (ticks, found) in decisions.items():
         deadline = _Deadline(float("inf"))
         coloring = _KColorSearch(core.n, core.adj, k, clique, deadline).run()
@@ -503,11 +506,9 @@ def test_each_work_graph_is_searched_once(monkeypatch):
     searched = []
     init = solvers._CliqueSearch.__init__
 
-    def counting_init(self, n, adj, deadline, sq0_bits=0, seed=None):
-        # a split search seeded with a finished search does not search anew
-        if seed is None:
-            searched.append((n, tuple(adj)))
-        init(self, n, adj, deadline, sq0_bits, seed)
+    def counting_init(self, n, adj, deadline, sq0_bits=0):
+        searched.append((n, tuple(adj)))
+        init(self, n, adj, deadline, sq0_bits)
 
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     g = graph("Z8 x Z9")
