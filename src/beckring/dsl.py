@@ -189,7 +189,9 @@ def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     if isinstance(e, ZmodAtom):
         return make_zmod(e.n, size_cap=size_cap)
     if isinstance(e, QuotAtom):
-        return make_quotient(e.n, e.coeffs, name=print_expr(e), size_cap=size_cap)
+        ring = make_quotient(e.n, e.coeffs, size_cap=size_cap)
+        ring.name = print_expr(e)  # named once accepted: the name is O(degree)
+        return ring
     if isinstance(e, ANAtom):
         # AN, AN0 and AN2 are held to the cap here, before the ring is
         # built or AN resolved

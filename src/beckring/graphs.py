@@ -9,12 +9,13 @@ a class: the quotient keeps omega, the largest square-zero part of a
 maximum clique, chi and the least number of square-zero-bearing classes of
 a chi-coloring. A core is its own core.
 
-Adjacency is stored as one machine-word-packed bitset per vertex (a Python
-int), the format the branch-and-bound solvers consume directly. It is
-packed only when a search or a verifier asks for it, from the ring's zero
-relation, which the ring keeps as one row per annihilator class, once per
-class; the graph keeps no matrix of its own. Its quotient and its edge
-list, which `export_graph` writes, are read from the classes.
+A graph reads its ring once, when built: per vertex its annihilator class
+and square-zero flag, per class its row of the zero relation over the
+vertices. The whole graph keeps the ring's own arrays, never copied or
+written; an induced graph keeps one `take` of each. Adjacency, one
+machine-word-packed bitset per vertex (a Python int) for the solvers, is
+packed once per class on first use; the quotient and the edge list, which
+`export_graph` writes, are read from the same arrays.
 
 Each graph is built once per ring and reduced once: `build_graph` returns
 the ring's live graph while anything holds it, and `BeckGraph.core` keeps
@@ -49,12 +50,16 @@ class BeckGraph:
 
     def __init__(self, ring: FiniteRing, to_ring: list[int] | None = None):
         self.ring = ring
-        self._whole = to_ring is None
-        self.to_ring = list(range(ring.size)) if self._whole else to_ring
+        cls, rows = ring.ann_classes
+        sq0 = ring.square_zero_mask
+        if to_ring is not None:
+            cls, sq0, rows = cls.take(to_ring), sq0.take(to_ring), rows.take(to_ring, 1)
+        self._cls, self._sq0, self._rows = cls, sq0, rows
+        self.to_ring = list(range(ring.size)) if to_ring is None else to_ring
         self.n = len(self.to_ring)
-        self.sq0_bits = _pack_rows(self._of(ring.square_zero_mask)[None])[0]
+        self.sq0_bits = _pack_rows(sq0[None])[0]
         self.solved: dict = {}
-        self.factor_graphs = [build_graph(f) for f in ring.factors] if self._whole else []
+        self.factor_graphs = [build_graph(f) for f in ring.factors] if to_ring is None else []
         # the core (None while unbuilt or if the graph is its own),
         # `group`, the core vertex of each vertex, and `reps`, the vertex
         # that stands for each core vertex (the first of its class)
@@ -62,22 +67,12 @@ class BeckGraph:
         self.group: list[int] | None = None
         self.reps: list[int] | None = None
 
-    def _of(self, per_element: np.ndarray) -> np.ndarray:
-        """A ring-ordered array read at the vertices' elements."""
-        return per_element if self._whole else per_element.take(self.to_ring)
-
     @cached_property
     def adj(self) -> list[int]:
         """Rows packed once per annihilator class; a square-zero vertex clears its own bit."""
-        cls, rows = self.ring.ann_classes
-        own = self._of(cls).tolist()
-        if self._whole:
-            packed = _pack_rows(rows)
-        else:
-            used = sorted(set(own))
-            packed = dict(zip(used, _pack_rows(rows.take(used, 0).take(self.to_ring, 1))))
-        sq0 = self._of(self.ring.square_zero_mask).tolist()
-        return [packed[c] ^ (1 << v) if s else packed[c] for v, (c, s) in enumerate(zip(own, sq0))]
+        packed = _pack_rows(self._rows)
+        own = zip(self._cls.tolist(), self._sq0.tolist())
+        return [packed[c] ^ (1 << v) if s else packed[c] for v, (c, s) in enumerate(own)]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -90,15 +85,10 @@ class BeckGraph:
         order, read from the ring's annihilator classes, never from `adj`:
         the neighbours of u are the columns of its class's row, and those
         above u are its edges (a square-zero vertex's own column is not)."""
-        cls, rows = self.ring.ann_classes
-        own = self._of(cls)
-        if not self._whole:
-            used, own = np.unique(own, return_inverse=True)
-            rows = rows.take(used, 0).take(self.to_ring, 1)
         # the flat index class * n + column lists each class's columns in
         # ascending order; u's edges are the part of its class's run above u
-        n = self.n
-        key = np.flatnonzero(rows)
+        n, own = self.n, self._cls
+        key = np.flatnonzero(self._rows)
         lo = np.searchsorted(key, own * n + np.arange(n), side="right")
         count = np.searchsorted(key, own * n + n) - lo
         start = np.cumsum(count) - count
@@ -126,10 +116,8 @@ class BeckGraph:
         likewise for y, so xy = x = y. On a graph induced on other elements
         these classes are still twins."""
         if self.group is None:
-            cls = self._of(self.ring.ann_classes[0]).tolist()
-            sq0 = self._of(self.ring.square_zero_mask).tolist()
             class_of, self.reps, self.group = {}, [], []
-            for v, (c, s) in enumerate(zip(cls, sq0)):
+            for v, (c, s) in enumerate(zip(self._cls.tolist(), self._sq0.tolist())):
                 # a square-zero vertex is a class of its own: key ~v < 0
                 c = class_of.setdefault(~v if s else c, len(self.reps))
                 if c == len(self.reps):

@@ -516,19 +516,23 @@ def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,
     """
     if n == 0:
         raise InvalidModulusError("Z_0[t] is not a ring")
-    coeffs = tuple(c % n for c in poly)
-    d = len(coeffs) - 1
+    d = len(poly) - 1
     if d < 1:
         raise DescriptorError("quotient polynomial must have degree >= 1")
     if n == 1:
         return StructureRing((1,), (0,), {(0, 0): (0,)}, name=name, size_cap=size_cap)
-    if coeffs[d] != 1:
-        raise DescriptorError(f"quotient polynomial must be monic, leading coefficient {coeffs[d]}")
-    # before the d * (2d - 1) power rows and d^2 / 2 structure constants;
-    # a size too long to print in decimal is shown as a power
-    if n**d > size_cap:
-        size = n**d if d * math.log10(n) < 4000 else f"{n}^{d}"
-        raise CapacityError(f"ring size {size} exceeds cap {size_cap}")
+    if poly[d] % n != 1:
+        raise DescriptorError(f"quotient polynomial must be monic, leading coefficient {poly[d] % n}")
+    # before any O(d) pass over the coefficients, power rows or structure
+    # constants, and n^d formed only up to the first power past the cap; a
+    # size too long to print in decimal is shown as a power
+    size = 1
+    for _ in range(d):
+        size *= n
+        if size > size_cap:
+            size = n**d if d * math.log10(n) < 4000 else f"{n}^{d}"
+            raise CapacityError(f"ring size {size} exceeds cap {size_cap}")
+    coeffs = tuple(c % n for c in poly)
     # rep[e] = coordinates of t^e in the basis, for e up to 2(d-1)
     rep = [[0] * d for _ in range(2 * d - 1)]
     for e in range(min(d, 2 * d - 1)):

@@ -11,24 +11,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import theorems
 from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings, rings_under
 from .dsl import parse, print_expr, ring_of
-from .errors import BeckringError, BudgetError, CapacityError
+from .errors import BeckringError, CapacityError
 from .graphs import BeckGraph, build_graph
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
 from .report import analyze
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, ProductRing, make_product
-from .solvers import (
-    _chromatic,
-    _clique_search,
-    Budget,
-    _Deadline,
-    best_clique_split,
-    chromatic_number,
-    max_clique,
-)
+from .solvers import Budget, _Deadline, best_clique_split, chromatic_number, max_clique
 
 PRODUCT_SIZE_LIMIT = 256
 SANDWICH_CORE_LIMIT = 64
@@ -120,21 +113,19 @@ def graph_invariants(graphs: dict[str, BeckGraph]) -> CheckResult:
     return check
 
 
-def _omega_chi(g: BeckGraph, budget: Budget) -> tuple[int, int]:
+def _omega_chi(g, budget: Budget) -> tuple[int, int]:
     return max_clique(g, budget).size, chromatic_number(g, budget)[0]
 
 
 def core_preservation(graphs: dict[str, BeckGraph], budget: Budget = None) -> CheckResult:
     """The core, the twin quotient, has exactly the (omega, chi) of the graph.
-    The graph's omega and chi come from the unreduced searches, since
-    max_clique and chromatic_number themselves search the core."""
+    max_clique and chromatic_number search a Beck graph's core, so the whole
+    graph is searched as a plain graph-like: its adjacency alone, with no
+    square-zero tie-break and a memo of its own (`ring` names it in traces)."""
     check = CheckResult("core_preservation")
     deadline = _Deadline(budget)
     for name, g in graphs.items():
-        search = _clique_search(g, deadline)
-        if search.result is None:
-            raise BudgetError("core_preservation", len(search.best))
-        whole = len(search.result), _chromatic(g, deadline)[0]
+        whole = _omega_chi(SimpleNamespace(n=g.n, adj=g.adj, solved={}, ring=g.ring), deadline)
         same = _omega_chi(g.core(), deadline) == whole
         check.require(same, f"{name}: core reduction changed (omega, chi)")
     return check

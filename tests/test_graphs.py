@@ -195,8 +195,12 @@ if given is not None:
         g = build_graph(ring)
         assert_edges_match_the_oracles(g)
         assert_edges_match_the_oracles(g.core())
-        # any induced graph, its elements in any order, is read as `adj` reads it
-        assert_edges_match_the_oracles(BeckGraph(ring, rnd.sample(range(ring.size), rnd.randint(0, ring.size))))
+        # any induced graph, its elements in any order, is read as `adj`
+        # reads it, and `adj` as scalar multiplication decides
+        h = BeckGraph(ring, rnd.sample(range(ring.size), rnd.randint(0, ring.size)))
+        assert_edges_match_the_oracles(h)
+        for u, x in enumerate(h.to_ring):
+            assert h.adj[u] == sum(1 << v for v, y in enumerate(h.to_ring) if v != u and ring.mul(x, y) == 0)
 
 
 @pytest.mark.parametrize("k", range(1, 13))

@@ -327,3 +327,23 @@ def test_core_preservation_fails_on_a_quotient_that_changes_omega(monkeypatch):
     check = core_preservation({"AN": g})
     assert check.failed == 1
     assert "AN: core reduction changed (omega, chi)" in check.failures
+
+
+@pytest.mark.isolated
+def test_core_preservation_searches_the_whole_graph_plainly(monkeypatch):
+    # the check compares only omega and chi, so the whole graph is searched
+    # with no square-zero tie-break: no clique search on AN's 32 vertices
+    # carries its square-zero bits
+    starts = []
+    init = _CliqueSearch.__init__
+
+    def recording_init(self, n, adj, deadline, sq0_bits=0):
+        starts.append((n, sq0_bits))
+        init(self, n, adj, deadline, sq0_bits)
+
+    monkeypatch.setattr(_CliqueSearch, "__init__", recording_init)
+    g = BeckGraph(ring_of("AN"))
+    assert g.n == 32 and g.sq0_bits
+    assert core_preservation({"AN": g}).failed == 0
+    assert (32, 0) in starts
+    assert [bits for n, bits in starts if n == 32 and bits] == []

@@ -69,6 +69,15 @@ def test_quotient_size_cap_checked_before_any_table():
         make_quotient(2, (0,) * 20000 + (1,))
 
 
+def test_quotient_size_cap_checked_before_the_coefficients_are_reduced():
+    # only the leading coefficient is read before the cap: the others,
+    # which no modulus reduces, are never touched
+    with pytest.raises(CapacityError, match=f"ring size {2**20} exceeds cap 4096"):
+        make_quotient(2, (None,) * 20 + (1,))
+    with pytest.raises(DescriptorError, match="must be monic, leading coefficient 0"):
+        make_quotient(2, (None,) * 20 + (2,))
+
+
 def test_z1_quotient_is_one_coordinate_zero_ring():
     # Z1[t]/(t^400) is the zero ring: built on one coordinate, not 400, so
     # no 400 x 799 power rows or 80200 structure constants are built
