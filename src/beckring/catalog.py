@@ -1,11 +1,8 @@
-"""Built-in rings: the test catalog and the canonical 32-element local ring.
+"""Built-in rings: the test catalog, and the check behind AN.
 
-The built-in local ring exists in two candidate variants (z^2 = 0 and
-z^2 = 2) because its defining relations admit either reading; the
-canonical one is whichever the exact solvers certify to have clique
-number 5 and chromatic number 6. That choice is computed once and cached,
-never assumed. Each variant is built and validated once per process, and
-the canonical ring is the variant ring the solvers certified, renamed "AN".
+AN, the canonical 32-element local ring, is the z^2 variant
+rings.AN_VARIANT, fixed in the code; `an_variant_stats` solves both
+variants, and acceptance criterion 1 checks them against that constant.
 """
 
 from __future__ import annotations
@@ -15,45 +12,25 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .dsl import ring_of
-from .errors import CapacityError, InternalCheckError
+from .errors import CapacityError
 from .graphs import build_graph
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, make_anderson_naseer
+from .rings import AN_VARIANT, DEFAULT_SIZE_CAP, FiniteRing, make_anderson_naseer
+from .rings import canonical_anderson_naseer  # noqa: F401  (re-exported)
 from .solvers import chromatic_number, max_clique
 
 CATALOG_EXPRS = ("Z2", "Z3", "Z4", "Z8", "Z9", "Z12", "Z2[t]/(t^2)", "AN")
 FIELD_EXPRS = ("Z2", "Z3", "Z5", "Z7", "Z2[t]/(t^2+t+1)")
 
-AN_TARGET = (5, 6)
 
-
-@lru_cache(maxsize=None)
-def _variant_rings() -> dict[int, FiniteRing]:
-    return {variant: make_anderson_naseer(variant) for variant in (0, 2)}
-
-
-@lru_cache(maxsize=None)
 def an_variant_stats() -> dict[int, tuple[int, int]]:
-    """(clique number, chromatic number) for both z^2 variants."""
-    graphs = {variant: build_graph(ring) for variant, ring in _variant_rings().items()}
+    """(clique number, chromatic number) of both z^2 variants, solved afresh."""
+    graphs = {variant: build_graph(make_anderson_naseer(variant)) for variant in (0, 2)}
     return {variant: (max_clique(g).size, chromatic_number(g)[0]) for variant, g in graphs.items()}
 
 
-@lru_cache(maxsize=None)
 def canonical_an_variant() -> int:
-    stats = an_variant_stats()
-    hits = [v for v, oc in stats.items() if oc == AN_TARGET]
-    if len(hits) != 1:
-        raise InternalCheckError(
-            f"expected exactly one variant with (omega, chi) = {AN_TARGET}, got {stats}"
-        )
-    return hits[0]
-
-
-@lru_cache(maxsize=None)
-def canonical_anderson_naseer() -> FiniteRing:
-    ring = _variant_rings()[canonical_an_variant()]
-    ring.name = "AN"
-    return ring
+    """The z^2 of AN, fixed as rings.AN_VARIANT."""
+    return AN_VARIANT
 
 
 def catalog_rings(size_cap: int = DEFAULT_SIZE_CAP) -> dict[str, FiniteRing]:
@@ -69,7 +46,7 @@ def field_rings(size_cap: int = DEFAULT_SIZE_CAP) -> dict[str, FiniteRing]:
 @lru_cache(maxsize=None)
 def rings_under(exprs: tuple[str, ...], size_cap: int) -> dict[str, FiniteRing]:
     """expr -> ring for the expressions of at most `size_cap` elements; a larger
-    ring is refused before any table is built or AN resolved, and left out."""
+    ring is refused before any table is built, and left out."""
     rings = {}
     for expr in exprs:
         try:

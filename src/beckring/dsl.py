@@ -11,8 +11,9 @@ Whitespace may separate tokens, but never splits a number or "AN"; "AN 0"
 is "AN0". Numbers are runs of decimal digits.
 Quotient polynomials must be monic of degree >= 1; coefficients fold into
 canonical residues mod the base modulus, so "t^2-2" over Z4 is "t^2+2".
-"AN" picks whichever z^2 variant of the 32-element built-in has clique
-number 5 and chromatic number 6; "AN0"/"AN2" force the variant.
+"AN" is the 32-element built-in with z^2 = rings.AN_VARIANT (0), the
+variant with clique number 5 and chromatic number 6; "AN0"/"AN2" force
+the variant.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .rings import (
     AN_SIZE,
     DEFAULT_SIZE_CAP,
     FiniteRing,
+    canonical_anderson_naseer,
     make_anderson_naseer,
     make_product,
     make_quotient,
@@ -44,7 +46,7 @@ class QuotAtom(NamedTuple):
 
 
 class ANAtom(NamedTuple):
-    """variant None = canonical (resolved by computation), else 0 or 2."""
+    """variant None = AN, the fixed variant rings.AN_VARIANT, else 0 or 2."""
 
     variant: int | None
 
@@ -193,13 +195,10 @@ def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
         ring.name = print_expr(e)  # named once accepted: the name is O(degree)
         return ring
     if isinstance(e, ANAtom):
-        # AN, AN0 and AN2 are held to the cap here, before the ring is
-        # built or AN resolved
+        # AN, AN0 and AN2 are held to the cap here, before the ring is built
         if AN_SIZE > size_cap:
             raise CapacityError(f"ring size {AN_SIZE} exceeds cap {size_cap}")
         if e.variant is None:
-            from .catalog import canonical_anderson_naseer
-
             return canonical_anderson_naseer()
         return make_anderson_naseer(e.variant)
     if isinstance(e, ProductExpr):

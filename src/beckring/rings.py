@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -553,13 +553,17 @@ def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,
     return StructureRing((n,) * d, unity, products, name=name, size_cap=size_cap)
 
 
+# the z^2 of Anderson and Naseer's ring: AN0 has (omega, chi) = (5, 6), AN2
+# (8, 8); catalog.an_variant_stats solves both, and the checks hold it to this
+AN_VARIANT = 0
+
+
 def make_anderson_naseer(z_squared: int) -> StructureRing:
     """The 32-element local ring on basis 1, x, y, z over orders (4, 2, 2, 2).
 
     Products: x^2 = y^2 = 2, z^2 = `z_squared` (0 or 2), xy = xz = 0, yz = 2.
-    Both z^2 choices yield valid local rings with 16 units; which one has
-    clique number 5 and chromatic number 6 is decided by computation, not
-    assumed (see catalog.canonical_anderson_naseer).
+    Both z^2 choices yield valid local rings with 16 units; z^2 = AN_VARIANT
+    is the one with clique number 5 and chromatic number 6.
     """
     if z_squared not in (0, 2):
         raise DescriptorError(f"z_squared must be 0 or 2, got {z_squared}")
@@ -578,6 +582,15 @@ def make_anderson_naseer(z_squared: int) -> StructureRing:
         (3, 3): (z_squared, 0, 0, 0),
     }
     return StructureRing((4, 2, 2, 2), (1, 0, 0, 0), products, name=f"AN{z_squared}")
+
+
+@lru_cache(maxsize=None)
+def canonical_anderson_naseer() -> StructureRing:
+    """AN: the variant AN_VARIANT, named "AN", built once per process so
+    that every request shares one ring and what it caches."""
+    ring = make_anderson_naseer(AN_VARIANT)
+    ring.name = "AN"
+    return ring
 
 
 # ---------------------------------------------------------------------------

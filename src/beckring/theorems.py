@@ -32,7 +32,7 @@ from .dsl import ring_of
 from .errors import CapacityError, ContractError, InternalCheckError, InvalidModulusError
 from .errors import PreconditionError
 from .graphs import build_graph
-from .rings import DEFAULT_SIZE_CAP, FiniteRing, _factorize, field_factor_count, make_product
+from .rings import AN_VARIANT, DEFAULT_SIZE_CAP, FiniteRing, _factorize, field_factor_count, make_product
 from .solvers import (
     Budget,
     _Deadline,
@@ -363,13 +363,10 @@ def counterexample_family(
     meets the size of the product coloring that realizes its upper bound.
     No partial product is built: a direct clique solve on the product's
     graph, which that coloring was verified on, cross-checks omega when the
-    product has at most FAMILY_DIRECT_OMEGA_CAP elements. All solves but AN's
-    resolution (catalog.an_variant_stats) share one budget. The product,
-    and AN when no factor is given, is held to `size_cap` before any factor
-    is solved.
+    product has at most FAMILY_DIRECT_OMEGA_CAP elements. All solves share
+    one budget. The product, and AN when no factor is given, is held to
+    `size_cap` before any factor is solved.
     """
-    from .catalog import canonical_an_variant
-
     deadline = _Deadline(budget)
     for f in reduced_factors:
         if f.size < 2:
@@ -390,7 +387,7 @@ def counterexample_family(
 
     direct_omega = max_clique(gp, deadline).size if product.size <= FAMILY_DIRECT_OMEGA_CAP else None
     return FamilyReport(
-        canonical_an_variant(),
+        AN_VARIANT,
         tuple(repr(f) for f in reduced_factors),
         product.size,
         prediction.predicted,

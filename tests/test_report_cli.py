@@ -162,9 +162,7 @@ def test_runs_on_one_budget(call, monkeypatch, capsys):
     # every solve and theorem check of one call is handed the deadline the
     # call started with: each deadline made during it keeps that end time
     from beckring import solvers
-    from beckring.catalog import canonical_anderson_naseer
 
-    canonical_anderson_naseer()
     ends = []
     init = solvers._Deadline.__init__
 
@@ -509,7 +507,7 @@ def _recording_built(init, built):
 def test_suite_builds_no_ring_above_the_cap(monkeypatch):
     # --max-size holds every ring the suite builds: no catalog or field ring,
     # isomorphic pair or counterexample chain above it is built or graphed,
-    # and AN, above it, is not resolved
+    # and AN, above it, is not built
     from beckring import catalog, graphs
 
     catalog.rings_under.cache_clear()  # so that the catalog rings are built here
@@ -563,19 +561,30 @@ def test_cli_verify_suite_holds_the_catalog_to_the_cap(capsys):
 
 _SETUP_CONTENTS = """
 import sys
-from beckring import rings
+from beckring import rings, solvers
 
-built = []
-init = rings.StructureRing.__init__
+built, searches = [], []
+init, clique_init, dsatur = rings.StructureRing.__init__, solvers._CliqueSearch.__init__, solvers._dsatur
 
 def counting_init(self, *args, **kwargs):
     built.append(self)
     init(self, *args, **kwargs)
 
+def counting_clique_init(self, *args, **kwargs):
+    searches.append("clique")
+    clique_init(self, *args, **kwargs)
+
+def counting_dsatur(*args):
+    searches.append("dsatur")
+    return dsatur(*args)
+
 rings.StructureRing.__init__ = counting_init
+solvers._CliqueSearch.__init__ = counting_clique_init
+solvers._dsatur = counting_dsatur
 import beckring.cli
 from beckring.catalog import canonical_anderson_naseer
-canonical_anderson_naseer()
+from beckring.dsl import ring_of
+assert ring_of("AN") is canonical_anderson_naseer()
 
 import dataclasses
 loaded = [name for name in sys.modules if name.startswith("beckring")]
@@ -585,18 +594,20 @@ print(sorted(
     if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)
 ))
 print(len(built))
+print(searches)
 """
 
 
 def test_cli_set_up_contents():
     # what every CLI call pays before its request, in a fresh process: the
     # suite and its oracles stay unloaded, no dataclass code is generated,
-    # and resolving AN builds each of the two variant rings once
+    # AN's one ring is built once, shared by every parse of "AN", and
+    # nothing is solved
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _SETUP_CONTENTS],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "2"]
+    assert proc.stdout.split("\n")[:4] == ["[]", "[]", "1", "[]"]
 
 
 _NEW_NUMPY_MODULES = """

@@ -444,9 +444,7 @@ def test_family_refuses_a_product_above_the_cap_before_any_solve(monkeypatch):
     # AN x Z7 has 224 elements: refused before the formula's splits or any
     # factor's coloring runs a clique search or DSATUR
     from beckring import solvers
-    from beckring.catalog import canonical_anderson_naseer
 
-    canonical_anderson_naseer()  # AN is resolved once per process, apart from the family
     searches = []
     clique_init, dsatur = solvers._CliqueSearch.__init__, solvers._dsatur
 
