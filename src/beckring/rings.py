@@ -3,7 +3,9 @@
 Every ring enumerates its elements as indices 0..size-1 through a
 mixed-radix encoding of coordinate tuples; index 0 is always the additive
 zero. Three concrete kinds exist: Z_n, direct products, and rings given by
-structure constants over a finite basis. The bulk predicates are
+structure constants over a finite basis, kept as one tensor. The two
+mixed-radix kinds share one vector codec, `_decode_many`; each kind renders
+its element text once, in `element_strs`. The bulk predicates are
 vectorized over numpy. The zero-product relation is kept as one row per
 annihilator class (`ann_classes`), not as an n x n matrix; a product
 builds its classes and its other predicates from its factors' by
@@ -71,17 +73,10 @@ class FiniteRing:
 
     # -- element presentation ---------------------------------------------
 
-    def element_str(self, a: int) -> str:
-        raise NotImplementedError
+    element_strs: list[str]  # every element's text, in ring order: a cached property of each kind
 
-    @cached_property
-    def element_strs(self) -> list[str]:
-        """element_str of every element, in ring order; a product's is the
-        Cartesian product of its factors', factor 1 innermost."""
-        if self.factors:
-            tables = [f.element_strs for f in reversed(self.factors)]
-            return ["(" + ",".join(parts[::-1]) + ")" for parts in itertools.product(*tables)]
-        return [self.element_str(a) for a in self.elements()]
+    def element_str(self, a: int) -> str:
+        return self.element_strs[self._check(a)]
 
     def elements(self) -> range:
         return range(self.size)
@@ -316,8 +311,14 @@ class ZmodRing(FiniteRing):
     def mul_many(self, a, b):
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.n
 
-    def element_str(self, a):
-        return str(self._check(a))
+    @cached_property
+    def element_strs(self) -> list[str]:
+        return [str(a) for a in range(self.n)]
+
+
+def mixed_radix_strides(radices) -> list[int]:
+    """The strides of a mixed-radix encoding, coordinate 1 fastest: the running products of the radices."""
+    return [math.prod(radices[:i]) for i in range(len(radices))]
 
 
 class _MixedRadixRing(FiniteRing):
@@ -326,7 +327,9 @@ class _MixedRadixRing(FiniteRing):
 
     def _set_radices(self, radices) -> None:
         self.radices = tuple(radices)
-        self.strides = [math.prod(self.radices[:i]) for i in range(len(self.radices))]
+        self.strides = mixed_radix_strides(self.radices)
+        self._radix_array = np.array(self.radices, dtype=np.int64)
+        self._stride_array = np.array(self.strides, dtype=np.int64)
 
     def encode(self, coords: tuple[int, ...]) -> int:
         return sum(c * s for c, s in zip(coords, self.strides))
@@ -337,6 +340,10 @@ class _MixedRadixRing(FiniteRing):
             a, c = divmod(a, r)
             out.append(c)
         return tuple(out)
+
+    def _decode_many(self, a) -> np.ndarray:
+        """The coordinates of an index array, along a new last axis."""
+        return (np.asarray(a, dtype=np.int64)[..., None] // self._stride_array) % self._radix_array
 
 
 class ProductRing(_MixedRadixRing):
@@ -365,25 +372,19 @@ class ProductRing(_MixedRadixRing):
         pa, pb = self.decode(self._check(a)), self.decode(self._check(b))
         return self.encode(tuple(f.mul(x, y) for f, x, y in zip(self.factors, pa, pb)))
 
-    def _vec(self, op, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = 0
-        for f, s in zip(self.factors, self.strides):
-            fa = (a // s) % f.size
-            fb = (b // s) % f.size
-            out = out + s * op(f, fa, fb)
-        return out
-
     def add_many(self, a, b):
-        return self._vec(lambda f, x, y: f.add_many(x, y), a, b)
+        ca, cb = (np.moveaxis(self._decode_many(x), -1, 0) for x in (a, b))
+        return sum(f.add_many(x, y) * s for f, s, x, y in zip(self.factors, self.strides, ca, cb))
 
     def mul_many(self, a, b):
-        return self._vec(lambda f, x, y: f.mul_many(x, y), a, b)
+        ca, cb = (np.moveaxis(self._decode_many(x), -1, 0) for x in (a, b))
+        return sum(f.mul_many(x, y) * s for f, s, x, y in zip(self.factors, self.strides, ca, cb))
 
-    def element_str(self, a):
-        parts = self.decode(self._check(a))
-        return "(" + ",".join(f.element_str(p) for f, p in zip(self.factors, parts)) + ")"
+    @cached_property
+    def element_strs(self) -> list[str]:
+        """The Cartesian product of the factors' texts, factor 1 innermost."""
+        tables = [f.element_strs for f in reversed(self.factors)]
+        return ["(" + ",".join(parts[::-1]) + ")" for parts in itertools.product(*tables)]
 
 
 class StructureRing(_MixedRadixRing):
@@ -419,25 +420,23 @@ class StructureRing(_MixedRadixRing):
         self._set_radices(orders)
         if len(unity_coords) != k:
             raise DescriptorError(f"unity has {len(unity_coords)} coords, expected {k}")
-        table = {}
-        for i in range(k):
-            for j in range(i, k):
-                key = (i, j) if (i, j) in products else (j, i)
-                if key not in products:
-                    raise DescriptorError(f"missing structure constant for basis pair ({i}, {j})")
-                val = tuple(int(c) for c in products[key])
-                if len(val) != k:
-                    raise DescriptorError(f"structure constant for {key} has arity {len(val)}")
-                table[(i, j)] = tuple(c % o for c, o in zip(val, orders))
-        self._table = table
+        # a pair may be given both ways, with the same constants
+        given: dict[tuple[int, int], tuple[int, ...]] = {}
+        for key, val in products.items():
+            if key not in itertools.product(range(k), repeat=2):
+                raise DescriptorError(f"structure constant for {key} names no basis pair in [0, {k})")
+            if len(val := tuple(int(c) for c in val)) != k:
+                raise DescriptorError(f"structure constant for {key} has arity {len(val)}")
+            pair, val = (min(key), max(key)), tuple(c % o for c, o in zip(val, orders))
+            if given.setdefault(pair, val) != val:
+                raise DescriptorError(f"basis pair {pair} has two structure constants, {given[pair]} and {val}")
         # T[i * k + j, l] = l-th coordinate of e_i * e_j
-        t = np.zeros((k, k, k), dtype=np.int64)
-        for (i, j), val in table.items():
-            t[i, j] = val
-            t[j, i] = val
-        self._tensor = t.reshape(k * k, k)
-        self._orders_arr = np.array(orders, dtype=np.int64)
-        self._strides_arr = np.array(self.strides, dtype=np.int64)
+        tensor = np.zeros((k, k, k), dtype=np.int64)
+        for i, j in itertools.combinations_with_replacement(range(k), 2):
+            if (i, j) not in given:
+                raise DescriptorError(f"missing structure constant for basis pair ({i}, {j})")
+            tensor[i, j] = tensor[j, i] = given[(i, j)]
+        self._tensor = tensor.reshape(k * k, k)
         self.unity = self.encode(tuple(c % o for c, o in zip(unity_coords, orders)))
         self.name = name
         if size <= DEFAULT_VALIDATION_CAP:
@@ -456,31 +455,27 @@ class StructureRing(_MixedRadixRing):
             for j, y in enumerate(pb):
                 if y == 0:
                     continue
-                t = self._table[(i, j) if i <= j else (j, i)]
                 c = x * y
-                for l, tl in enumerate(t):
+                for l, tl in enumerate(self._tensor[i * self.k + j].tolist()):
                     if tl:
                         acc[l] += c * tl
         return self.encode(tuple(c % o for c, o in zip(acc, self.orders)))
 
-    def _decode_many(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        return (a[..., None] // self._strides_arr) % self._orders_arr
-
     def add_many(self, a, b):
-        coords = (self._decode_many(a) + self._decode_many(b)) % self._orders_arr
-        return coords @ self._strides_arr
+        coords = (self._decode_many(a) + self._decode_many(b)) % self._radix_array
+        return coords @ self._stride_array
 
     def mul_many(self, a, b):
         # a's k x k matrix of multiplication, then b's coordinates through it:
         # no k x k temporary per pair
         k, ca, cb = self.k, self._decode_many(a), self._decode_many(b)
         by_a = (ca @ self._tensor.reshape(k, k * k)).reshape(*ca.shape[:-1], k, k)
-        coords = (cb[..., None, :] @ by_a)[..., 0, :] % self._orders_arr
-        return coords @ self._strides_arr
+        coords = (cb[..., None, :] @ by_a)[..., 0, :] % self._radix_array
+        return coords @ self._stride_array
 
-    def element_str(self, a):
-        return "(" + ",".join(str(c) for c in self.decode(self._check(a))) + ")"
+    @cached_property
+    def element_strs(self) -> list[str]:
+        return ["(" + ",".join(map(str, c)) + ")" for c in self._decode_many(np.arange(self.size)).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .errors import CapacityError, ContractError, InternalCheckError, InvalidMod
 from .errors import PreconditionError
 from .graphs import build_graph
 from .rings import AN_VARIANT, DEFAULT_SIZE_CAP, FiniteRing, _factorize, field_factor_count, make_product
+from .rings import mixed_radix_strides
 from .solvers import (
     Budget,
     _Deadline,
@@ -98,8 +99,7 @@ def _materialize_witness(factors, splits) -> Clique:
         g, b_part = build_graph(f), split.b_part
         if not (verify_clique(g, b_part + split.c_part) and all(g.sq0_bits >> b & 1 for b in b_part)):
             raise InternalCheckError(f"witness clique check failed in factor {i}")
-    # the product's encoding: coordinate 1 fastest, strides the running products of the sizes
-    strides = [math.prod(f.size for f in factors[:i]) for i in range(len(factors))]
+    strides = mixed_radix_strides([f.size for f in factors])  # the product's encoding
     box = iter_product(*[split.b_part for split in splits])
     verts = [sum(b * stride for b, stride in zip(combo, strides)) for combo in box]
     verts += [c * stride for split, stride in zip(splits, strides) for c in split.c_part]

@@ -19,6 +19,7 @@ from beckring.cli import main
 ANALYZE_RINGS = (
     "Z1", "Z2", "Z4", "Z12", "Z29", "Z2[t]/(t^2)", "AN", "AN0", "AN x Z2",
     "AN x AN", "Z4 x Z256", "Z8 x Z64 x Z8", "AN2 x Z36", "Z5 x Z2 x Z2 x Z2 x Z3 x Z3 x Z3",
+    "Z3[t]/(t^5)", "Z4[t]/(t^2+t+1) x Z3",
 )
 MIN_S_RINGS = ("Z1", "Z2", "Z4", "Z12", "Z29", "Z2[t]/(t^2)", "AN", "AN0", "AN x Z2")
 EXPORT_RING = "Z4 x Z256"
@@ -68,6 +69,10 @@ DIGESTS = {
         "ed3c23492b863a2a6c72e1618ed31d9e780efbf6550973c10d24dace1bd9d9d9",
     "analyze Z5 x Z2 x Z2 x Z2 x Z3 x Z3 x Z3 --json --budget 60":
         "88563428573a94a3d4845aceccf1d9e40e8c7b607ec6e8e8dcb7f05a6e41c410",
+    "analyze Z3[t]/(t^5) --json --budget 60":
+        "a1db0a9a34f490663b0d35a625f26785524e85027e6152e0c6876043908021e9",
+    "analyze Z4[t]/(t^2+t+1) x Z3 --json --budget 60":
+        "b2768d281eb423f9e455febe849d918bd67230203aaa2b05208488ffc9a8245a",
     "analyze Z1 --json --budget 60 --s-mode min":
         "fd7d8ed71d4972c572eb804983c2f1b1afd9bd525e3963642ecf3fdc7028fd33",
     "analyze Z2 --json --budget 60 --s-mode min":

@@ -170,6 +170,21 @@ def test_structure_ring_missing_table_entry():
         make_structure_ring((2, 2), (1, 0), {(0, 0): (1, 0), (0, 1): (0, 1)})
 
 
+def test_structure_ring_pair_given_both_ways():
+    # (0, 1) and (1, 0) must agree after reduction mod the orders: a
+    # conflicting pair would pass as commutative, as only one is kept
+    products = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (1, 1), (1, 1): (0, 0)}
+    with pytest.raises(DescriptorError, match=r"basis pair \(0, 1\) has two structure constants"):
+        make_structure_ring([2, 2], [1, 0], products)
+    products[(1, 0)] = (2, 3)  # (0, 1) again, mod 2
+    assert make_structure_ring([2, 2], [1, 0], products).mul(1, 2) == 2
+
+
+def test_structure_ring_key_outside_the_basis():
+    with pytest.raises(DescriptorError, match=r"\(3, 7\) names no basis pair in \[0, 1\)"):
+        make_structure_ring([2], [1], {(0, 0): (1,), (3, 7): (1,)})
+
+
 def test_structure_ring_associativity_violation():
     # u*u = v, u*v = 1, v*v = 0 breaks (uu)v = u(uv)
     products = {
@@ -252,11 +267,12 @@ def test_validate_of_corrupted_structure_constants(monkeypatch):
     an = make_anderson_naseer(0)
     monkeypatch.setattr(rings, "DEFAULT_VALIDATION_CAP", 0)  # validate on demand only
     failed = 0
-    for (i, j), val in an._table.items():
+    table = {(i, j): tuple(an._tensor[i * an.k + j].tolist()) for i in range(an.k) for j in range(i, an.k)}
+    for (i, j), val in table.items():
         if i == 0:
             continue  # products with 1 decide the unity check first
         for shift in range(1, 4):
-            products = dict(an._table)
+            products = dict(table)
             products[(i, j)] = ((val[0] + shift) % 4,) + val[1:]
             ring = make_structure_ring(an.orders, (1, 0, 0, 0), products)
             v = np.arange(ring.size, dtype=np.int64)
