@@ -269,6 +269,8 @@ def main(argv=None) -> int:
             raise _UsageError(f"argument --max-size: expected a positive integer, got {args.max_size}")
         if "budget" in args:  # one deadline per command
             args.budget = _Deadline(args.budget)
+        if "s_mode" in args:  # the library's spelling of --s-mode any|min
+            args.s_mode = {"any": "any_optimal", "min": "min_s"}[args.s_mode]
         return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -8,9 +8,10 @@ Grammar ("x"/"X" separates product factors):
     term := INT | INT? "t" ("^" INT)?
 
 Whitespace may separate tokens, but never splits a number or "AN"; "AN 0"
-is "AN0". Numbers are runs of decimal digits.
+is "AN0". Numbers are runs of at most 4300 decimal digits.
 Quotient polynomials must be monic of degree >= 1; coefficients fold into
 canonical residues mod the base modulus, so "t^2-2" over Z4 is "t^2+2".
+f is kept as its terms, so its degree costs nothing before the size cap.
 "AN" is the 32-element built-in with z^2 = rings.AN_VARIANT (0), the
 variant with clique number 5 and chromatic number 6; "AN0"/"AN2" force
 the variant.
@@ -39,10 +40,12 @@ class ZmodAtom(NamedTuple):
 
 
 class QuotAtom(NamedTuple):
-    """Z_n[t]/(f); coeffs ascending c_0..c_d, reduced mod n, c_d monic."""
+    """Z_n[t]/(f); f's terms as ascending (exponent, coefficient mod n)
+    pairs, zero coefficients left out but the leading (d, 1), or (d, 0)
+    over Z1."""
 
     n: int
-    coeffs: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
 
 
 class ANAtom(NamedTuple):
@@ -82,6 +85,8 @@ def _take(toks: _Tokens, lit: str | None) -> tuple[str | int, int] | None:
     int) for None; else None."""
     tok, off = toks[-1]
     if tok == lit or lit is None and tok.isdecimal():
+        if lit is None and len(tok) > 4300:  # Python 3.11+ reads no longer digit run as an int
+            raise ParseError(f"number of {len(tok)} digits exceeds 4300", off)
         toks.pop()
         return tok if lit else int(tok), off
     return None
@@ -94,7 +99,7 @@ def _expect(toks: _Tokens, lit: str | None, what: str = "") -> tuple[str | int, 
     return got
 
 
-def _parse_poly(toks: _Tokens, n: int, start: int) -> tuple[int, ...]:
+def _parse_poly(toks: _Tokens, n: int, start: int) -> dict[int, int]:
     coeffs: dict[int, int] = {}
     degree = 0
     sign = 1
@@ -118,13 +123,12 @@ def _parse_poly(toks: _Tokens, n: int, start: int) -> tuple[int, ...]:
             break
     if degree < 1:
         raise ParseError("quotient polynomial must have degree >= 1", start)
-    out = tuple(coeffs.get(e, 0) % n for e in range(degree + 1))
-    if n > 1 and out[degree] != 1:
+    if n > 1 and coeffs[degree] % n != 1:
         raise ParseError(
-            f"quotient polynomial must be monic (leading coefficient {out[degree]} mod {n})",
+            f"quotient polynomial must be monic (leading coefficient {coeffs[degree] % n} mod {n})",
             start,
         )
-    return out
+    return {e: c % n for e, c in coeffs.items() if c % n or e == degree}
 
 
 def _parse_atom(toks: _Tokens) -> RingExpr:
@@ -140,9 +144,9 @@ def _parse_atom(toks: _Tokens) -> RingExpr:
             for lit in "t]/":
                 _expect(toks, lit)
             # the polynomial's errors point just past its "("
-            coeffs = _parse_poly(toks, n, _expect(toks, "(")[1] + 1)
+            terms = _parse_poly(toks, n, _expect(toks, "(")[1] + 1)
             _expect(toks, ")")
-            return QuotAtom(n, coeffs)
+            return QuotAtom(n, tuple(sorted(terms.items())))
         return ZmodAtom(n)
     raise ParseError("expected a ring atom (Zn, Zn[t]/(...), AN, AN0, AN2)", off)
 
@@ -160,16 +164,15 @@ def parse(text: str) -> RingExpr:
     return ProductExpr(tuple(atoms))
 
 
-def _poly_str(coeffs: tuple[int, ...]) -> str:
-    # the leading term prints monic also over Z1, where every coefficient
+def _poly_str(terms: tuple[tuple[int, int], ...]) -> str:
+    # the leading term prints monic also over Z1, where its coefficient
     # reads 0, so that the text parses back to the same degree
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e] if terms else 1
+    out = []
+    for e, c in reversed(terms):
+        c = c if out else 1
         power = "" if e == 0 else "t" if e == 1 else f"t^{e}"
-        if c:
-            terms.append(power if c == 1 and e else f"{c}{power}")
-    return "+".join(terms)
+        out.append(power if c == 1 and e else f"{c}{power}")
+    return "+".join(out)
 
 
 def print_expr(e: RingExpr) -> str:
@@ -177,7 +180,7 @@ def print_expr(e: RingExpr) -> str:
     if isinstance(e, ZmodAtom):
         return f"Z{e.n}"
     if isinstance(e, QuotAtom):
-        return f"Z{e.n}[t]/({_poly_str(e.coeffs)})"
+        return f"Z{e.n}[t]/({_poly_str(e.terms)})"
     if isinstance(e, ANAtom):
         return "AN" if e.variant is None else f"AN{e.variant}"
     if isinstance(e, ProductExpr):
@@ -191,8 +194,8 @@ def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     if isinstance(e, ZmodAtom):
         return make_zmod(e.n, size_cap=size_cap)
     if isinstance(e, QuotAtom):
-        ring = make_quotient(e.n, e.coeffs, size_cap=size_cap)
-        ring.name = print_expr(e)  # named once accepted: the name is O(degree)
+        ring = make_quotient(e.n, dict(e.terms), size_cap=size_cap)
+        ring.name = print_expr(e)  # named once accepted
         return ring
     if isinstance(e, ANAtom):
         # AN, AN0 and AN2 are held to the cap here, before the ring is built

@@ -20,7 +20,7 @@ from .graphs import build_graph
 from .rings import DEFAULT_SIZE_CAP
 from .solvers import Budget, _Deadline, best_clique_split, chromatic_number, max_clique, verify_clique
 from .theorems import (
-    _normalize_s_mode,
+    _check_s_mode,
     an_condition_for,
     chi_bounds,
     factor_coloring,
@@ -46,7 +46,7 @@ def analyze(
     The whole call runs on one deadline, which each solve and theorem
     check is handed."""
     deadline = _Deadline(budget)
-    s_mode = _normalize_s_mode(s_mode)
+    _check_s_mode(s_mode)
     ast = parse(expr_text)
     ring = elaborate(ast, size_cap=size_cap)
     g = build_graph(ring)

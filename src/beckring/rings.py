@@ -502,50 +502,42 @@ def make_structure_ring(
     return StructureRing(additive_orders, unity_coords, products, name=name, size_cap=size_cap)
 
 
-def make_quotient(n: int, poly: tuple[int, ...], name: str | None = None,
-                  size_cap: int = DEFAULT_SIZE_CAP) -> StructureRing:
+def make_quotient(n: int, coeffs: dict[int, int], size_cap: int = DEFAULT_SIZE_CAP) -> StructureRing:
     """Z_n[t] / (f) for a monic f, as a structure ring on basis 1, t, ..., t^(d-1).
 
-    `poly` lists coefficients c_0..c_d ascending with c_d = 1 and d >= 1.
-    For n = 1 the zero ring, on one coordinate whatever d is.
+    `coeffs` maps exponents to f's coefficients; absent ones are 0, and the
+    largest exponent d >= 1 has coefficient 1 mod n. Only d and its
+    coefficient are read before the size cap. For n = 1 the zero ring, on
+    one coordinate whatever d is.
     """
     if n == 0:
         raise InvalidModulusError("Z_0[t] is not a ring")
-    d = len(poly) - 1
+    bad = [e for e in coeffs if not isinstance(e, int) or e < 0]
+    if bad:
+        raise DescriptorError(f"quotient polynomial exponent {bad[0]!r} is not an integer >= 0")
+    d = max(coeffs, default=0)
     if d < 1:
         raise DescriptorError("quotient polynomial must have degree >= 1")
     if n == 1:
-        return StructureRing((1,), (0,), {(0, 0): (0,)}, name=name, size_cap=size_cap)
-    if poly[d] % n != 1:
-        raise DescriptorError(f"quotient polynomial must be monic, leading coefficient {poly[d] % n}")
-    # before any O(d) pass over the coefficients, power rows or structure
-    # constants, and n^d formed only up to the first power past the cap; a
-    # size too long to print in decimal is shown as a power
+        return StructureRing((1,), (0,), {(0, 0): (0,)}, size_cap=size_cap)
+    if coeffs[d] % n != 1:
+        raise DescriptorError(f"quotient polynomial must be monic, leading coefficient {coeffs[d] % n}")
+    # n^d formed only up to the first power past the cap; a size too long to
+    # print in decimal is shown as a power
     size = 1
     for _ in range(d):
         size *= n
         if size > size_cap:
-            size = n**d if d * math.log10(n) < 4000 else f"{n}^{d}"
+            size = n**d if d < 4000 / math.log10(n) else f"{n}^{d}"
             raise CapacityError(f"ring size {size} exceeds cap {size_cap}")
-    coeffs = tuple(c % n for c in poly)
-    # rep[e] = coordinates of t^e in the basis, for e up to 2(d-1)
-    rep = [[0] * d for _ in range(2 * d - 1)]
-    for e in range(min(d, 2 * d - 1)):
-        rep[e][e] = 1
-    for e in range(d, 2 * d - 1):
-        # t^e = t * t^(e-1); shifting, then t^d -> -(c_0 + ... + c_{d-1} t^{d-1})
-        prev = rep[e - 1]
-        cur = [0] * d
-        for i in range(d - 1):
-            cur[i + 1] = prev[i]
-        top = prev[d - 1]
-        if top:
-            for i in range(d):
-                cur[i] = (cur[i] - top * coeffs[i]) % n
-        rep[e] = cur
-    products = {(i, j): tuple(rep[i + j]) for i in range(d) for j in range(i, d)}
-    unity = tuple([1] + [0] * (d - 1))
-    return StructureRing((n,) * d, unity, products, name=name, size_cap=size_cap)
+    # column i of f's companion matrix is t * t^i, so t^e is its e-th power
+    # applied to t^0; Python ints keep the rows exact for any n
+    companion = [[int(i == j + 1) for j in range(d - 1)] + [-coeffs.get(i, 0) % n] for i in range(d)]
+    rows = [[int(i == 0) for i in range(d)]]
+    for _ in range(2 * d - 2):
+        rows.append([sum(a * b for a, b in zip(row, rows[-1])) % n for row in companion])
+    products = {(i, j): rows[i + j] for i in range(d) for j in range(i, d)}
+    return StructureRing((n,) * d, rows[0], products, size_cap=size_cap)
 
 
 # the z^2 of Anderson and Naseer's ring: AN0 has (omega, chi) = (5, 6), AN2

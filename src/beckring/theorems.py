@@ -125,13 +125,10 @@ class ChiBounds(NamedTuple):
     s_mode: str
 
 
-def _normalize_s_mode(s_mode: str) -> str:
-    mode = s_mode.lower()
-    if mode in ("any", "any_optimal"):
-        return "any_optimal"
-    if mode in ("min", "min_s"):
-        return "min_s"
-    raise PreconditionError(f"unknown s_mode {s_mode!r} (expected any_optimal or min_s)")
+def _check_s_mode(s_mode: str) -> str:
+    if s_mode not in ("any_optimal", "min_s"):
+        raise PreconditionError(f"unknown s_mode {s_mode!r} (expected any_optimal or min_s)")
+    return s_mode
 
 
 def factor_coloring(ring: FiniteRing, s_mode: str, budget: Budget = None) -> FactorColoring:
@@ -139,7 +136,7 @@ def factor_coloring(ring: FiniteRing, s_mode: str, budget: Budget = None) -> Fac
     chi-coloring (any_optimal) or least over them, or the best the budget
     allowed, with `s_exact` False (min_s)."""
     g = build_graph(ring)
-    if _normalize_s_mode(s_mode) == "min_s":
+    if _check_s_mode(s_mode) == "min_s":
         coloring, sz = min_s_optimal_coloring(g, budget)
     else:
         coloring, sz = chromatic_number(g, budget)[1], None
@@ -158,13 +155,13 @@ def chi_bounds(
     one budget."""
     if not factors:
         raise PreconditionError("chi_bounds needs at least one factor")
-    mode = _normalize_s_mode(s_mode)
+    _check_s_mode(s_mode)
     deadline = _Deadline(budget)
-    cols = tuple(factor_coloring(f, mode, deadline) for f in factors)
+    cols = tuple(factor_coloring(f, s_mode, deadline) for f in factors)
     n = len(cols)
     lower = sum(c.chi for c in cols) - (n - 1)
     upper = sum(c.chi - c.s for c in cols) + math.prod(c.s for c in cols)
-    return ChiBounds(cols, lower, upper, mode)
+    return ChiBounds(cols, lower, upper, s_mode)
 
 
 def product_coloring(product: FiniteRing, colorings: list[Coloring]) -> Coloring:

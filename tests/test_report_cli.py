@@ -187,8 +187,11 @@ def test_analyze_rejects_unknown_s_mode_before_solving(expr, monkeypatch):
         raise AssertionError("solved before s_mode was checked")
 
     monkeypatch.setattr("beckring.report.max_clique", no_solve)
-    with pytest.raises(PreconditionError):
-        analyze(expr, s_mode="bogus")
+    # the library spells the modes any_optimal and min_s alone; the CLI's
+    # --s-mode any|min maps onto them
+    for s_mode in ("bogus", "min", "MIN_S"):
+        with pytest.raises(PreconditionError):
+            analyze(expr, s_mode=s_mode)
 
 
 def test_render_report_mentions_key_numbers():

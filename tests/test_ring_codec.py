@@ -20,7 +20,7 @@ from beckring import ElementError, make_product, make_quotient
 from beckring.catalog import catalog_rings
 from beckring.rings import ProductRing, ZmodRing
 
-Z1_QUOTIENT = make_quotient(1, (0, 0, 0, 1))
+Z1_QUOTIENT = make_quotient(1, {3: 1})
 
 
 def text_of(ring, a):

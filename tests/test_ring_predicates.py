@@ -42,7 +42,7 @@ def quotients(draw):
     n = draw(st.sampled_from((2, 3, 4, 5, 6, 8)))
     degree = draw(st.integers(1, 3).filter(lambda d: n**d <= 64))
     lower = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
-    return make_quotient(n, tuple(lower) + (1,))
+    return make_quotient(n, dict(enumerate(lower)) | {degree: 1})
 
 
 def atoms():
@@ -55,7 +55,7 @@ def atoms():
 
 def reduced_atoms():
     """Z1, fields, squarefree Z_n, GF(4), GF(8), GF(9) and Z2[t]/(t^2+t) = Z2 x Z2."""
-    quotient_specs = ((2, (1, 1, 1)), (2, (1, 1, 0, 1)), (3, (1, 0, 1)), (2, (0, 1, 1)))
+    quotient_specs = ((2, {0: 1, 1: 1, 2: 1}), (2, {0: 1, 1: 1, 3: 1}), (3, {0: 1, 2: 1}), (2, {1: 1, 2: 1}))
     return st.one_of(
         st.sampled_from((1, 2, 3, 5, 6, 7, 10, 11, 15, 30)).map(make_zmod),
         st.sampled_from(quotient_specs).map(lambda spec: make_quotient(*spec)),

@@ -31,7 +31,7 @@ from beckring import (
 )
 from beckring.oracle import exhaustive_max_clique
 from beckring.solvers import Clique, CliqueSplit, best_clique_split
-from beckring.theorems import _materialize_witness, an_condition_for, classify_nil_factor
+from beckring.theorems import _materialize_witness, an_condition_for, classify_nil_factor, factor_coloring
 
 
 def rings_of(*texts):
@@ -171,8 +171,12 @@ def test_chi_bounds_min_s_mode_never_looser():
 
 
 def test_chi_bounds_bad_mode():
-    with pytest.raises(PreconditionError):
-        chi_bounds(rings_of("Z4"), "median")
+    # only any_optimal and min_s, as spelled: the CLI maps its any|min
+    for s_mode in ("median", "any", "min", "MIN_S"):
+        with pytest.raises(PreconditionError):
+            chi_bounds(rings_of("Z4"), s_mode)
+        with pytest.raises(PreconditionError):
+            factor_coloring(ring_of("Z4"), s_mode)
 
 
 @pytest.mark.parametrize("s_mode", ["any_optimal", "min_s"])
