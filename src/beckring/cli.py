@@ -15,7 +15,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .dsl import ProductExpr, elaborate, parse, print_expr, ring_of
 from .errors import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, BeckringError
@@ -91,14 +93,45 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: dict, as_json: bool, text: str, ok: bool) -> int:
-    print(json.dumps(payload, indent=2) if as_json else text)
+# the JSON text of each scalar type, as json.dumps writes it
+_LITERALS = {True: "true", False: "false", None: "null"}
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERALS.get, type(None): _LITERALS.get}
+
+
+def _dumps(x, pad: str = "\n") -> str:
+    """The bytes of `json.dumps(x, indent=2)`, its later lines indented by
+    `pad` less its newline. The stdlib's indenting encoder is pure Python,
+    so a list of strings (an analysis's color classes) is joined here in
+    one pass. Anything but a list, a str-keyed dict and a plain scalar is
+    left to the stdlib, re-indented: JSON text holds no raw newline."""
+    kind = type(x)
+    if kind in _SCALARS:
+        return _SCALARS[kind](x)
+    if kind is list or kind is dict and set(map(type, x)) <= {str}:
+        if not x:
+            return "[]" if kind is list else "{}"
+        inner = pad + "  "
+        if kind is list and set(map(type, x)) == {str}:
+            items = map(encode_basestring_ascii, x)
+        elif kind is list:
+            items = [_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner) for v in x]
+        else:
+            items = [encode_basestring_ascii(k) + ": " + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner))
+                     for k, v in x.items()]
+        opening, closing = "[]" if kind is list else "{}"
+        return opening + inner + ("," + inner).join(items) + pad + closing
+    return json.dumps(x, indent=2).replace("\n", pad)
+
+
+def _emit(payload: dict, as_json: bool, text: str | None, ok: bool) -> int:
+    print(_dumps(payload) if as_json else text)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _cmd_analyze(args) -> int:
     report = analyze(args.expr, budget=args.budget, s_mode=args.s_mode, size_cap=args.max_size)
-    return _emit(report, args.json, render_report(report), all(c["pass"] for c in report["checks"]))
+    text = None if args.json else render_report(report)
+    return _emit(report, args.json, text, all(c["pass"] for c in report["checks"]))
 
 
 def _cmd_predict_omega(args) -> int:
@@ -281,7 +314,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry point. A reader that closes stdout early (`| head`)
+    ends the command with exit 1 and no traceback, by the recipe of Python's
+    `signal` docs: stdout goes to devnull, so the last flush cannot fail."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -69,10 +69,12 @@ class BeckGraph:
 
     @cached_property
     def adj(self) -> list[int]:
-        """Rows packed once per annihilator class; a square-zero vertex clears its own bit."""
-        packed = _pack_rows(self._rows)
-        own = zip(self._cls.tolist(), self._sq0.tolist())
-        return [packed[c] ^ (1 << v) if s else packed[c] for v, (c, s) in enumerate(own)]
+        """Rows packed once per annihilator class and shared by its vertices;
+        a square-zero vertex clears its own bit."""
+        adj = list(map(_pack_rows(self._rows).__getitem__, self._cls.tolist()))
+        for v in self._sq0.nonzero()[0].tolist():
+            adj[v] ^= 1 << v
+        return adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
@@ -116,13 +118,15 @@ class BeckGraph:
         likewise for y, so xy = x = y. On a graph induced on other elements
         these classes are still twins."""
         if self.group is None:
-            class_of, self.reps, self.group = {}, [], []
-            for v, (c, s) in enumerate(zip(self._cls.tolist(), self._sq0.tolist())):
-                # a square-zero vertex is a class of its own: key ~v < 0
-                c = class_of.setdefault(~v if s else c, len(self.reps))
-                if c == len(self.reps):
-                    self.reps.append(v)
-                self.group.append(c)
+            # a vertex's key is its class, or ~v < 0 for a square-zero v,
+            # a class of its own; `first` keeps each key's first vertex
+            keys = self._cls.tolist()
+            for v in self._sq0.nonzero()[0].tolist():
+                keys[v] = ~v
+            first: dict[int, int] = {}
+            firsts = list(map(first.setdefault, keys, range(self.n)))
+            self.reps = list(first.values())
+            self.group = list(map(dict(zip(self.reps, range(len(self.reps)))).__getitem__, firsts))
             if len(self.reps) < self.n:
                 self._core = BeckGraph(self.ring, [self.to_ring[v] for v in self.reps])
                 self._core.group = self._core.reps = list(range(len(self.reps)))

@@ -115,9 +115,9 @@ def analyze(
             "index": profile.index_of_nilpotency,
             "power_sizes": list(profile.power_sizes),
         },
-        "omega": {"value": omega_val, "witness": [els[v] for v in clique.vertices]},
-        "chi": {"value": chi_val, "classes": [[els[v] for v in cls] for cls in final.coloring.classes()]},
-        "split": {"B": [els[v] for v in split.b_part], "C": [els[v] for v in split.c_part]},
+        "omega": {"value": omega_val, "witness": list(map(els.__getitem__, clique.vertices))},
+        "chi": {"value": chi_val, "classes": [list(map(els.__getitem__, c)) for c in final.coloring.classes()]},
+        "split": {"B": list(map(els.__getitem__, split.b_part)), "C": list(map(els.__getitem__, split.c_part))},
         "s": final.s,
         "checks": checks,
     }

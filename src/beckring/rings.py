@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -313,7 +314,7 @@ class ZmodRing(FiniteRing):
 
     @cached_property
     def element_strs(self) -> list[str]:
-        return [str(a) for a in range(self.n)]
+        return list(map(str, range(self.n)))
 
 
 def mixed_radix_strides(radices) -> list[int]:
@@ -344,6 +345,17 @@ class _MixedRadixRing(FiniteRing):
     def _decode_many(self, a) -> np.ndarray:
         """The coordinates of an index array, along a new last axis."""
         return (np.asarray(a, dtype=np.int64)[..., None] // self._stride_array) % self._radix_array
+
+    @staticmethod
+    def _tuple_strs(tables: list[list[str]]) -> list[str]:
+        """Every element's text "(t_1,...,t_k)" in ring order, folded from
+        each coordinate's texts: one concatenation per element and coordinate."""
+        out = [""]
+        for i, table in enumerate(tables):
+            ends = [("," if i else "(") + t + (")" if i == len(tables) - 1 else "") for t in table]
+            each = itertools.chain.from_iterable(map(itertools.repeat, ends, itertools.repeat(len(out))))
+            out = list(map(operator.add, out * len(ends), each))
+        return out
 
 
 class ProductRing(_MixedRadixRing):
@@ -382,9 +394,7 @@ class ProductRing(_MixedRadixRing):
 
     @cached_property
     def element_strs(self) -> list[str]:
-        """The Cartesian product of the factors' texts, factor 1 innermost."""
-        tables = [f.element_strs for f in reversed(self.factors)]
-        return ["(" + ",".join(parts[::-1]) + ")" for parts in itertools.product(*tables)]
+        return self._tuple_strs([f.element_strs for f in self.factors])
 
 
 class StructureRing(_MixedRadixRing):
@@ -475,7 +485,7 @@ class StructureRing(_MixedRadixRing):
 
     @cached_property
     def element_strs(self) -> list[str]:
-        return ["(" + ",".join(map(str, c)) + ")" for c in self._decode_many(np.arange(self.size)).tolist()]
+        return self._tuple_strs([list(map(str, range(r))) for r in self.radices])
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +533,16 @@ def make_quotient(n: int, coeffs: dict[int, int], size_cap: int = DEFAULT_SIZE_C
     if coeffs[d] % n != 1:
         raise DescriptorError(f"quotient polynomial must be monic, leading coefficient {coeffs[d] % n}")
     # n^d formed only up to the first power past the cap; a size too long to
-    # print in decimal is shown as a power
+    # print in decimal is shown as a power, and an exponent past Python's
+    # int-to-str digit limit by its bit length
     size = 1
     for _ in range(d):
         size *= n
         if size > size_cap:
-            size = n**d if d < 4000 / math.log10(n) else f"{n}^{d}"
+            try:
+                size = n**d if d < 4000 / math.log10(n) else f"{n}^{d}"
+            except ValueError:
+                size = f"{n}^d (d of {d.bit_length()} bits)"
             raise CapacityError(f"ring size {size} exceeds cap {size_cap}")
     # column i of f's companion matrix is t * t^i, so t^e is its e-th power
     # applied to t^0; Python ints keep the rows exact for any n

@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ContractError, PreconditionError
-from .graphs import BeckGraph
+from .graphs import BeckGraph, _pack_rows
 
 DEFAULT_BUDGET = 60.0
 _PERMUTE_BLOCK = 256  # adjacency rows per numpy block in _permute
@@ -192,6 +192,7 @@ class Coloring(NamedTuple):
     k: int
 
     def classes(self) -> list[list[int]]:
+        # a plain loop: map(list.append, ...) and a numpy argsort both ran slower, small or large
         out: list[list[int]] = [[] for _ in range(self.k)]
         for v, c in enumerate(self.class_of):
             out[c].append(v)
@@ -231,17 +232,12 @@ def verify_clique(g, vertices) -> bool:
 def verify_coloring(g, coloring: Coloring) -> bool:
     """True iff the coloring covers every vertex, uses each of its k classes,
     and no vertex has a neighbour in its own class (checked against one
-    bitmask per class)."""
-    if len(coloring.class_of) != g.n or coloring.k < 0:
+    bitmask per class, packed from the k x n membership matrix)."""
+    cls, k = coloring.class_of, coloring.k
+    if len(cls) != g.n or k < 0 or cls and not 0 <= min(cls) <= max(cls) < k:
         return False
-    members = [0] * coloring.k
-    for v, c in enumerate(coloring.class_of):
-        if not 0 <= c < coloring.k:
-            return False
-        members[c] |= 1 << v
-    if not all(members):
-        return False
-    return not any(g.adj[v] & members[c] for v, c in enumerate(coloring.class_of))
+    masks = _pack_rows(np.fromiter(cls, np.intp, g.n) == np.arange(k)[:, None])
+    return all(masks) and not any(map(operator.and_, g.adj, map(masks.__getitem__, cls)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +568,7 @@ def _core(g):
 def _lift(color: list[int], group, k: int) -> Coloring:
     """A coloring of the core lifted to the graph: each vertex takes the
     color of its class."""
-    return Coloring(tuple(color[c] for c in group), k)
+    return Coloring(tuple(map(color.__getitem__, group)), k)
 
 
 def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:

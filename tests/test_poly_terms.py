@@ -143,6 +143,13 @@ def test_long_exponents_exit_3_at_the_cli(digits, capsys):
     assert err == f"error: ring size 2^{exponent} exceeds cap 4096\n"
 
 
+def test_an_exponent_too_long_to_print_is_shown_by_its_bit_length():
+    # Python prints no int of more than 4300 digits in decimal, so the cap
+    # message names such an exponent by its length
+    with pytest.raises(CapacityError, match=r"^ring size 2\^d \(d of 16610 bits\) exceeds cap 4096$"):
+        make_quotient(2, {10**5000: 1})
+
+
 @pytest.mark.parametrize("exponent", [-1, 1.5, "2"])
 def test_make_quotient_rejects_an_exponent_that_is_not_a_natural_number(exponent):
     with pytest.raises(DescriptorError, match=re.escape(f"exponent {exponent!r} is not an integer >= 0")):

@@ -257,6 +257,25 @@ def test_cli_budget_zero_answers_or_exits_4(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["export", "Z16 x Z16 x Z16", "--format", "dimacs"], ["analyze", "Z16 x Z16 x Z16", "--json"]],
+    ids=" ".join,
+)
+def test_cli_reader_that_closes_the_pipe_early_gets_no_traceback(argv):
+    # `beckring ... | head -1`: the reader takes one line and closes the
+    # pipe while the command still writes (each output is larger than a
+    # pipe's buffer); the command ends with exit 1 and nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "beckring.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() in (b"p edge 4096 55264\n", b"{\n")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_cli_budget_holds_on_ring_predicates(capsys):
     # Z2^10: 1024 elements and ten field factors; the ring predicates of a
     # product run before any budgeted solver and must not outlast the budget
