@@ -19,7 +19,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .dsl import ProductExpr, elaborate, parse, print_expr, ring_of
+from .dsl import ProductExpr, elaborate, elaborate_factors, parse, print_expr, ring_of
 from .errors import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, BeckringError
 from .graphs import build_graph, export_graph
 from .report import analyze, render_report
@@ -138,7 +138,7 @@ def _cmd_predict_omega(args) -> int:
     ast = parse(args.expr)
     if not isinstance(ast, ProductExpr) or len(ast.atoms) < 2:
         raise _UsageError("predict-omega needs a product of at least two factors")
-    factors = [elaborate(a, size_cap=args.max_size) for a in ast.atoms]
+    factors = elaborate_factors(ast.atoms, args.max_size)
     pred = omega_product_formula(factors, args.budget, args.max_size)
     direct = None
     if pred.product_size <= min(DEFAULT_DIRECT_CAP, args.max_size):
@@ -169,7 +169,7 @@ def _cmd_predict_omega(args) -> int:
 def _cmd_bound_chi(args) -> int:
     ast = parse(args.expr)
     atoms = ast.atoms if isinstance(ast, ProductExpr) else (ast,)
-    factors = [elaborate(a, size_cap=args.max_size) for a in atoms]
+    factors = elaborate_factors(atoms, args.max_size)
     bounds = chi_bounds(factors, args.s_mode, args.budget)
     exact = None
     if math.prod(f.size for f in factors) <= min(DEFAULT_DIRECT_CAP, args.max_size):
@@ -225,7 +225,7 @@ def _cmd_zn(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    factors = [elaborate(parse(t), size_cap=args.max_size) for t in args.factors]
+    factors = elaborate_factors(map(parse, args.factors), args.max_size)
     rep = counterexample_family(factors, args.budget, args.max_size)
     ok = rep.gap == 1 and rep.constructed_colors == rep.chi_lower and (
         rep.direct_omega is None or rep.direct_omega == rep.omega

@@ -205,8 +205,19 @@ def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
             return canonical_anderson_naseer()
         return make_anderson_naseer(e.variant)
     if isinstance(e, ProductExpr):
-        return make_product([elaborate(a, size_cap) for a in e.atoms], size_cap=size_cap)
+        return make_product(elaborate_factors(e.atoms, size_cap), size_cap=size_cap)
     raise TypeError(f"not a ring expression: {e!r}")
+
+
+def elaborate_factors(exprs, size_cap: int = DEFAULT_SIZE_CAP) -> list[FiniteRing]:
+    """`exprs` realized in order, equal ones as one ring with one graph."""
+    built: dict[RingExpr, FiniteRing] = {}
+    out = []
+    for e in exprs:
+        if e not in built:
+            built[e] = elaborate(e, size_cap)
+        out.append(built[e])
+    return out
 
 
 def ring_of(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:

@@ -9,9 +9,10 @@ Budgets abort a search with the bounds certified so far instead of
 returning an unproven answer: each public entry builds one `_Deadline`
 from its budget (seconds, or a running deadline whose end time it keeps),
 every search it runs ticks that deadline once per node, as DSATUR does
-once per pick and the Hall check once per seed, the clique search's
-set-up reads it once per block of 256 adjacency rows, and expiry anywhere
-comes back to the caller as a BudgetError carrying the bounds found so far.
+once per pick and the Hall check once per seed, ranking a graph's vertices
+reads it between blocks of 256 adjacency rows, the clique search's set-up
+once after the ranking, and expiry anywhere comes back to the caller as a
+BudgetError carrying the bounds found so far.
 
 Every search on a Beck graph runs on its core, the twin quotient (see
 `BeckGraph.core`). A coloring of the core is lifted back by giving each
@@ -26,9 +27,11 @@ floor of min-s. It maximises (clique size, square-zero count), and one
 search of a graph yields both omega's witness, the first clique of the
 largest size it finds, and the best split.
 
-DSATUR keeps the uncolored vertices of each saturation level as one bitmask
-over their rank in (degree desc, id) order, so a pick is the lowest bit of
-the highest nonempty level and each neighbour update moves one bit.
+DSATUR keeps saturations as bit planes over the vertices' ranks in (degree
+desc, id) order, plane j holding the ranks whose saturation has bit j set,
+and each color's neighbourhood as one mask: a pick walks down the planes to
+the lowest rank of the highest saturation, and an update is one carry
+ripple, a few n-bit int operations per plane and color, not one per edge.
 
 The k-coloring decision search prunes with Hall's condition on cliques: if
 a clique U of uncolored vertices has fewer colors left in the union of its
@@ -45,14 +48,17 @@ colors below t, so their domains start as [0, t), the lowest-fresh-color
 rule runs apart in [0, t) and [t, k), and the pre-colored clique is a
 largest square-zero clique, whose size is also the floor of s.
 
-Each graph is searched once. The finished clique search (vertex order,
-remapped adjacency, omega's witness and the split) and the chromatic
-number with its coloring are memoised in the `solved` dict of the core
-they ran on, so one analysis that asks for omega, the split and chi of the
-same graph, or solves the same factor for two theorem checks, pays for
-one clique search: omega, the split and chi's lower bound share it. The
-chi-coloring lifted to a graph is memoised on that graph, so it is lifted
-once however often chi is asked.
+Each graph is ranked once and searched once. Its ranking (the vertex
+order and the adjacency rows permuted into it), the finished clique search
+(omega's witness and the split) and the chromatic number with its coloring
+are memoised in the `solved` dict of the core they ran on: DSATUR and the
+clique search run on the one ranking, and one analysis that asks for omega,
+the split and chi of the same graph, or solves the same factor for two
+theorem checks, pays for one clique search: omega, the split and chi's
+lower bound share it. Equal factors of a product are one ring
+(`dsl.elaborate_factors`), with one graph. The chi-coloring lifted to a
+graph is memoised on that graph, so it is lifted once however often chi
+is asked.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again. The
 one answer short of its goal is min-s once chi is known: it comes back with
@@ -137,12 +143,13 @@ def _permute(adj: list[int], order, deadline: _Deadline) -> list[int]:
     order[j] is in adj[order[i]]. Rows go through numpy 256 at a time, as
     bytes unpacked to one byte per column, so the Python work is O(rows)
     and the temporaries stay at 256 x len(adj) bytes; the deadline is read
-    once per block."""
+    between blocks."""
     width = (len(adj) + 7) // 8
     cols = np.asarray(order, dtype=np.intp)
     out: list[int] = []
     for start in range(0, len(cols), _PERMUTE_BLOCK):
-        deadline.check()
+        if start:
+            deadline.check()
         rows = b"".join(adj[v].to_bytes(width, "little") for v in order[start : start + _PERMUTE_BLOCK])
         bits = np.unpackbits(
             np.frombuffer(rows, dtype=np.uint8).reshape(-1, width), axis=1, count=len(adj), bitorder="little"
@@ -151,6 +158,17 @@ def _permute(adj: list[int], order, deadline: _Deadline) -> list[int]:
         step, buf = packed.shape[1], packed.tobytes()
         out.extend(int.from_bytes(buf[i : i + step], "little") for i in range(0, len(buf), step))
     return out
+
+
+def _ranking(n: int, adj: list[int], deadline: _Deadline, memo: dict | None) -> tuple[list[int], list[int]]:
+    """The vertices in (degree desc, id) order and their rows permuted into
+    it (`_permute`), made once per graph and kept in `memo` (None: kept
+    nowhere): DSATUR and the clique search both run on it."""
+    memo = {} if memo is None else memo
+    if "ranking" not in memo:
+        order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+        memo["ranking"] = order, _permute(adj, order, deadline)
+    return memo["ranking"]
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +276,12 @@ class _CliqueSearch:
     search: the tie-break only opens subtrees whose color bound equals the
     best size, and such a subtree holds no larger clique.
 
-    The set-up orders the vertices by (degree desc, id), permutes the
-    adjacency rows into that order in numpy blocks (`_permute`),
-    color-sorts the whole graph once for the root node, and grows a greedy
-    first clique from the first vertex, of the highest degree. On a twin
-    quotient, where equal rows come at most in pairs, a set-up per class
-    of equal rows saves nothing.
+    The set-up takes the graph's ranking (`_ranking`: the vertices in
+    (degree desc, id) order and the adjacency rows permuted into it),
+    reads the deadline, color-sorts the whole graph once for the root node,
+    and grows a greedy first clique from the first vertex, of the highest
+    degree. On a twin quotient, where equal rows come at most in pairs, a
+    set-up per class of equal rows saves nothing.
     """
 
     def __init__(self, n: int, adj: list[int], deadline: _Deadline, sq0_bits: int = 0):
@@ -272,14 +290,14 @@ class _CliqueSearch:
         self.order, self.result, self.split = range(n), None, None
         self.best = self.first = [0] if n else []
 
-    def _setup(self) -> None:
+    def _setup(self, memo: dict | None = None) -> None:
         """Order and remapped adjacency, then a first best clique."""
-        self.order = sorted(range(self.n), key=lambda v: (-self.adj[v].bit_count(), v))
+        self.order, self.radj = _ranking(self.n, self.adj, self.deadline, memo)
         self.pos = [0] * self.n
         for i, v in enumerate(self.order):
             self.pos[v] = i
-        self.radj = _permute(self.adj, self.order, self.deadline)
         self.sq0 = _remap(self.sq0_bits, self.pos)
+        self.deadline.check()
         self.best = self.first = self._greedy_from(0)
         self.best_b = sum((self.sq0 >> v) & 1 for v in self.best)
 
@@ -351,11 +369,11 @@ class _CliqueSearch:
                     self.first = r + [v]
                 self.best, self.best_b = r + [v], v_b
 
-    def run(self) -> list[int]:
+    def run(self, memo: dict | None = None) -> list[int]:
         """The first maximum clique, in vertex ids, sorted; kept as `result`,
-        and the best clique as `split`."""
+        and the best clique as `split`. `memo` holds the graph's ranking."""
         if self.n:
-            self._setup()
+            self._setup(memo)
             self.deadline.check()
             self._expand()
         self.result = sorted(self.order[v] for v in self.first)
@@ -368,50 +386,38 @@ class _CliqueSearch:
 # ---------------------------------------------------------------------------
 
 
-def _dsatur(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
+def _dsatur(n: int, adj: list[int], deadline: _Deadline, memo: dict | None = None) -> list[int]:
     """Greedy DSATUR coloring: each pick is an uncolored vertex of the
-    highest saturation, then the highest degree, then the lowest id. The
-    uncolored vertices of each saturation level are kept as a bitmask over
-    their rank in (degree desc, id) order, so a pick is the lowest bit of
-    the highest nonempty level. Reads the deadline once per pick."""
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
+    highest saturation, then the highest degree, then the lowest id, and
+    takes the lowest color none of its neighbours has. Bit r of each mask
+    is the vertex of rank r in the graph's ranking (kept in `memo`); the
+    bit planes are the module docstring's. Ticks the deadline once per pick."""
+    order, radj = _ranking(n, adj, deadline, memo)
     color = [-1] * n
-    neigh = [0] * n
-    level = [(1 << n) - 1] + [0] * n  # saturation -> uncolored ranks
-    sat = [0] * n
-    top = 0
+    near = [0] * n  # color -> the ranks next to a vertex of that color
+    planes: list[int] = []
     uncolored = (1 << n) - 1
     for _ in range(n):
         deadline.tick()
-        while not level[top]:
-            top -= 1
-        low = level[top] & -level[top]
-        level[top] ^= low
-        pick = order[low.bit_length() - 1]
-        uncolored ^= 1 << pick
+        top = uncolored
+        for plane in reversed(planes):
+            if top & plane:
+                top &= plane
+        low = top & -top
+        uncolored ^= low
         c = 0
-        used = neigh[pick]
-        while (used >> c) & 1:
+        while near[c] & low:
             c += 1
-        color[pick] = c
-        bit = 1 << c
-        rest = adj[pick] & uncolored
-        while rest:
-            u = rest.bit_length() - 1
-            rest ^= 1 << u
-            if not neigh[u] & bit:
-                neigh[u] |= bit
-                r = 1 << rank[u]
-                s = sat[u]
-                level[s] ^= r
-                s += 1
-                sat[u] = s
-                level[s] |= r
-                if s > top:
-                    top = s
+        r = low.bit_length() - 1
+        color[order[r]] = c
+        carry = radj[r] & uncolored & ~near[c]
+        near[c] |= radj[r]
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(0)
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
     return color
 
 
@@ -580,7 +586,7 @@ def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
     if "clique" not in memo:
         search = _CliqueSearch(work.n, work.adj, deadline, getattr(work, "sq0_bits", 0))
         try:
-            search.run()
+            search.run(memo)
         except _OutOfTime:
             return search
         memo["clique"] = search
@@ -646,7 +652,7 @@ def _chromatic(work, deadline: _Deadline) -> tuple[int, list[int]]:
 
 def _chromatic_on(work, deadline: _Deadline) -> tuple[int, list[int]]:
     try:
-        greedy = _dsatur(work.n, work.adj, deadline)
+        greedy = _dsatur(work.n, work.adj, deadline, _solved(work))
     except _OutOfTime:
         raise BudgetError("chromatic_number", 1) from None
     ub = max(greedy) + 1 if greedy else 0
@@ -725,5 +731,6 @@ def _sq0_clique_floor(work, deadline: _Deadline) -> list[int]:
     """A largest clique of square-zero vertices: every coloring gives its
     members distinct classes."""
     verts = list(_bits(work.sq0_bits))
+    deadline.check()  # _permute reads it only between blocks
     sub = _permute(work.adj, verts, deadline)
     return [verts[i] for i in _CliqueSearch(len(verts), sub, deadline).run()]

@@ -124,6 +124,9 @@ def test_elaborate_z3_dual_numbers():
 def test_elaborate_an_product():
     r = ring_of("AN x Z2")
     assert r.size == 64
+    # equal atoms elaborate to one ring, so equal factors share one graph
+    a, b, c = ring_of("Z16 x Z16 x Z16").factors
+    assert a is b is c
 
 
 def test_elaborate_canonical_an():

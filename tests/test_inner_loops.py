@@ -8,6 +8,10 @@ the `_bits` generator: a copy of each old loop is kept here, and on random
 graphs with random domains, free sets and seeds the two must give the same
 verdicts, picks, Hall seeds, colorings, cliques and deadline ticks.
 
+DSATUR keeps saturations as bit planes over the vertices' ranks. It is
+checked against two older loops: one with a bitmask per saturation level
+and a neighbour walk per edge, and the `_bits` walk before it.
+
 The k-coloring search makes no Hall scan from every free vertex before its
 first node. A copy of the old `run`, which always scanned, is kept too:
 with a maximum clique pre-colored and k >= omega the scan never fires, and
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 
 from test_ring_predicates import PROPERTY
 
+from beckring import build_graph, ring_of
 from beckring.solvers import _bits, _CliqueSearch, _Deadline, _dsatur, _KColorSearch
 
 FOREVER = float("inf")
@@ -160,6 +165,48 @@ def _dsatur_with_max(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
                 sat[u] += 1
                 level[sat[u]] |= r
                 top = max(top, sat[u])
+    return color
+
+
+def _dsatur_by_levels(n: int, adj: list[int], deadline: _Deadline) -> list[int]:
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    color = [-1] * n
+    neigh = [0] * n
+    level = [(1 << n) - 1] + [0] * n  # saturation -> uncolored ranks
+    sat = [0] * n
+    top = 0
+    uncolored = (1 << n) - 1
+    for _ in range(n):
+        deadline.tick()
+        while not level[top]:
+            top -= 1
+        low = level[top] & -level[top]
+        level[top] ^= low
+        pick = order[low.bit_length() - 1]
+        uncolored ^= 1 << pick
+        c = 0
+        used = neigh[pick]
+        while (used >> c) & 1:
+            c += 1
+        color[pick] = c
+        bit = 1 << c
+        rest = adj[pick] & uncolored
+        while rest:
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
+            if not neigh[u] & bit:
+                neigh[u] |= bit
+                r = 1 << rank[u]
+                s = sat[u]
+                level[s] ^= r
+                s += 1
+                sat[u] = s
+                level[s] |= r
+                if s > top:
+                    top = s
     return color
 
 
@@ -367,6 +414,40 @@ def test_dsatur_matches_the_old_loop(state):
     new, old = _Deadline(FOREVER), _Deadline(FOREVER)
     assert _dsatur(n, adj, new) == _dsatur_with_max(n, adj, old)
     assert new.ticks == old.ticks
+
+
+def _same_dsatur(n: int, adj: list[int]) -> list[int]:
+    new, old = _Deadline(FOREVER), _Deadline(FOREVER)
+    color = _dsatur(n, adj, new)
+    assert color == _dsatur_by_levels(n, adj, old)
+    assert new.ticks == old.ticks == n
+    return color
+
+
+@pytest.mark.isolated
+@STATES
+@given(search_states(max_n=150))
+def test_dsatur_bit_planes_match_the_level_masks(state):
+    _same_dsatur(*state[:2])
+
+
+@pytest.mark.isolated
+@pytest.mark.parametrize("n", [0, 1, 65, 100, 130])
+def test_dsatur_bit_planes_on_complete_graphs(n):
+    # from 65 vertices on, more than 64 colors; at 130, saturations up to
+    # 129 take 8 planes
+    assert _same_dsatur(n, [((1 << n) - 1) ^ (1 << v) for v in range(n)]) == list(range(n))
+
+
+@pytest.mark.isolated
+@pytest.mark.parametrize("expr", ["Z16 x Z16 x Z16", "AN x AN", "AN2 x Z36", " x ".join(["Z2"] * 12)])
+def test_dsatur_bit_planes_on_ring_graphs(expr):
+    # the cores of three products, and the whole graph of Z2^12, 4096
+    # vertices and its own core
+    g = build_graph(ring_of(expr))
+    if g.n < 4096:
+        g = g.core()
+    _same_dsatur(g.n, g.adj)
 
 
 @pytest.mark.isolated

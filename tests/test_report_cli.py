@@ -83,7 +83,8 @@ def test_analyze_product_checks_present():
 @pytest.mark.isolated
 def test_analyze_searches_each_graph_once(monkeypatch):
     # omega, the split and chi of the ring share one clique search on its
-    # core, and the two product checks share each factor's solves
+    # core, the two product checks share each factor's solves, and equal
+    # factors are one ring with one graph
     from beckring import solvers
 
     searched = []
@@ -94,11 +95,13 @@ def test_analyze_searches_each_graph_once(monkeypatch):
         init(self, n, adj, deadline, sq0_bits)
 
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
-    rep = analyze("Z4 x Z256")
-    assert all(c["pass"] for c in rep["checks"])
-    # the core of the product, of Z256 and of Z4
-    assert len(searched) == 3
-    assert len(set(searched)) == len(searched)
+    for expr in ("Z4 x Z256", "Z4 x Z16 x Z16"):
+        searched.clear()
+        rep = analyze(expr)
+        assert all(c["pass"] for c in rep["checks"])
+        # the core of the product and of each distinct factor
+        assert len(searched) == 3
+        assert len(set(searched)) == len(searched)
 
 
 def test_greedy_seed_stops_at_the_first_start(monkeypatch):

@@ -453,6 +453,48 @@ def test_search_trees_are_pinned(expr, clique_ticks, split_ticks, decisions):
         assert (deadline.ticks, coloring is not None) == (ticks, found)
 
 
+@pytest.mark.isolated
+@pytest.mark.parametrize(
+    "expr,chi_first,clique_first",
+    [
+        ("AN", [(20, 3), (0, 0)], [(5, 2), (15, 1)]),
+        ("AN x Z12", [(75, 4), (0, 0)], [(6, 2), (69, 2)]),
+        ("Z16 x Z16 x Z16", [(163, 4), (0, 0)], [(1, 2), (162, 2)]),
+        (" x ".join(["Z2"] * 12), [(4097, 81), (0, 0)], [(1, 17), (4096, 64)]),
+    ],
+)
+def test_deadline_reads_are_pinned(monkeypatch, expr, chi_first, clique_first):
+    # (tick, check) calls of chromatic_number then max_clique on a fresh
+    # graph, and of the two the other way round on another: DSATUR ticks
+    # once per pick, the clique search once per node, and a check reads the
+    # clock at once, so expiry is found at the same points of the same work
+    # whichever solve ranks the graph's vertices first. A tick's own read
+    # every 64 ticks counts as a check
+    from beckring.graphs import BeckGraph
+
+    counts = [0, 0]
+    tick, check = _Deadline.tick, _Deadline.check
+
+    def counting_tick(self):
+        counts[0] += 1
+        tick(self)
+
+    def counting_check(self):
+        counts[1] += 1
+        check(self)
+
+    monkeypatch.setattr(_Deadline, "tick", counting_tick)
+    monkeypatch.setattr(_Deadline, "check", counting_check)
+    ring = ring_of(expr)
+    for solves, want in (((chromatic_number, max_clique), chi_first), ((max_clique, chromatic_number), clique_first)):
+        g, got = BeckGraph(ring), []
+        for solve in solves:
+            counts[:] = [0, 0]
+            solve(g)
+            got.append(tuple(counts))
+        assert got == want
+
+
 def test_malformed_budget_raises():
     from beckring.errors import PreconditionError
 
@@ -511,11 +553,17 @@ def test_each_work_graph_is_searched_once(monkeypatch):
         init(self, n, adj, deadline, sq0_bits)
 
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
+    # the clique search and DSATUR read one ranking (order, radj) of the core
+    rankings, ranking = [], solvers._ranking
+    monkeypatch.setattr(solvers, "_ranking", lambda *args: rankings.append(ranking(*args)) or rankings[-1])
     g = graph("Z8 x Z9")
     first = (max_clique(g), best_clique_split(g), chromatic_number(g))
     assert len(searched) == 1  # the core, for omega, the split and chi
     assert (max_clique(g), best_clique_split(g), chromatic_number(g)) == first
     assert len(searched) == 1
+    assert len(rankings) == 2 and rankings[0] is rankings[1]
+    search = g.core().solved["clique"]
+    assert search.order is rankings[0][0] and search.radj is rankings[0][1]
 
 
 def test_chi_coloring_is_lifted_once(monkeypatch):
