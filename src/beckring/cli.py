@@ -134,15 +134,24 @@ def _cmd_analyze(args) -> int:
     return _emit(report, args.json, text, all(c["pass"] for c in report["checks"]))
 
 
+def _direct_graph(factors, cap: int):
+    """The graph of the product of `factors` when its direct solve is due
+    (at most DEFAULT_DIRECT_CAP elements and the cap), else None. Built
+    before the factors are solved: it holds their graphs, so the formula or
+    the bounds and the direct solve share them."""
+    if math.prod(f.size for f in factors) > min(DEFAULT_DIRECT_CAP, cap):
+        return None
+    return build_graph(make_product(factors, size_cap=cap) if len(factors) > 1 else factors[0])
+
+
 def _cmd_predict_omega(args) -> int:
     ast = parse(args.expr)
     if not isinstance(ast, ProductExpr) or len(ast.atoms) < 2:
         raise _UsageError("predict-omega needs a product of at least two factors")
     factors = elaborate_factors(ast.atoms, args.max_size)
+    gp = _direct_graph(factors, args.max_size)
     pred = omega_product_formula(factors, args.budget, args.max_size)
-    direct = None
-    if pred.product_size <= min(DEFAULT_DIRECT_CAP, args.max_size):
-        direct = max_clique(build_graph(make_product(factors, size_cap=args.max_size)), args.budget).size
+    direct = None if gp is None else max_clique(gp, args.budget).size
     ok = direct is None or direct == pred.predicted
     payload = {
         "ring": print_expr(ast),
@@ -170,11 +179,9 @@ def _cmd_bound_chi(args) -> int:
     ast = parse(args.expr)
     atoms = ast.atoms if isinstance(ast, ProductExpr) else (ast,)
     factors = elaborate_factors(atoms, args.max_size)
+    gp = _direct_graph(factors, args.max_size)
     bounds = chi_bounds(factors, args.s_mode, args.budget)
-    exact = None
-    if math.prod(f.size for f in factors) <= min(DEFAULT_DIRECT_CAP, args.max_size):
-        product = make_product(factors, size_cap=args.max_size) if len(factors) > 1 else factors[0]
-        exact, _ = chromatic_number(build_graph(product), args.budget)
+    exact = None if gp is None else chromatic_number(gp, args.budget)[0]
     ok = exact is None or bounds.lower <= exact <= bounds.upper
     payload = {
         "ring": print_expr(ast),

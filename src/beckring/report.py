@@ -21,6 +21,7 @@ from .rings import DEFAULT_SIZE_CAP
 from .solvers import Budget, _Deadline, best_clique_split, chromatic_number, max_clique, verify_clique
 from .theorems import (
     _check_s_mode,
+    _verified_once,
     an_condition_for,
     chi_bounds,
     factor_coloring,
@@ -55,9 +56,9 @@ def analyze(
     chi_val = chromatic_number(g, deadline)[0]
     split = best_clique_split(g, deadline)
 
-    if not verify_clique(g, clique.vertices):
+    if not _verified_once(g, verify_clique, clique.vertices):
         raise InternalCheckError("clique witness failed re-verification")
-    if not verify_clique(g, split.clique.vertices):
+    if not _verified_once(g, verify_clique, split.clique.vertices):
         raise InternalCheckError("split witness failed re-verification")
 
     profile = ring.nilradical()

@@ -108,10 +108,14 @@ class FiniteRing:
         n = self.size
         v = np.arange(n, dtype=np.int64)
         if isinstance(self, ZmodRing):
-            # a*b = 0 in Z_N iff gcd(a, N)*b = 0: one row per divisor of N
+            # a*b = 0 in Z_N iff gcd(a, N)*b = 0: one row per divisor d of N,
+            # whose zeros are the multiples of N/d
             divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
             cls = np.searchsorted(divisors, np.gcd(v, n))
-            return cls, self.mul_many(divisors[:, None], v[None, :]) == 0
+            rows = np.zeros((len(divisors), n), dtype=bool)
+            for row, d in zip(rows, divisors.tolist()):
+                row[:: n // d] = True
+            return cls, rows
         # the distinct rows of the relation, scanned in blocks of rows
         class_of: dict[bytes, int] = {}
         cls = np.empty(n, dtype=np.int64)

@@ -56,13 +56,17 @@ clique search run on the one ranking, and one analysis that asks for omega,
 the split and chi of the same graph, or solves the same factor for two
 theorem checks, pays for one clique search: omega, the split and chi's
 lower bound share it. Equal factors of a product are one ring
-(`dsl.elaborate_factors`), with one graph. The chi-coloring lifted to a
-graph is memoised on that graph, so it is lifted once however often chi
-is asked.
+(`dsl.elaborate_factors`), with one graph. The chi-coloring and the best
+split lifted to a graph are memoised on that graph, so each is lifted once
+however often it is asked, and so is a finished min-s with its lifted
+coloring. Min-s reads the floor of s from the split when the split's
+square-zero part already has the chi-coloring's s members, and searches
+for the square-zero clique floor only otherwise; that search cuts its
+subgraph out once, already in its own ranking.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again. The
 one answer short of its goal is min-s once chi is known: it comes back with
-the interval of s proved so far.
+the interval of s proved so far, and is not memoised either.
 """
 
 from __future__ import annotations
@@ -608,15 +612,18 @@ def max_clique(g, budget: Budget = None) -> Clique:
 def best_clique_split(g, budget: Budget = None) -> CliqueSplit:
     """Among all maximum cliques, one maximizing the square-zero part, read
     from the same search as max_clique; on a Beck graph searched on the
-    core and lifted as max_clique's witness."""
-    work, _, reps = _core(g)
-    search = _clique_search(work, _Deadline(budget))
-    if search.split is None:
-        raise BudgetError("best_clique_split", len(search.best))
-    verts = tuple(reps[v] for v in search.split)
-    b = tuple(v for v in verts if (g.sq0_bits >> v) & 1)
-    c = tuple(v for v in verts if not (g.sq0_bits >> v) & 1)
-    return CliqueSplit(Clique(verts), b, c)
+    core and lifted as max_clique's witness, once per graph."""
+    memo = _solved(g)
+    if "split" not in memo:
+        work, _, reps = _core(g)
+        search = _clique_search(work, _Deadline(budget))
+        if search.split is None:
+            raise BudgetError("best_clique_split", len(search.best))
+        verts = tuple(reps[v] for v in search.split)
+        b = tuple(v for v in verts if (g.sq0_bits >> v) & 1)
+        c = tuple(v for v in verts if not (g.sq0_bits >> v) & 1)
+        memo["split"] = CliqueSplit(Clique(verts), b, c)
+    return memo["split"]
 
 
 def chromatic_number(g, budget: Budget = None) -> tuple[int, Coloring]:
@@ -697,40 +704,56 @@ def min_s_optimal_coloring(g, budget: Budget = None) -> tuple[Coloring, SZero]:
     s of classes containing a square-zero element.
 
     s lies between the size of a largest square-zero clique, whose members
-    need distinct classes, and the s of the chi-coloring. Each t from the
-    floor up is decided by the k-coloring search with the square-zero
-    vertices held to colors below t, the floor clique pre-colored: a
-    refutation proves s > t, the first coloring found has s = t. A class
-    of the core shares its square-zero flag and, lifted, its color, so the
-    core's s is the whole graph's.
+    need distinct classes, and the s of the chi-coloring. The square-zero
+    part B of the core's best split is such a clique, so when |B| already
+    equals the chi-coloring's s, s is proved with no further search.
+    Otherwise each t from the floor up is decided by the k-coloring search
+    with the square-zero vertices held to colors below t, the floor clique
+    pre-colored: a refutation proves s > t, the first coloring found has
+    s = t. A class of the core shares its square-zero flag and, lifted, its
+    color, so the core's s is the whole graph's.
 
     One deadline covers the chromatic solve and the searches for s. Expiry
     before chi is known raises a BudgetError; after it, the best coloring
-    comes back with the interval proved so far (`SZero.lower` < s).
+    comes back with the interval proved so far (`SZero.lower` < s). Only an
+    exact answer is memoised on `g`.
     """
+    memo = _solved(g)
+    if "min_s" in memo:
+        return memo["min_s"]
     work, group, _ = _core(g)
     deadline = _Deadline(budget)
     k, best = _chromatic(work, deadline)
     hi = len({best[v] for v in _bits(work.sq0_bits)})
     lo = min(hi, 1)  # a square-zero vertex bears a class
+    search = _solved(work).get("clique")  # the finished clique search, if any
     try:
-        floor = _sq0_clique_floor(work, deadline)
-        lo = len(floor)
-        while lo < hi:
-            found = _KColorSearch(work.n, work.adj, k, floor, deadline, work.sq0_bits, lo).run()
-            if found is None:
-                lo += 1
-            else:
-                best, hi = found, lo
+        if search is not None and sum(work.sq0_bits >> v & 1 for v in search.split) == hi:
+            lo = hi
+        else:
+            floor = _sq0_clique_floor(work, deadline)
+            lo = len(floor)
+            while lo < hi:
+                found = _KColorSearch(work.n, work.adj, k, floor, deadline, work.sq0_bits, lo).run()
+                if found is None:
+                    lo += 1
+                else:
+                    best, hi = found, lo
     except _OutOfTime:
         pass
-    return _lift(best, group, k), SZero(hi, lo)
+    answer = _lift(best, group, k), SZero(hi, lo)
+    if lo == hi:  # a cut-short interval is not memoised
+        memo["min_s"] = answer
+    return answer
 
 
 def _sq0_clique_floor(work, deadline: _Deadline) -> list[int]:
     """A largest clique of square-zero vertices: every coloring gives its
-    members distinct classes."""
-    verts = list(_bits(work.sq0_bits))
+    members distinct classes. The subgraph is cut out once, already in its
+    own (degree desc, id) ranking, which the search takes as given."""
+    sq0, adj = work.sq0_bits, work.adj
+    verts = list(_bits(sq0))
     deadline.check()  # _permute reads it only between blocks
-    sub = _permute(work.adj, verts, deadline)
-    return [verts[i] for i in _CliqueSearch(len(verts), sub, deadline).run()]
+    order = sorted(range(len(verts)), key=lambda i: (-(adj[verts[i]] & sq0).bit_count(), i))
+    memo = {"ranking": (order, _permute(adj, [verts[i] for i in order], deadline))}
+    return [verts[i] for i in _CliqueSearch(len(verts), None, deadline).run(memo)]

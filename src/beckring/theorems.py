@@ -18,11 +18,18 @@ square-zero element; for any number n of factors the upper bound is
 realized by one explicit coloring, built from the factors' colorings at
 once and re-verified on the product's graph. factor_coloring gives each
 factor's coloring and s, re-verified, to analyze and verify-suite too.
+
+Each witness is verified once per graph: a witness that passed is kept in
+the graph's memo (`_verified_once`), so the checks of one request that meet
+the same factor's coloring or split again do not verify it again. A ring's
+nilpotency type and zero-product condition are computed once per ring.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -53,6 +60,31 @@ from .solvers import (
 DEFAULT_DIRECT_CAP = 512
 # the counterexample family cross-checks omega by a direct solve up to this size
 FAMILY_DIRECT_OMEGA_CAP = 128
+
+
+def _verified_once(g, check, witness) -> bool:
+    """`check(g, witness)`, run once per graph and witness: a witness that
+    passed is kept, by value, in the graph's memo and goes with the graph."""
+    passed = g.solved.setdefault("verified", set())
+    if (check, witness) not in passed:
+        if not check(g, witness):
+            return False
+        passed.add((check, witness))
+    return True
+
+
+def _once_per_ring(fn):
+    """`fn(ring)` computed once per ring and kept while the ring lives: for
+    ring predicates only, never for a graph solve."""
+    kept = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def once(ring):
+        if ring not in kept:
+            kept[ring] = fn(ring)
+        return kept[ring]
+
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +129,8 @@ def _materialize_witness(factors, splits) -> Clique:
     # B_i + C_i is one and every member of B_i squares to zero
     for i, (f, split) in enumerate(zip(factors, splits), 1):
         g, b_part = build_graph(f), split.b_part
-        if not (verify_clique(g, b_part + split.c_part) and all(g.sq0_bits >> b & 1 for b in b_part)):
+        clique = tuple(sorted(b_part + split.c_part))
+        if not (_verified_once(g, verify_clique, clique) and all(g.sq0_bits >> b & 1 for b in b_part)):
             raise InternalCheckError(f"witness clique check failed in factor {i}")
     strides = mixed_radix_strides([f.size for f in factors])  # the product's encoding
     box = iter_product(*[split.b_part for split in splits])
@@ -140,7 +173,7 @@ def factor_coloring(ring: FiniteRing, s_mode: str, budget: Budget = None) -> Fac
         coloring, sz = min_s_optimal_coloring(g, budget)
     else:
         coloring, sz = chromatic_number(g, budget)[1], None
-    if not verify_coloring(g, coloring):
+    if not _verified_once(g, verify_coloring, coloring):
         raise InternalCheckError("coloring witness failed re-verification")
     s = sum(class_sq0_flags(g, coloring))
     return FactorColoring(coloring.k, s, sz is None or sz.lower == s, coloring)
@@ -157,7 +190,8 @@ def chi_bounds(
         raise PreconditionError("chi_bounds needs at least one factor")
     _check_s_mode(s_mode)
     deadline = _Deadline(budget)
-    cols = tuple(factor_coloring(f, s_mode, deadline) for f in factors)
+    graphs = [build_graph(f) for f in factors]  # held: equal factors share one graph's solves
+    cols = tuple(factor_coloring(g.ring, s_mode, deadline) for g in graphs)
     n = len(cols)
     lower = sum(c.chi for c in cols) - (n - 1)
     upper = sum(c.chi - c.s for c in cols) + math.prod(c.s for c in cols)
@@ -182,7 +216,7 @@ def product_coloring(product: FiniteRing, colorings: list[Coloring]) -> Coloring
         raise ContractError(f"{product!r} has {len(product.factors)} factors, got {len(colorings)} colorings")
     gp = build_graph(product)
     for n, (g, c) in enumerate(zip(gp.factor_graphs, colorings), 1):
-        if not verify_coloring(g, c):
+        if not _verified_once(g, verify_coloring, c):
             raise ContractError(f"coloring of factor {n} is not proper for its ring")
     # the empty product, Z1: one class, holding the square-zero 0
     col, k, s = np.zeros(1, dtype=np.int64), 1, 1
@@ -240,6 +274,7 @@ class NilBound(NamedTuple):
     bound: int
 
 
+@_once_per_ring
 def classify_nil_factor(ring: FiniteRing) -> NilFactor:
     profile = ring.nilradical()
     m = profile.index_of_nilpotency
@@ -274,6 +309,7 @@ class ANConditionResult(NamedTuple):
     witness: tuple[int, int] | None
 
 
+@_once_per_ring
 def check_an_condition(ring: FiniteRing) -> ANConditionResult:
     """Exhaustively check, over all pairs with x*y = 0, the condition for the
     ring's own nilpotency type (`classify_nil_factor`):

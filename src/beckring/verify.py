@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import theorems
 from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings, rings_under
-from .dsl import parse, print_expr, ring_of
+from .dsl import elaborate_factors, parse, print_expr, ring_of
 from .errors import BeckringError, CapacityError
 from .graphs import BeckGraph, build_graph
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
@@ -65,23 +66,31 @@ class SuiteResult:
         return all(c.failed == 0 for c in self.checks)
 
 
+class SolvedProduct(NamedTuple):
+    factors: list[FiniteRing]
+    omega: int
+    graph: BeckGraph  # the product's graph, which holds its factors' graphs
+
+
 def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: Budget = None):
-    """label -> (factors, omega) for the pairs, then triples, of catalog_tuples,
-    omega from one direct solve that product_omega_formula and nilradical_bound share."""
-    return {
-        label: (factors, max_clique(build_graph(make_product(factors)), budget).size)
-        for label, factors in catalog_tuples(rings, (2, 3), max_product).items()
-    }
-
-
-def small_core_pairs(rings: dict[str, FiniteRing], max_product: int) -> dict[str, ProductRing]:
-    """label -> product for the pairs of catalog_tuples with at most
-    SANDWICH_CORE_LIMIT non-units."""
+    """label -> (factors, omega, graph) for the pairs, then triples, of
+    catalog_tuples, omega from one direct solve of the product's graph;
+    product_omega_formula and nilradical_bound share omega, and
+    small_core_pairs the graph, held here so that it is built once."""
     out = {}
-    for label, factors in catalog_tuples(rings, (2,), max_product).items():
-        product = make_product(factors)
-        if product.size - int(product.unit_mask.sum()) <= SANDWICH_CORE_LIMIT:
-            out[label] = product
+    for label, factors in catalog_tuples(rings, (2, 3), max_product).items():
+        g = build_graph(make_product(factors))
+        out[label] = SolvedProduct(factors, max_clique(g, budget).size, g)
+    return out
+
+
+def small_core_pairs(products: dict[str, SolvedProduct]) -> dict[str, ProductRing]:
+    """label -> product for the pairs among `products` (solved_products)
+    with at most SANDWICH_CORE_LIMIT non-units."""
+    out = {}
+    for label, (factors, _, g) in products.items():
+        if len(factors) == 2 and g.n - int(g.ring.unit_mask.sum()) <= SANDWICH_CORE_LIMIT:
+            out[label] = g.ring
     return out
 
 
@@ -159,7 +168,7 @@ def oracle_equivalence(graphs: dict[str, BeckGraph], budget: Budget = None) -> C
 def product_omega_formula(products: dict, budget: Budget = None) -> CheckResult:
     """prod |B_i| + sum |C_i| equals the directly solved clique number."""
     check = CheckResult("product_omega_formula")
-    for label, (factors, omega) in products.items():
+    for label, (factors, omega, _) in products.items():
         pred = theorems.omega_product_formula(factors, budget).predicted
         check.require(pred == omega, f"{label}: predicted {pred} direct {omega}")
     return check
@@ -169,7 +178,7 @@ def nilradical_bound(products: dict) -> CheckResult:
     """The nilradical bound is at most the clique number, and equal to it
     when every factor meets the zero-product membership condition."""
     check = CheckResult("nilradical_bound")
-    for label, (factors, omega) in products.items():
+    for label, (factors, omega, _) in products.items():
         bound = theorems.nilradical_bound(factors).bound
         check.require(bound <= omega, f"{label}: bound {bound} > omega {omega}")
         if all(theorems.an_condition_for(f).holds for f in factors):
@@ -231,7 +240,7 @@ def counterexample_family(
     for names in factor_names:
         label = " x ".join(("AN",) + tuple(names))
         try:
-            factors = [ring_of(n, max_product) for n in names]
+            factors = elaborate_factors(map(parse, names), max_product)  # equal names: one ring
             rep = theorems.counterexample_family(factors, budget, max_product)
         except CapacityError:
             continue
@@ -320,11 +329,13 @@ def run_suite(
     emit(oracle_equivalence(graphs, deadline))
     products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), deadline)
     emit(product_omega_formula(products, deadline))
-    emit(chi_sandwich(small_core_pairs(ring_map, limit(PRODUCT_SIZE_LIMIT)), deadline))
+    emit(chi_sandwich(small_core_pairs(products), deadline))
     emit(nilradical_bound(products))
     emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
-    fields = catalog_tuples(field_rings(max_size), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
-    emit(reduced_equality(fields, deadline))
+    field_map = field_rings(max_size)
+    field_graphs = [build_graph(ring) for ring in field_map.values()]  # held: the products share them
+    emit(reduced_equality(catalog_tuples(field_map, (1, 2, 3), limit(FIELD_PRODUCT_LIMIT)), deadline))
+    del field_graphs
     emit(counterexample_family(FAMILY_FACTORS, deadline, max_size))
     pairs = [rings_under(pair, max_size) for pair in ISOMORPHIC_PAIRS]
     emit(dsl_round_trip(DSL_EXPRS, [pair for pair in pairs if len(pair) == 2], deadline))

@@ -93,7 +93,7 @@ def test_criterion_3_product_clique_formula(catalog):
 
 def test_criterion_4_chromatic_sandwich(catalog):
     t0 = time.monotonic()
-    pairs = small_core_pairs(catalog, PRODUCT_SIZE_LIMIT)
+    pairs = small_core_pairs(solved_products(catalog, PRODUCT_SIZE_LIMIT))
     check = chi_sandwich(pairs)
     elapsed = time.monotonic() - t0
     assert len(pairs) == 27

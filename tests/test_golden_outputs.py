@@ -37,6 +37,12 @@ CASES = (
         ("counterexample", "Z2", "Z3", "--json"),
         ("zn", "72", "--json"),
         ("verify-suite", "--json"),
+        # repeated atoms, whose graphs, splits, min-s and verified witnesses
+        # are shared within the request
+        ("bound-chi", "AN x AN x Z3", "--json", "--s-mode", "min"),
+        ("predict-omega", "Z4 x Z8 x Z8", "--json"),
+        ("counterexample", "Z2", "Z2", "--json"),
+        ("analyze", "AN x Z12", "--json", "--s-mode", "min"),
     ]
 )
 
@@ -111,6 +117,14 @@ DIGESTS = {
         "c562d1f46c99fb5e7027880153f20417336518696697db41ba0ea374e7177424",
     "verify-suite --json":
         "312e862647fbb773c64b983993728e71f025df6cf84e20b7e6795d3de01113e1",
+    "bound-chi AN x AN x Z3 --json --s-mode min":
+        "d0c1483e34c4b58eb8fa1cc7f2b003541b8f72aba90eaa0dfac920f9813aef99",
+    "predict-omega Z4 x Z8 x Z8 --json":
+        "8bd73f57a9c6fe51d9332e49acd1125ca45ba53f160ae5c7ee3384e3b76cade6",
+    "counterexample Z2 Z2 --json":
+        "b0f4612340b1cd4213bfda700de4f7ed39869973719726a610b010263646c89f",
+    "analyze AN x Z12 --json --s-mode min":
+        "4c3388f5558667b281b2b1dd11bc3b616f9ffa65fe4f894f18ab5a477533f98c",
 }
 
 

@@ -554,22 +554,25 @@ def test_suite_builds_no_ring_above_the_cap(monkeypatch):
 
 @pytest.mark.isolated
 def test_chi_sandwich_builds_each_product_graph_once(monkeypatch):
-    # each pair's graph holds its factors' graphs through the bounds, the
-    # chi solve and the product coloring, which is verified on that graph:
-    # no second graph or ring of the product is built
+    # each pair's graph, built and solved for omega by solved_products, holds
+    # its factors' graphs through the bounds, the chi solve and the product
+    # coloring, which is verified on that graph: no second graph or ring of
+    # a product is built
     from beckring import graphs, verify
     from beckring.catalog import catalog_rings
 
-    pairs = verify.small_core_pairs(catalog_rings(), verify.PRODUCT_SIZE_LIMIT)
     graphed, products = [], []
     monkeypatch.setattr(graphs.BeckGraph, "__init__", _recording_built(graphs.BeckGraph.__init__, graphed))
     monkeypatch.setattr(ProductRing, "__init__", _recording_built(ProductRing.__init__, products))
+    solved = verify.solved_products(catalog_rings(), verify.PRODUCT_SIZE_LIMIT)
+    pairs = verify.small_core_pairs(solved)
     check = verify.chi_sandwich(pairs)
     assert (check.passed, check.failed) == (2 * len(pairs), 0)
     product_graphs = [g.ring for g in graphed if isinstance(g.ring, ProductRing) and g.n == g.ring.size]
     assert len(pairs) == 27
-    assert sorted(map(id, product_graphs)) == sorted(map(id, pairs.values()))
-    assert products == []
+    assert sorted(map(id, product_graphs)) == sorted(map(id, products))
+    assert sorted(map(id, products)) == sorted(id(p.graph.ring) for p in solved.values())
+    assert set(map(id, pairs.values())) <= set(map(id, products))
 
 
 def test_cli_verify_suite_holds_the_catalog_to_the_cap(capsys):

@@ -207,6 +207,22 @@ def test_zmod_zero_relation_matches_the_table():
             assert np.array_equal(ring.zero_rel_matrix[lo:lo + BLOCK], table == 0), n
 
 
+def multiplied_zmod_classes(n):
+    """Z_N's classes and rows by the d(N) x N multiply-mod the closed form replaced."""
+    v = np.arange(n, dtype=np.int64)
+    divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+    cls = np.searchsorted(divisors, np.gcd(v, n))
+    return cls, make_zmod(n).mul_many(divisors[:, None], v[None, :]) == 0
+
+
+def test_zmod_classes_in_closed_form_match_the_multiply_mod():
+    # row d holds the multiples of N/d: byte for byte the multiply-mod's rows
+    for n in range(1, 1501):
+        got, want = make_zmod(n).ann_classes, multiplied_zmod_classes(n)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), n
+
+
 def test_kronecker_layout_puts_the_first_factor_innermost():
     ring = make_product([make_zmod(4), make_zmod(3), make_zmod(2)])
     assert_ann_classes_match(ring, multiplication_table(ring))
