@@ -59,10 +59,10 @@ lower bound share it. Equal factors of a product are one ring
 (`dsl.elaborate_factors`), with one graph. The chi-coloring and the best
 split lifted to a graph are memoised on that graph, so each is lifted once
 however often it is asked, and so is a finished min-s with its lifted
-coloring. Min-s reads the floor of s from the split when the split's
-square-zero part already has the chi-coloring's s members, and searches
-for the square-zero clique floor only otherwise; that search cuts its
-subgraph out once, already in its own ranking.
+coloring. Min-s takes its floor from the split's square-zero part B, a
+square-zero clique, when |B| equals the chi-coloring's s, which s then
+equals; only otherwise does it search for the largest square-zero
+clique, cutting that subgraph out once, in its own ranking.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again. The
 one answer short of its goal is min-s once chi is known: it comes back with
