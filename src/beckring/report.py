@@ -10,6 +10,13 @@ The JSON schema is fixed, with stable key order for diff-ability:
 Witness elements are rendered in coordinate-tuple form, never as raw
 indices. The coloring and s come from theorems.factor_coloring, the
 reduced-ring checks from theorems.reduced_theorem_check.
+
+omega, chi, the split and s are read from the solvers' memo on the ring's
+graph. A product's formula and sandwich are evaluated first, from its
+factors: where the sandwich closes, theorems.pinch_product keeps the
+formula's witness and the product coloring there as those answers, after
+verifying both on the product's graph, and the product is not searched.
+Elsewhere the solvers search its core, as they do any other ring's.
 """
 
 from __future__ import annotations
@@ -18,15 +25,23 @@ from .dsl import ProductExpr, ZmodAtom, elaborate, parse, print_expr
 from .errors import InternalCheckError
 from .graphs import build_graph
 from .rings import DEFAULT_SIZE_CAP
-from .solvers import Budget, _Deadline, best_clique_split, chromatic_number, max_clique, verify_clique
+from .solvers import (
+    Budget,
+    _Deadline,
+    _verified_once,
+    best_clique_split,
+    chromatic_number,
+    max_clique,
+    verify_clique,
+)
 from .theorems import (
     _check_s_mode,
-    _verified_once,
     an_condition_for,
     chi_bounds,
     factor_coloring,
     nilradical_bound,
     omega_product_formula,
+    pinch_product,
     reduced_theorem_check,
     zn_formula,
 )
@@ -51,6 +66,14 @@ def analyze(
     ast = parse(expr_text)
     ring = elaborate(ast, size_cap=size_cap)
     g = build_graph(ring)
+
+    if isinstance(ast, ProductExpr):
+        # the formula and the sandwich first, from the factors' solves (g
+        # holds their graphs): where the sandwich closes they pin omega,
+        # chi, the split and min-s on g, and its core is not searched
+        pred = omega_product_formula(ring.factors, deadline, size_cap)
+        bounds = chi_bounds(ring.factors, s_mode, deadline)
+        pinch_product(g, pred, bounds, deadline)
 
     clique = max_clique(g, deadline)
     chi_val = chromatic_number(g, deadline)[0]
@@ -89,12 +112,9 @@ def analyze(
                 )
             )
     if isinstance(ast, ProductExpr):
-        # g holds the factors' graphs, so both checks share their solves
-        pred = omega_product_formula(ring.factors, deadline, size_cap)
         checks.append(
             _check("product_omega_formula", pred.predicted, omega_val, pred.predicted == omega_val)
         )
-        bounds = chi_bounds(ring.factors, s_mode, deadline)
         checks.append(_check("chi_lower_bound", bounds.lower, chi_val, chi_val >= bounds.lower))
         checks.append(_check("chi_upper_bound", bounds.upper, chi_val, chi_val <= bounds.upper))
 

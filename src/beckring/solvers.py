@@ -48,7 +48,7 @@ colors below t, so their domains start as [0, t), the lowest-fresh-color
 rule runs apart in [0, t) and [t, k), and the pre-colored clique is a
 largest square-zero clique, whose size is also the floor of s.
 
-Each graph is ranked once and searched once. Its ranking (the vertex
+Each graph is ranked once and searched at most once. Its ranking (the vertex
 order and the adjacency rows permuted into it), the finished clique search
 (omega's witness and the split) and the chromatic number with its coloring
 are memoised in the `solved` dict of the core they ran on: DSATUR and the
@@ -56,13 +56,20 @@ clique search run on the one ranking, and one analysis that asks for omega,
 the split and chi of the same graph, or solves the same factor for two
 theorem checks, pays for one clique search: omega, the split and chi's
 lower bound share it. Equal factors of a product are one ring
-(`dsl.elaborate_factors`), with one graph. The chi-coloring and the best
-split lifted to a graph are memoised on that graph, so each is lifted once
-however often it is asked, and so is a finished min-s with its lifted
-coloring. Min-s takes its floor from the split's square-zero part B, a
-square-zero clique, when |B| equals the chi-coloring's s, which s then
-equals; only otherwise does it search for the largest square-zero
-clique, cutting that subgraph out once, in its own ranking.
+(`dsl.elaborate_factors`), with one graph. Omega's witness, the
+chi-coloring and the best split lifted to a graph are memoised on that
+graph, so each is lifted once however often it is asked, and so is a
+finished min-s with its lifted coloring. Those four answers on a graph
+can also come from no search: `pinch` keeps a clique and a coloring of
+equal size that verify on the graph as omega's witness and the
+chi-coloring, and also as the best split and the exact min-s when the
+clique's square-zero count equals the coloring's s. max_clique,
+best_clique_split, chromatic_number and min_s_optimal_coloring read them
+as they read their own solves, and search nothing for what is kept.
+Min-s takes its floor from the split's square-zero part B, a square-zero
+clique, when |B| equals the chi-coloring's s, which s then equals; only
+otherwise does it search for the largest square-zero clique, cutting
+that subgraph out once, in its own ranking.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again. The
 one answer short of its goal is min-s once chi is known: it comes back with
@@ -260,6 +267,17 @@ def verify_coloring(g, coloring: Coloring) -> bool:
         return False
     masks = _pack_rows(np.fromiter(cls, np.intp, g.n) == np.arange(k)[:, None])
     return all(masks) and not any(map(operator.and_, g.adj, map(masks.__getitem__, cls)))
+
+
+def _verified_once(g, check, witness) -> bool:
+    """`check(g, witness)`, run once per graph and witness: a witness that
+    passed is kept, by value, in the graph's memo and goes with the graph."""
+    passed = _solved(g).setdefault("verified", set())
+    if (check, witness) not in passed:
+        if not check(g, witness):
+            return False
+        passed.add((check, witness))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +618,16 @@ def _clique_search(work, deadline: _Deadline) -> _CliqueSearch:
 def max_clique(g, budget: Budget = None) -> Clique:
     """Exact maximum clique, with witness; deterministic across runs. On a
     Beck graph it is searched on the core, and each witness member is the
-    first vertex of its twin class."""
-    work, _, reps = _core(g)
-    search = _clique_search(work, _Deadline(budget))
-    if search.result is None:
-        lb_w = sorted(reps[search.order[v]] for v in search.first)
-        raise BudgetError("max_clique", len(lb_w), witness=lb_w)
-    return Clique(tuple(reps[v] for v in search.result))
+    first vertex of its twin class; the lifted witness is kept on `g`."""
+    memo = _solved(g)
+    if "omega" not in memo:
+        work, _, reps = _core(g)
+        search = _clique_search(work, _Deadline(budget))
+        if search.result is None:
+            lb_w = sorted(reps[search.order[v]] for v in search.first)
+            raise BudgetError("max_clique", len(lb_w), witness=lb_w)
+        memo["omega"] = Clique(tuple(reps[v] for v in search.result))
+    return memo["omega"]
 
 
 def best_clique_split(g, budget: Budget = None) -> CliqueSplit:
@@ -757,3 +778,31 @@ def _sq0_clique_floor(work, deadline: _Deadline) -> list[int]:
     order = sorted(range(len(verts)), key=lambda i: (-(adj[verts[i]] & sq0).bit_count(), i))
     memo = {"ranking": (order, _permute(adj, [verts[i] for i in order], deadline))}
     return [verts[i] for i in _CliqueSearch(len(verts), None, deadline).run(memo)]
+
+
+def pinch(g, clique, coloring: Coloring) -> bool:
+    """The certificate rule, which searches nothing: a clique and a proper
+    coloring of `g` of the same size pin omega = chi = that size. When both
+    verify on `g` and their sizes are equal, the clique is kept as
+    max_clique's answer and the coloring as chromatic_number's. If the
+    clique's square-zero count also equals the coloring's s, the clique is
+    the best split and the coloring's s the exact min-s: the square-zero
+    members of any clique are pairwise adjacent, so they take distinct
+    square-zero-bearing classes of every coloring, and no clique has more
+    of them than any coloring's s. Answers `g` already has are kept.
+    Returns whether the rule held; when it does not, nothing is kept."""
+    vertices = tuple(sorted(clique))
+    if len(vertices) != coloring.k:
+        return False
+    if not (_verified_once(g, verify_clique, vertices) and _verified_once(g, verify_coloring, coloring)):
+        return False
+    memo = _solved(g)
+    memo.setdefault("omega", Clique(vertices))
+    memo.setdefault("coloring", (coloring.k, coloring))
+    b = tuple(v for v in vertices if g.sq0_bits >> v & 1)
+    s = sum(class_sq0_flags(g, coloring))
+    if len(b) == s:
+        c = tuple(v for v in vertices if not g.sq0_bits >> v & 1)
+        memo.setdefault("split", CliqueSplit(Clique(vertices), b, c))
+        memo.setdefault("min_s", (coloring, SZero(s, s)))
+    return True

@@ -19,10 +19,17 @@ realized by one explicit coloring, built from the factors' colorings at
 once and re-verified on the product's graph. factor_coloring gives each
 factor's coloring and s, re-verified, to analyze and verify-suite too.
 
+Where every factor has chi_i = omega_i and its least s_i equals |B_i|, the
+upper bound equals the formula's omega, and the formula's witness and that
+product coloring pin omega = chi of the product with no search of it
+(`pinch_product`): `analyze` searches a product's core only where the
+sandwich stays open.
+
 Each witness is verified once per graph: a witness that passed is kept in
-the graph's memo (`_verified_once`), so the checks of one request that meet
-the same factor's coloring or split again do not verify it again. A ring's
-nilpotency type and zero-product condition are computed once per ring.
+the graph's memo (`solvers._verified_once`), so the checks of one request
+that meet the same factor's coloring or split again do not verify it again.
+A ring's nilpotency type and zero-product condition are computed once per
+ring.
 """
 
 from __future__ import annotations
@@ -47,11 +54,13 @@ from .solvers import (
     Clique,
     CliqueSplit,
     Coloring,
+    _verified_once,
     best_clique_split,
     chromatic_number,
     class_sq0_flags,
     max_clique,
     min_s_optimal_coloring,
+    pinch,
     verify_clique,
     verify_coloring,
 )
@@ -60,17 +69,6 @@ from .solvers import (
 DEFAULT_DIRECT_CAP = 512
 # the counterexample family cross-checks omega by a direct solve up to this size
 FAMILY_DIRECT_OMEGA_CAP = 128
-
-
-def _verified_once(g, check, witness) -> bool:
-    """`check(g, witness)`, run once per graph and witness: a witness that
-    passed is kept, by value, in the graph's memo and goes with the graph."""
-    passed = g.solved.setdefault("verified", set())
-    if (check, witness) not in passed:
-        if not check(g, witness):
-            return False
-        passed.add((check, witness))
-    return True
 
 
 def _once_per_ring(fn):
@@ -229,9 +227,35 @@ def product_coloring(product: FiniteRing, colorings: list[Coloring]) -> Coloring
                        np.where(j < sf, sf * i + j, s * sf + j - sf)).ravel()
         k, s = s * sf + (k - s) + (c.k - sf), s * sf
     coloring = Coloring(tuple(col.tolist()), k)
-    if not verify_coloring(gp, coloring):
+    if not _verified_once(gp, verify_coloring, coloring):
         raise InternalCheckError("product coloring construction produced an improper coloring")
     return coloring
+
+
+def pinch_product(gp, prediction: OmegaPrediction, bounds: ChiBounds, budget: Budget = None) -> bool:
+    """Pin omega, chi, the best split and the exact min-s on `gp`, the
+    graph of a whole product, from its factors and with no search of the
+    product, where the sandwich closes; returns whether it did.
+
+    `prediction` and `bounds` are the product formula and the sandwich of
+    the product's factors. When every factor has chi_i = omega_i and a
+    chi-coloring with s_i = |B_i|, the least s_i there is, the upper bound
+    sum (chi_i - s_i) + prod s_i is prod |B_i| + sum |C_i|, the formula's
+    omega: the formula's witness and the product coloring of those factor
+    colorings then meet, and `solvers.pinch` verifies both on the product's
+    graph and keeps them as its answers. chi_i = omega_i is read for every
+    factor before any factor's min-s is sought, so a product with a factor
+    whose chi exceeds its omega pays nothing."""
+    if any(f.chi != split.clique.size for f, split in zip(bounds.factors, prediction.splits)):
+        return False
+    deadline = _Deadline(budget)
+    colorings = []
+    for g, split in zip(gp.factor_graphs, prediction.splits):
+        coloring, sz = min_s_optimal_coloring(g, deadline)
+        if sz.s != split.b_size:  # every coloring's s is at least |B_i|
+            return False
+        colorings.append(coloring)
+    return pinch(gp, prediction.witness.vertices, product_coloring(gp.ring, colorings))
 
 
 # ---------------------------------------------------------------------------

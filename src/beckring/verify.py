@@ -10,6 +10,7 @@ they keep no copy of a check the theorem layer makes.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -67,31 +68,39 @@ class SuiteResult:
 
 
 class SolvedProduct(NamedTuple):
+    """A product solved for omega. `held` is its graph if chi_sandwich checks
+    it (`small_core_pairs`), kept so that the two share its solves; the
+    graph of any other product goes once omega is solved."""
+
     factors: list[FiniteRing]
     omega: int
-    graph: BeckGraph  # the product's graph, which holds its factors' graphs
+    held: BeckGraph | None
+    ref: weakref.ref
+
+    @property
+    def graph(self) -> BeckGraph | None:
+        """The product's graph while anything holds it."""
+        return self.ref()
 
 
 def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: Budget = None):
-    """label -> (factors, omega, graph) for the pairs, then triples, of
-    catalog_tuples, omega from one direct solve of the product's graph;
-    product_omega_formula and nilradical_bound share omega, and
-    small_core_pairs the graph, held here so that it is built once."""
+    """label -> SolvedProduct for the pairs, then triples, of catalog_tuples,
+    omega from one direct solve of the product's graph; product_omega_formula
+    and nilradical_bound share omega, and chi_sandwich the graphs held for
+    the pairs with at most SANDWICH_CORE_LIMIT non-units."""
     out = {}
     for label, factors in catalog_tuples(rings, (2, 3), max_product).items():
         g = build_graph(make_product(factors))
-        out[label] = SolvedProduct(factors, max_clique(g, budget).size, g)
+        small_core = len(factors) == 2 and g.n - int(g.ring.unit_mask.sum()) <= SANDWICH_CORE_LIMIT
+        held = g if small_core else None
+        out[label] = SolvedProduct(factors, max_clique(g, budget).size, held, weakref.ref(g))
     return out
 
 
 def small_core_pairs(products: dict[str, SolvedProduct]) -> dict[str, ProductRing]:
     """label -> product for the pairs among `products` (solved_products)
-    with at most SANDWICH_CORE_LIMIT non-units."""
-    out = {}
-    for label, (factors, _, g) in products.items():
-        if len(factors) == 2 and g.n - int(g.ring.unit_mask.sum()) <= SANDWICH_CORE_LIMIT:
-            out[label] = g.ring
-    return out
+    with at most SANDWICH_CORE_LIMIT non-units, whose graphs they hold."""
+    return {label: p.held.ring for label, p in products.items() if p.held is not None}
 
 
 def ring_axioms(rings: dict[str, FiniteRing]) -> CheckResult:
@@ -168,7 +177,7 @@ def oracle_equivalence(graphs: dict[str, BeckGraph], budget: Budget = None) -> C
 def product_omega_formula(products: dict, budget: Budget = None) -> CheckResult:
     """prod |B_i| + sum |C_i| equals the directly solved clique number."""
     check = CheckResult("product_omega_formula")
-    for label, (factors, omega, _) in products.items():
+    for label, (factors, omega, *_) in products.items():
         pred = theorems.omega_product_formula(factors, budget).predicted
         check.require(pred == omega, f"{label}: predicted {pred} direct {omega}")
     return check
@@ -178,7 +187,7 @@ def nilradical_bound(products: dict) -> CheckResult:
     """The nilradical bound is at most the clique number, and equal to it
     when every factor meets the zero-product membership condition."""
     check = CheckResult("nilradical_bound")
-    for label, (factors, omega, _) in products.items():
+    for label, (factors, omega, *_) in products.items():
         bound = theorems.nilradical_bound(factors).bound
         check.require(bound <= omega, f"{label}: bound {bound} > omega {omega}")
         if all(theorems.an_condition_for(f).holds for f in factors):

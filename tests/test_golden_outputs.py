@@ -68,17 +68,17 @@ DIGESTS = {
     "analyze AN x AN --json --budget 60":
         "486a6dd56951c059662cd628b6980e16bf01dfbb6153a9bfdc42fd8e1f69cc4a",
     "analyze Z4 x Z256 --json --budget 60":
-        "0a2119de032ea581460a20a3d1d7b2b1d8f559ef7cb8fe812f1966491f918853",
+        "77fd97fac7f3eb1b4eb756469aa16bfcbb2b7d5ac2caee8f65b70920118a5970",
     "analyze Z8 x Z64 x Z8 --json --budget 60":
-        "b069f147ca80f3f3ffcf94bdbea10bc7693208538110e6650803d43b0cb0a842",
+        "f3ff05f729a745d9b434c17b6f5088c751ffa702c1611c7e6932aa1a633c0df9",
     "analyze AN2 x Z36 --json --budget 60":
-        "ed3c23492b863a2a6c72e1618ed31d9e780efbf6550973c10d24dace1bd9d9d9",
+        "6cac6e1f4001a36b0e39819cd17ea134fa0604c830d66bd6fc617b532b8b2cd9",
     "analyze Z5 x Z2 x Z2 x Z2 x Z3 x Z3 x Z3 --json --budget 60":
-        "88563428573a94a3d4845aceccf1d9e40e8c7b607ec6e8e8dcb7f05a6e41c410",
+        "1e733d4e9f20a7866ac4c240cca969dc487e5cf09dfe76a10bef10e1afc38cde",
     "analyze Z3[t]/(t^5) --json --budget 60":
         "a1db0a9a34f490663b0d35a625f26785524e85027e6152e0c6876043908021e9",
     "analyze Z4[t]/(t^2+t+1) x Z3 --json --budget 60":
-        "b2768d281eb423f9e455febe849d918bd67230203aaa2b05208488ffc9a8245a",
+        "2dad3b6728e1bd50fb33fda8775f05bb55c76cfc46d297d892b3e25ca0a4300c",
     "analyze Z1 --json --budget 60 --s-mode min":
         "fd7d8ed71d4972c572eb804983c2f1b1afd9bd525e3963642ecf3fdc7028fd33",
     "analyze Z2 --json --budget 60 --s-mode min":

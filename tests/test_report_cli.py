@@ -12,7 +12,7 @@ import beckring
 from beckring.cli import build_parser, main
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
-from beckring import make_product, make_structure_ring, make_zmod
+from beckring import build_graph, make_product, make_structure_ring, make_zmod, ring_of
 from beckring.rings import DEFAULT_SIZE_CAP, ProductRing, StructureRing, ZmodRing
 from beckring.errors import NotARingError, PreconditionError
 from beckring.theorems import counterexample_family, reduced_theorem_check
@@ -82,31 +82,42 @@ def test_analyze_product_checks_present():
 
 @pytest.mark.isolated
 def test_analyze_searches_each_graph_once(monkeypatch):
-    # omega, the split and chi of the ring share one clique search on its
-    # core, the two product checks share each factor's solves, and equal
-    # factors are one ring with one graph
+    # the split and chi of a ring share one clique search on its core, the
+    # two product checks share each factor's solves, and equal factors are
+    # one ring with one graph. Where the sandwich closes, the product's own
+    # core gets no clique search and no DSATUR; an AN product's stays open
+    # and its core is searched once
     from beckring import solvers
 
-    searched = []
-    init = solvers._CliqueSearch.__init__
+    searched, colored = [], []
+    init, dsatur = solvers._CliqueSearch.__init__, solvers._dsatur
 
     def counting_init(self, n, adj, deadline, sq0_bits=0):
         searched.append((n, tuple(adj)))
         init(self, n, adj, deadline, sq0_bits)
 
+    def counting_dsatur(n, adj, deadline, memo=None):
+        colored.append((n, tuple(adj)))
+        return dsatur(n, adj, deadline, memo)
+
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
-    for expr in ("Z4 x Z256", "Z4 x Z16 x Z16"):
+    monkeypatch.setattr(solvers, "_dsatur", counting_dsatur)
+    for expr, pinched in (("Z4 x Z256", True), ("Z4 x Z16 x Z16", True), ("AN x Z3", False)):
         searched.clear()
+        colored.clear()
         rep = analyze(expr)
         assert all(c["pass"] for c in rep["checks"])
-        # the core of the product and of each distinct factor
-        assert len(searched) == 3
-        assert len(set(searched)) == len(searched)
+        core = build_graph(ring_of(expr)).core()
+        product_core = (core.n, tuple(core.adj))
+        # the core of each distinct factor, then the product's if open
+        assert searched.count(product_core) == colored.count(product_core) == (not pinched)
+        assert len(searched) == len(set(searched)) == 2 + (not pinched)
+        assert colored == searched
 
 
 def test_greedy_seed_stops_at_the_first_start(monkeypatch):
     # the clique search seeds its bound with one greedy clique, on the cores
-    # of this product and of its factors alike
+    # of this product, whose sandwich stays open, and of its factors alike
     from beckring import solvers
 
     searches, starts = [], []
@@ -123,11 +134,11 @@ def test_greedy_seed_stops_at_the_first_start(monkeypatch):
 
     monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_init)
     monkeypatch.setattr(solvers._CliqueSearch, "_greedy_from", counting_from)
-    rep = analyze("Z8 x Z64 x Z8")
-    assert rep["omega"]["value"] == 34
-    # every search, the 128-vertex core of the product first,
+    rep = analyze("AN x Z8")
+    assert (rep["omega"]["value"], rep["chi"]["value"]) == (10, 11)
+    # every search, the 46-vertex core of the product last,
     # makes exactly one greedy start
-    assert searches[0] == 128 and starts == searches
+    assert searches[-1] == 46 and starts == searches
 
 
 def _cli(*argv):
