@@ -8,14 +8,13 @@ variants, and acceptance criterion 1 checks them against that constant.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .dsl import ring_of
+from .dsl import canonical_anderson_naseer  # noqa: F401  (re-exported)
+from .dsl import elaborate_factors, parse
 from .errors import CapacityError
 from .graphs import build_graph
 from .rings import AN_VARIANT, DEFAULT_SIZE_CAP, FiniteRing, make_anderson_naseer
-from .rings import canonical_anderson_naseer  # noqa: F401  (re-exported)
 from .solvers import chromatic_number, max_clique
 
 CATALOG_EXPRS = ("Z2", "Z3", "Z4", "Z8", "Z9", "Z12", "Z2[t]/(t^2)", "AN")
@@ -34,23 +33,23 @@ def canonical_an_variant() -> int:
 
 
 def catalog_rings(size_cap: int = DEFAULT_SIZE_CAP) -> dict[str, FiniteRing]:
-    """The catalog rings of at most `size_cap` elements, built once per cap."""
+    """The catalog rings of at most `size_cap` elements."""
     return rings_under(CATALOG_EXPRS, size_cap)
 
 
 def field_rings(size_cap: int = DEFAULT_SIZE_CAP) -> dict[str, FiniteRing]:
-    """The field catalog rings of at most `size_cap` elements, built once per cap."""
+    """The field catalog rings of at most `size_cap` elements."""
     return rings_under(FIELD_EXPRS, size_cap)
 
 
-@lru_cache(maxsize=None)
 def rings_under(exprs: tuple[str, ...], size_cap: int) -> dict[str, FiniteRing]:
-    """expr -> ring for the expressions of at most `size_cap` elements; a larger
-    ring is refused before any table is built, and left out."""
+    """expr -> ring for the expressions of at most `size_cap` elements, each
+    atom from the table of factors (`dsl.held_factor`); a larger ring is
+    refused before any table is built, and left out."""
     rings = {}
     for expr in exprs:
         try:
-            rings[expr] = ring_of(expr, size_cap)
+            rings[expr] = elaborate_factors([parse(expr)], size_cap)[0]
         except CapacityError:
             pass
     return rings

@@ -15,6 +15,13 @@ f is kept as its terms, so its degree costs nothing before the size cap.
 "AN" is the 32-element built-in with z^2 = rings.AN_VARIANT (0), the
 variant with clique number 5 and chromatic number 6; "AN0"/"AN2" force
 the variant.
+
+The atoms of products, of the counterexample family and of the built-in
+catalog are realized through one process-wide table of factors: each atom
+is one ring with one graph, which keeps its finished solves from one
+request to the next. The held rings' sizes sum to at most
+DEFAULT_SIZE_CAP, the least recently used going first; a whole-ring atom
+other than AN (`analyze Z8`, `zn`'s Z_N) and a product are never held.
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ import re
 from typing import NamedTuple
 
 from .errors import CapacityError, ParseError
+from .graphs import BeckGraph, build_graph
 from .rings import (
     AN_SIZE,
+    AN_VARIANT,
     DEFAULT_SIZE_CAP,
     FiniteRing,
-    canonical_anderson_naseer,
     make_anderson_naseer,
     make_product,
     make_quotient,
@@ -188,9 +196,8 @@ def print_expr(e: RingExpr) -> str:
     raise TypeError(f"not a ring expression: {e!r}")
 
 
-def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """Realize a parsed expression as a validated ring, each ring on the
-    way held to `size_cap` where it is built."""
+def _atom_ring(e: RingExpr, size_cap: int) -> FiniteRing:
+    """A new ring for the atom `e`, held to `size_cap` where it is built."""
     if isinstance(e, ZmodAtom):
         return make_zmod(e.n, size_cap=size_cap)
     if isinstance(e, QuotAtom):
@@ -201,21 +208,60 @@ def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
         # AN, AN0 and AN2 are held to the cap here, before the ring is built
         if AN_SIZE > size_cap:
             raise CapacityError(f"ring size {AN_SIZE} exceeds cap {size_cap}")
-        if e.variant is None:
-            return canonical_anderson_naseer()
-        return make_anderson_naseer(e.variant)
-    if isinstance(e, ProductExpr):
-        return make_product(elaborate_factors(e.atoms, size_cap), size_cap=size_cap)
+        ring = make_anderson_naseer(AN_VARIANT if e.variant is None else e.variant)
+        ring.name = print_expr(e)
+        return ring
     raise TypeError(f"not a ring expression: {e!r}")
 
 
+# the table of factors: parsed atom -> the graph of its ring, least recently
+# used first. The graph holds its ring, which holds it back only weakly
+# (graphs.build_graph), so an evicted pair is freed at once, without gc.
+_factors: dict[RingExpr, BeckGraph] = {}
+
+
+def held_factor(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+    """The ring of the atom `e` from the table of factors, built and held on
+    first use. Its graph, and so every finished solve on it, serves each
+    later request. A held ring above `size_cap` is built again, and so
+    refused as a new one is. A ring above DEFAULT_SIZE_CAP is never held,
+    and the least recently used go once the held sizes sum past it."""
+    g = _factors.get(e)
+    if g is None or g.n > size_cap:
+        ring = _atom_ring(e, size_cap)
+        if ring.size > DEFAULT_SIZE_CAP:
+            return ring
+        g = build_graph(ring)
+    _factors.pop(e, None)
+    _factors[e] = g
+    while sum(h.n for h in _factors.values()) > DEFAULT_SIZE_CAP:
+        del _factors[next(iter(_factors))]
+    return g.ring
+
+
+def canonical_anderson_naseer() -> FiniteRing:
+    """AN: the variant AN_VARIANT, named "AN", held in the table of factors,
+    so that every request shares one ring and what its graph keeps."""
+    return held_factor(ANAtom(None))
+
+
+def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+    """Realize a parsed expression as a validated ring, each ring on the
+    way held to `size_cap` where it is built: a product's atoms and AN come
+    from the table of factors, any other atom is built anew."""
+    if isinstance(e, ProductExpr):
+        return make_product(elaborate_factors(e.atoms, size_cap), size_cap=size_cap)
+    return held_factor(e, size_cap) if e == ANAtom(None) else _atom_ring(e, size_cap)
+
+
 def elaborate_factors(exprs, size_cap: int = DEFAULT_SIZE_CAP) -> list[FiniteRing]:
-    """`exprs` realized in order, equal ones as one ring with one graph."""
+    """`exprs` realized in order, equal ones as one ring with one graph;
+    each atom from the table of factors."""
     built: dict[RingExpr, FiniteRing] = {}
     out = []
     for e in exprs:
         if e not in built:
-            built[e] = elaborate(e, size_cap)
+            built[e] = elaborate(e, size_cap) if isinstance(e, ProductExpr) else held_factor(e, size_cap)
         out.append(built[e])
     return out
 

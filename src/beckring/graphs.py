@@ -21,7 +21,9 @@ Each graph is built once per ring and reduced once: `build_graph` returns
 the ring's live graph while anything holds it, and `BeckGraph.core` keeps
 its core, and the graph of a whole product its factors' graphs, so no
 caller keeps them alive. Every graph carries `solved`, the memo in which
-the solvers keep the searches they finish on that graph.
+the solvers keep the searches they finish on that graph. The table of
+factors (`dsl.held_factor`) holds the graphs of factor atoms, so their
+solves serve every later request in the process.
 """
 
 from __future__ import annotations
@@ -137,9 +139,11 @@ def build_graph(ring: FiniteRing) -> BeckGraph:
     """The Beck graph of `ring`: the one already built while anything holds it.
     It takes no size cap: the ring was held to its caller's cap when built.
 
-    The ring keeps only a weak reference, so a graph and the solves memoised
-    on it go when the last holder lets go. Long-lived rings, such as the
-    cached AN ring, therefore carry no answers from one analysis to the next.
+    The ring keeps only a weak reference, so the graph holds its ring with
+    no cycle, and the graph and the solves memoised on it go when the last
+    holder lets go. The table of factors (`dsl.held_factor`) is one such
+    holder: the graphs of factor atoms, AN's among them, carry their finished
+    solves from one request to the next until the table evicts them.
     """
     g = ring._graph() if ring._graph is not None else None
     if g is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -587,15 +587,6 @@ def make_anderson_naseer(z_squared: int) -> StructureRing:
         (3, 3): (z_squared, 0, 0, 0),
     }
     return StructureRing((4, 2, 2, 2), (1, 0, 0, 0), products, name=f"AN{z_squared}")
-
-
-@lru_cache(maxsize=None)
-def canonical_anderson_naseer() -> StructureRing:
-    """AN: the variant AN_VARIANT, named "AN", built once per process so
-    that every request shares one ring and what it caches."""
-    ring = make_anderson_naseer(AN_VARIANT)
-    ring.name = "AN"
-    return ring
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,9 @@ clique search run on the one ranking, and one analysis that asks for omega,
 the split and chi of the same graph, or solves the same factor for two
 theorem checks, pays for one clique search: omega, the split and chi's
 lower bound share it. Equal factors of a product are one ring
-(`dsl.elaborate_factors`), with one graph. Omega's witness, the
+(`dsl.elaborate_factors`), with one graph, and a factor atom is the same
+ring in every request of a process (`dsl.held_factor`), so its solves are
+paid for once per process, not once per request. Omega's witness, the
 chi-coloring and the best split lifted to a graph are memoised on that
 graph, so each is lifted once however often it is asked, and so is a
 finished min-s with its lifted coloring. Those four answers on a graph
@@ -73,7 +75,10 @@ that subgraph out once, in its own ranking.
 A search cut short by its budget is never memoised: the BudgetError goes
 to the caller, and a later call, with a larger budget, searches again. The
 one answer short of its goal is min-s once chi is known: it comes back with
-the interval of s proved so far, and is not memoised either.
+the interval of s proved so far, and is not memoised either. A held
+factor's finished solves cost a later request nothing, so under a small
+budget a request may answer, or stop with tighter bounds, where a fresh
+process stops early.
 """
 
 from __future__ import annotations

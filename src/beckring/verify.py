@@ -330,7 +330,6 @@ def run_suite(
     if axioms.failed:
         return SuiteResult(checks)
 
-    # held to the end, so every check shares each catalog graph's solves
     graphs = {name: build_graph(ring) for name, ring in ring_map.items()}
     emit(graph_invariants(graphs))
     emit(core_preservation(graphs, deadline))
@@ -342,9 +341,7 @@ def run_suite(
     emit(nilradical_bound(products))
     emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
     field_map = field_rings(max_size)
-    field_graphs = [build_graph(ring) for ring in field_map.values()]  # held: the products share them
     emit(reduced_equality(catalog_tuples(field_map, (1, 2, 3), limit(FIELD_PRODUCT_LIMIT)), deadline))
-    del field_graphs
     emit(counterexample_family(FAMILY_FACTORS, deadline, max_size))
     pairs = [rings_under(pair, max_size) for pair in ISOMORPHIC_PAIRS]
     emit(dsl_round_trip(DSL_EXPRS, [pair for pair in pairs if len(pair) == 2], deadline))

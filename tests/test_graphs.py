@@ -106,9 +106,11 @@ def test_a_product_graph_keeps_its_factor_graphs():
 
 def test_factor_graphs_live_as_long_as_the_product_graph():
     # nothing but the product's graph holds its factors' graphs, and it
-    # makes no reference cycle: letting go of it frees them all at once
+    # makes no reference cycle: letting go of it frees them all at once.
+    # The factors are new rings: the table of factors holds the graphs of
+    # those `ring_of` makes
     gc.collect()
-    p = ring_of("Z4 x Z9")
+    p = make_product([make_zmod(4), make_zmod(9)])
     g = build_graph(p)
     refs = [weakref.ref(h) for h in [g, *g.factor_graphs]]
     gc.collect()

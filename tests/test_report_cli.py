@@ -86,8 +86,9 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     # two product checks share each factor's solves, and equal factors are
     # one ring with one graph. Where the sandwich closes, the product's own
     # core gets no clique search and no DSATUR; an AN product's stays open
-    # and its core is searched once
-    from beckring import solvers
+    # and its core is searched once. Each analysis starts from an empty
+    # table of factors, so that it solves its factors itself
+    from beckring import dsl, solvers
 
     searched, colored = [], []
     init, dsatur = solvers._CliqueSearch.__init__, solvers._dsatur
@@ -105,6 +106,7 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     for expr, pinched in (("Z4 x Z256", True), ("Z4 x Z16 x Z16", True), ("AN x Z3", False)):
         searched.clear()
         colored.clear()
+        monkeypatch.setattr(dsl, "_factors", {})
         rep = analyze(expr)
         assert all(c["pass"] for c in rep["checks"])
         core = build_graph(ring_of(expr)).core()
@@ -540,13 +542,13 @@ def _recording_built(init, built):
 
 
 @pytest.mark.isolated
-def test_suite_builds_no_ring_above_the_cap(monkeypatch):
+def test_suite_builds_no_ring_above_the_cap(monkeypatch, empty_factor_table):
     # --max-size holds every ring the suite builds: no catalog or field ring,
     # isomorphic pair or counterexample chain above it is built or graphed,
-    # and AN, above it, is not built
-    from beckring import catalog, graphs
+    # and AN, above it, is not built. The table of factors starts empty, so
+    # that the catalog rings are built here
+    from beckring import graphs
 
-    catalog.rings_under.cache_clear()  # so that the catalog rings are built here
     built, graphed = [], []
     for kind in (ZmodRing, ProductRing, StructureRing):
         monkeypatch.setattr(kind, "__init__", _recording_built(kind.__init__, built))

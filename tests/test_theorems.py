@@ -1,6 +1,5 @@
 """Product formulas, bounds, constructions, and the counterexample family."""
 
-import gc
 import json
 import re
 
@@ -390,17 +389,13 @@ def test_family_with_z2_z3_direct_skipped():
 
 
 @pytest.mark.isolated
-def test_family_builds_each_factor_graph_once(monkeypatch):
+def test_family_builds_each_factor_graph_once(monkeypatch, empty_factor_table):
     # the formula, the chromatic loop and the product colorings share the
-    # chain's factor graphs instead of rebuilding them
+    # chain's factor graphs instead of rebuilding them. The table of factors
+    # starts empty, so AN and its graph are built here, counted
     from beckring import graphs
     from beckring.catalog import canonical_anderson_naseer
 
-    # the cached AN ring's graph may still be held by a reference cycle, such
-    # as an earlier test's exception traceback; free it so AN is built here
-    gc.collect()
-
-    chain = [canonical_anderson_naseer()] + rings_of("Z2", "Z3")
     built = []
     init = graphs.BeckGraph.__init__
 
@@ -409,6 +404,7 @@ def test_family_builds_each_factor_graph_once(monkeypatch):
         init(self, ring, to_ring)
 
     monkeypatch.setattr(graphs.BeckGraph, "__init__", counting_init)
+    chain = [canonical_anderson_naseer()] + rings_of("Z2", "Z3")
     rep = counterexample_family(chain[1:])
     assert (rep.omega, rep.chi) == (7, 8)
     for f in chain:
