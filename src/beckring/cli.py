@@ -7,17 +7,28 @@ export takes no --budget, and only analyze and bound-chi take --s-mode.
 One size cap, --max-size, else 4096, holds every ring a command builds
 where it is built, AN and the counterexample product included; above it,
 predict-omega and bound-chi skip their direct solve and still answer.
+
+One table, `_COMMANDS`, gives each command its handler, help line and
+arguments, and `_ARGS` each argument its type, default, help line and
+choices; parsing, dispatch, -h/--help and every usage error read them.
+`parse_args` reads an argv as argparse did for these commands: a unique
+prefix of a flag names it (`--js`), `--flag=value` joins a value, `--`
+ends the flags, a repeated flag keeps its last value, a negative number
+is a value or a positional (`--budget -1`, `zn -5`), values are converted
+by `int` and `float` themselves, and a rejected argv gets argparse's
+message. A parse keeps nothing from one call to the next.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .dsl import ProductExpr, elaborate, elaborate_factors, parse, print_expr, ring_of
 from .errors import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, BeckringError
@@ -38,59 +49,8 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _add_flags(p: _Parser, report: bool = True, s_mode: bool = False):
-    if report:
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--budget", type=float, default=None, help="command time budget in seconds")
-    p.add_argument("--max-size", type=int, default=DEFAULT_SIZE_CAP, help="override the ring size cap")
-    if s_mode:
-        p.add_argument("--s-mode", choices=["any", "min"], default="any",
-                       help="pick s from any optimal coloring or minimize it")
-
-
-@functools.cache
-def build_parser() -> _Parser:
-    """The argument parser, built once per process: argparse reads the
-    terminal size on every add_argument, which costs each in-process call
-    of main() milliseconds. Parsing leaves it unchanged."""
-    parser = _Parser(prog="beckring", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full invariant report for a ring expression")
-    p.add_argument("expr")
-    _add_flags(p, s_mode=True)
-
-    p = sub.add_parser("predict-omega", help="product clique formula vs direct solve")
-    p.add_argument("expr")
-    _add_flags(p)
-
-    p = sub.add_parser("bound-chi", help="chromatic bounds of a product")
-    p.add_argument("expr")
-    _add_flags(p, s_mode=True)
-
-    p = sub.add_parser("zn", help="closed form for Z_N vs direct solve")
-    p.add_argument("n", type=int)
-    _add_flags(p)
-
-    p = sub.add_parser("counterexample", help="clique/chromatic gap of the built-in family")
-    p.add_argument("factors", nargs="*", help="reduced factor expressions")
-    _add_flags(p)
-
-    p = sub.add_parser("export", help="write the Beck graph in DIMACS or JSON form")
-    p.add_argument("expr")
-    p.add_argument("--format", choices=["dimacs", "json"], default="dimacs")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    _add_flags(p, report=False)
-
-    p = sub.add_parser("verify-suite", help="run the catalog property suite")
-    _add_flags(p)
-
-    return parser
+class _Help(Exception):
+    """-h or --help was given: the help text to print."""
 
 
 # the JSON text of each scalar type, as json.dumps writes it
@@ -290,28 +250,221 @@ def _cmd_verify_suite(args) -> int:
     return _emit(payload, args.json, "\n".join(lines), result.ok)
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "predict-omega": _cmd_predict_omega,
-    "bound-chi": _cmd_bound_chi,
-    "zn": _cmd_zn,
-    "counterexample": _cmd_counterexample,
-    "export": _cmd_export,
-    "verify-suite": _cmd_verify_suite,
+class _Arg(NamedTuple):
+    """A positional, named without dashes, or a flag. `type` converts the
+    text given, or is None for a switch, which is True when given; a `many`
+    positional takes every positional of its run."""
+
+    type: Callable | None
+    default: object
+    help: str
+    choices: tuple[str, ...] = ()
+    many: bool = False
+
+
+class _Command(NamedTuple):
+    run: Callable[[SimpleNamespace], int]
+    help: str
+    args: tuple[str, ...]  # keys of _ARGS: the positional, then the flags
+
+
+_ARGS = {
+    "expr": _Arg(str, None, 'a ring expression, such as "Z4 x Z8"'),
+    "n": _Arg(int, None, "the modulus N of Z_N"),
+    "factors": _Arg(str, None, "reduced factor expressions", many=True),
+    "--json": _Arg(None, False, "emit a JSON report"),
+    "--budget": _Arg(float, None, "command time budget in seconds (default: BECKRING_BUDGET, else 60)"),
+    "--max-size": _Arg(int, DEFAULT_SIZE_CAP, "override the ring size cap"),
+    "--s-mode": _Arg(str, "any", "pick s from any optimal coloring or minimize it", ("any", "min")),
+    "--format": _Arg(str, "dimacs", "the graph file format", ("dimacs", "json")),
+    "--output": _Arg(str, None, "output path (default stdout)"),
 }
+_REPORT = ("--json", "--budget", "--max-size")
+_COMMANDS = {
+    "analyze": _Command(_cmd_analyze, "full invariant report for a ring expression", ("expr", *_REPORT, "--s-mode")),
+    "predict-omega": _Command(_cmd_predict_omega, "product clique formula vs direct solve", ("expr", *_REPORT)),
+    "bound-chi": _Command(_cmd_bound_chi, "chromatic bounds of a product", ("expr", *_REPORT, "--s-mode")),
+    "zn": _Command(_cmd_zn, "closed form for Z_N vs direct solve", ("n", *_REPORT)),
+    "counterexample": _Command(_cmd_counterexample, "clique/chromatic gap of the built-in family", ("factors", *_REPORT)),
+    "export": _Command(_cmd_export, "write the Beck graph in DIMACS or JSON form",
+                       ("expr", "--format", "--output", "--max-size")),
+    "verify-suite": _Command(_cmd_verify_suite, "run the catalog property suite", _REPORT),
+}
+_HELP = ("-h", "--help")  # the program's and every command's
+# argparse's test for a negative number, which is a positional or a value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _choices(names) -> str:
+    return ", ".join(map(repr, names))
+
+
+def _option(arg: str, options: tuple[str, ...]):
+    """How `arg` reads among `options`: None for a positional, else the pair
+    (option, text joined to it or None), the option None if unknown. A
+    unique prefix of a long option names it; a one-dash option takes text
+    joined to it."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in options:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return name, value
+    if arg[1] == "-":
+        found = [(o, value if eq else None) for o in options if o.startswith(name)]
+    else:
+        found = [(o, arg[2:] if o == arg[:2] else None) for o in options if o == arg[:2] or o.startswith(arg)]
+    if len(found) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match {', '.join(o for o, _ in found)}")
+    if found:
+        return found[0]
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+
+
+def _take_help(option: str, joined: str | None, command: str | None):
+    """Raise _Help with the help of `command`, or of every command. Text
+    joined to -h reads as more one-letter flags, of which there is only -h;
+    any other is an error."""
+    if joined is not None:
+        rest = joined.lstrip("h") if option == "-h" and joined else joined
+        if rest or not joined:
+            raise _UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    raise _Help(_help_text(command))
+
+
+def _convert(name: str, text: str):
+    arg = _ARGS[name]
+    try:
+        value = arg.type(text)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid {arg.type.__name__} value: {text!r}") from None
+    if arg.choices and value not in arg.choices:
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {_choices(arg.choices)})")
+    return value
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """`command` and one attribute per argument of that command, read from
+    `argv` by the table. Raises _Help for -h/--help, and _UsageError with
+    argparse's message for an argv argparse refused."""
+    argv = list(argv)
+    extras = []  # unknown flags, reported once the command parsed
+    for i, arg in enumerate(argv):
+        kind = None if arg == "--" else _option(arg, _HELP)
+        if kind is None:
+            break
+        if kind[0] is None:
+            extras.append(arg)
+        else:
+            _take_help(*kind, None)
+    else:
+        i = len(argv)
+    if i == len(argv) or argv[i:] == ["--"]:
+        raise _UsageError("the following arguments are required: command")
+    name, args = argv[i], argv[i + 1:]
+    if name not in _COMMANDS:
+        raise _UsageError(f"argument command: invalid choice: {name!r} (choose from {_choices(_COMMANDS)})")
+    spec = _COMMANDS[name].args
+    positional = spec[0] if spec and spec[0][0] != "-" else None
+    options = _HELP + (spec[1:] if positional else spec)
+    sep = args.index("--") if "--" in args else None  # no flag after it
+    kinds = [_option(arg, options) for arg in args[:sep]]
+    values = {"command": name, **{_dest(a): _ARGS[a].default for a in spec}}
+    k = 0
+    while k < len(args):
+        if k < len(kinds) and kinds[k] is not None:
+            option, joined = kinds[k]
+            if option is None:
+                extras.append(args[k])
+            elif option in _HELP:
+                _take_help(option, joined, name)
+            elif _ARGS[option].type is None:
+                if joined is not None:
+                    raise _UsageError(f"argument {option}: ignored explicit argument {joined!r}")
+                values[_dest(option)] = True
+            else:
+                if joined is None:
+                    if k + 1 >= len(kinds) or kinds[k + 1] is not None:
+                        raise _UsageError(f"argument {option}: expected one argument")
+                    k += 1
+                    joined = args[k]
+                values[_dest(option)] = _convert(option, joined)
+            k += 1
+            continue
+        j = k  # a run of positionals, up to the next flag
+        while j < len(args) and (j >= len(kinds) or kinds[j] is None):
+            j += 1
+        if positional is None:
+            extras += args[k:j]
+        elif _ARGS[positional].many:  # the whole run, less the --
+            values[_dest(positional)] = [_convert(positional, a) for m, a in enumerate(args[k:j], k) if m != sep]
+            positional = None
+        else:  # one positional, with a -- just before or after it
+            a = k + (k == sep)
+            if a < j:
+                stop = a + 1 + (a + 1 == sep)
+                values[_dest(positional)] = _convert(positional, args[a])
+                positional = None
+                k = stop
+            extras += args[k:j]
+        k = j
+    if positional is not None:
+        if not _ARGS[positional].many:
+            raise _UsageError(f"the following arguments are required: {positional}")
+        values[_dest(positional)] = []
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def _synopsis(name: str) -> str:
+    """How argument `name` is written: `EXPR`, `--budget BUDGET`, `--json`."""
+    arg = _ARGS[name]
+    meta = "{" + ",".join(arg.choices) + "}" if arg.choices else _dest(name).upper()
+    if name[0] != "-":
+        return f"[{meta} ...]" if arg.many else meta
+    return name if arg.type is None else f"{name} {meta}"
+
+
+def _help_text(name: str | None) -> str:
+    """The help of command `name`: its usage and help line, then each
+    argument's help and default; with no name, every command's."""
+    if name is None:
+        return "\n\n".join([
+            "usage: beckring COMMAND [ARGS]; beckring COMMAND --help shows one command\n"
+            "exit codes: 0 success, 1 usage, 2 parse error, 3 capacity exceeded,\n"
+            "4 budget exhausted, 5 verification failure",
+            *map(_help_text, _COMMANDS),
+        ])
+    command = _COMMANDS[name]
+    words = [_synopsis(a) if a[0] != "-" else f"[{_synopsis(a)}]" for a in command.args]
+    lines = [f"usage: beckring {name} {' '.join(words)}".rstrip(), f"  {command.help}"]
+    for a in command.args:
+        arg = _ARGS[a]
+        default = "" if arg.default is None or arg.type is None else f" (default: {arg.default})"
+        lines.append(f"  {_synopsis(a):<24}{arg.help}{default}")
+    lines.append(f"  {'-h, --help':<24}show this help")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.max_size < 1:  # a cap that holds no ring at all
             raise _UsageError(f"argument --max-size: expected a positive integer, got {args.max_size}")
-        if "budget" in args:  # one deadline per command
+        if hasattr(args, "budget"):  # one deadline per command
             args.budget = _Deadline(args.budget)
-        if "s_mode" in args:  # the library's spelling of --s-mode any|min
+        if hasattr(args, "s_mode"):  # the library's spelling of --s-mode any|min
             args.s_mode = {"any": "any_optimal", "min": "min_s"}[args.s_mode]
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
+    except _Help as e:
+        print(e)
+        return EXIT_OK
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

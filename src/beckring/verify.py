@@ -10,14 +10,16 @@ they keep no copy of a check the theorem layer makes.
 from __future__ import annotations
 
 import json
+import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import theorems
-from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings, rings_under
-from .dsl import elaborate_factors, parse, print_expr, ring_of
+from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings
+from .dsl import ProductExpr, elaborate_factors, parse, print_expr, ring_of
 from .errors import BeckringError, CapacityError
 from .graphs import BeckGraph, build_graph
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
@@ -67,6 +69,26 @@ class SuiteResult:
         return all(c.failed == 0 for c in self.checks)
 
 
+class ProductTable:
+    """The products of one suite run by label, the factor names joined with
+    " x ". A label in more than one of `label_groups` is built once and held,
+    with its graph, to the end of the run; any other is built where it is
+    read and not held."""
+
+    def __init__(self, *label_groups):
+        counts = Counter(label for group in label_groups for label in group)
+        self.shared = {label for label, n in counts.items() if n > 1}
+        self.held: dict[str, BeckGraph] = {}
+
+    def ring(self, label: str, factors: list[FiniteRing]) -> FiniteRing:
+        if label in self.held:
+            return self.held[label].ring
+        ring = make_product(factors) if len(factors) > 1 else factors[0]
+        if label in self.shared:
+            self.held[label] = build_graph(ring)
+        return ring
+
+
 class SolvedProduct(NamedTuple):
     """A product solved for omega. `held` is its graph if chi_sandwich checks
     it (`small_core_pairs`), kept so that the two share its solves; the
@@ -83,14 +105,16 @@ class SolvedProduct(NamedTuple):
         return self.ref()
 
 
-def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: Budget = None):
+def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: Budget = None,
+                    table: ProductTable | None = None):
     """label -> SolvedProduct for the pairs, then triples, of catalog_tuples,
-    omega from one direct solve of the product's graph; product_omega_formula
-    and nilradical_bound share omega, and chi_sandwich the graphs held for
-    the pairs with at most SANDWICH_CORE_LIMIT non-units."""
+    each product from `table`, omega from one direct solve of its graph;
+    product_omega_formula and nilradical_bound share omega, and chi_sandwich
+    the graphs held for the pairs with at most SANDWICH_CORE_LIMIT non-units."""
+    table = table or ProductTable()
     out = {}
     for label, factors in catalog_tuples(rings, (2, 3), max_product).items():
-        g = build_graph(make_product(factors))
+        g = build_graph(table.ring(label, factors))
         small_core = len(factors) == 2 and g.n - int(g.ring.unit_mask.sum()) <= SANDWICH_CORE_LIMIT
         held = g if small_core else None
         out[label] = SolvedProduct(factors, max_clique(g, budget).size, held, weakref.ref(g))
@@ -225,12 +249,13 @@ def zn_closed_form(moduli, chi_limit: int, budget: Budget = None) -> CheckResult
     return check
 
 
-def reduced_equality(field_products: dict, budget: Budget = None) -> CheckResult:
-    """chi = omega = (number of field factors) + 1 on products of fields."""
+def reduced_equality(field_products: dict, budget: Budget = None, table: ProductTable | None = None) -> CheckResult:
+    """chi = omega = (number of field factors) + 1 on products of fields,
+    each product from `table`."""
     check = CheckResult("reduced_equality")
+    table = table or ProductTable()
     for label, factors in field_products.items():
-        ring = make_product(factors) if len(factors) > 1 else factors[0]
-        res = theorems.reduced_theorem_check(ring, budget)
+        res = theorems.reduced_theorem_check(table.ring(label, factors), budget)
         check.require(
             res.consistent and res.omega == len(factors) + 1,
             f"{label}: omega {res.omega} chi {res.chi} r {res.r_count}",
@@ -279,6 +304,23 @@ def dsl_round_trip(exprs, isomorphic_pairs, budget: Budget = None) -> CheckResul
         same = _omega_chi(a, budget) == _omega_chi(b, budget)
         check.require(same, f"{tuple(pair)}: isomorphic rings disagree")
     return check
+
+
+def isomorphic_rings(pair, size_cap: int, table: ProductTable) -> dict[str, FiniteRing]:
+    """expr -> ring for both expressions of `pair`, each a product from
+    `table` of atoms from the table of factors; {} if either is above
+    `size_cap`."""
+    rings = {}
+    for expr in pair:
+        ast = parse(expr)
+        try:
+            factors = elaborate_factors(ast.atoms if isinstance(ast, ProductExpr) else (ast,), size_cap)
+        except CapacityError:
+            return {}
+        if math.prod(f.size for f in factors) > size_cap:
+            return {}
+        rings[expr] = table.ring(expr, factors)
+    return rings
 
 
 def report_json_round_trip(exprs, budget: Budget = None) -> CheckResult:
@@ -335,16 +377,20 @@ def run_suite(
     emit(core_preservation(graphs, deadline))
     emit(omega_le_chi(graphs, deadline))
     emit(oracle_equivalence(graphs, deadline))
-    products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), deadline)
+    # the catalog's products, the field products and the isomorphic pairs
+    # name some products alike (Z2 x Z3 in all three): one table builds each
+    field_products = catalog_tuples(field_rings(max_size), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
+    table = ProductTable(catalog_tuples(ring_map, (2, 3), limit(PRODUCT_SIZE_LIMIT)), field_products,
+                         [expr for pair in ISOMORPHIC_PAIRS for expr in pair])
+    products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), deadline, table)
     emit(product_omega_formula(products, deadline))
     emit(chi_sandwich(small_core_pairs(products), deadline))
     emit(nilradical_bound(products))
     emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
-    field_map = field_rings(max_size)
-    emit(reduced_equality(catalog_tuples(field_map, (1, 2, 3), limit(FIELD_PRODUCT_LIMIT)), deadline))
+    emit(reduced_equality(field_products, deadline, table))
     emit(counterexample_family(FAMILY_FACTORS, deadline, max_size))
-    pairs = [rings_under(pair, max_size) for pair in ISOMORPHIC_PAIRS]
-    emit(dsl_round_trip(DSL_EXPRS, [pair for pair in pairs if len(pair) == 2], deadline))
+    pairs = [isomorphic_rings(pair, max_size, table) for pair in ISOMORPHIC_PAIRS]
+    emit(dsl_round_trip(DSL_EXPRS, [pair for pair in pairs if pair], deadline))
     emit(report_json_round_trip(ring_map, deadline))
     emit(s_statistic(graphs, deadline))
     return SuiteResult(checks)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import beckring
-from beckring.cli import build_parser, main
+from beckring.cli import main, parse_args
 from beckring.report import analyze, render_report
 from beckring.verify import run_suite
 from beckring import build_graph, make_product, make_structure_ring, make_zmod, ring_of
@@ -314,12 +314,10 @@ def test_cli_usage_exit_1(capsys):
 
 
 def test_cli_parses_after_a_usage_error(capsys):
-    # one parser serves every call; an error halfway through a subcommand's
-    # options leaves it, and its defaults, as they were
-    parser = build_parser()
+    # a parse keeps nothing from one call to the next: an error halfway
+    # through a command's options leaves its defaults as they were
     assert main(["export", "Z4", "--max-size", "3", "--format", "png"]) == 1
-    assert build_parser() is parser
-    args = parser.parse_args(["export", "Z4"])
+    args = parse_args(["export", "Z4"])
     assert (args.command, args.expr, args.format) == ("export", "Z4", "dimacs")
     assert (args.max_size, args.output) == (DEFAULT_SIZE_CAP, None)
     # export reads no --json, --budget or --s-mode, so it takes none
