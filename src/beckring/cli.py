@@ -21,19 +21,17 @@ message. A parse keeps nothing from one call to the next.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .dsl import ProductExpr, elaborate, elaborate_factors, parse, print_expr, ring_of
 from .errors import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, BeckringError
 from .graphs import build_graph, export_graph
-from .report import analyze, render_report
+from .report import _dumps, analyze, render_report
 from .rings import DEFAULT_SIZE_CAP, make_product
 from .solvers import _Deadline, chromatic_number, max_clique
 from .theorems import (
@@ -51,36 +49,6 @@ class _UsageError(Exception):
 
 class _Help(Exception):
     """-h or --help was given: the help text to print."""
-
-
-# the JSON text of each scalar type, as json.dumps writes it
-_LITERALS = {True: "true", False: "false", None: "null"}
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERALS.get, type(None): _LITERALS.get}
-
-
-def _dumps(x, pad: str = "\n") -> str:
-    """The bytes of `json.dumps(x, indent=2)`, its later lines indented by
-    `pad` less its newline. The stdlib's indenting encoder is pure Python,
-    so a list of strings (an analysis's color classes) is joined here in
-    one pass. Anything but a list, a str-keyed dict and a plain scalar is
-    left to the stdlib, re-indented: JSON text holds no raw newline."""
-    kind = type(x)
-    if kind in _SCALARS:
-        return _SCALARS[kind](x)
-    if kind is list or kind is dict and set(map(type, x)) <= {str}:
-        if not x:
-            return "[]" if kind is list else "{}"
-        inner = pad + "  "
-        if kind is list and set(map(type, x)) == {str}:
-            items = map(encode_basestring_ascii, x)
-        elif kind is list:
-            items = [_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner) for v in x]
-        else:
-            items = [encode_basestring_ascii(k) + ": " + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner))
-                     for k, v in x.items()]
-        opening, closing = "[]" if kind is list else "{}"
-        return opening + inner + ("," + inner).join(items) + pad + closing
-    return json.dumps(x, indent=2).replace("\n", pad)
 
 
 def _emit(payload: dict, as_json: bool, text: str | None, ok: bool) -> int:

@@ -30,7 +30,7 @@ import re
 from typing import NamedTuple
 
 from .errors import CapacityError, ParseError
-from .graphs import BeckGraph, build_graph
+from .graphs import HeldTable, build_graph
 from .rings import (
     AN_SIZE,
     AN_VARIANT,
@@ -217,7 +217,7 @@ def _atom_ring(e: RingExpr, size_cap: int) -> FiniteRing:
 # the table of factors: parsed atom -> the graph of its ring, least recently
 # used first. The graph holds its ring, which holds it back only weakly
 # (graphs.build_graph), so an evicted pair is freed at once, without gc.
-_factors: dict[RingExpr, BeckGraph] = {}
+_factors = HeldTable()
 
 
 def held_factor(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
@@ -229,13 +229,10 @@ def held_factor(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     g = _factors.get(e)
     if g is None or g.n > size_cap:
         ring = _atom_ring(e, size_cap)
-        if ring.size > DEFAULT_SIZE_CAP:
+        if ring.size > _factors.cap:
             return ring
         g = build_graph(ring)
-    _factors.pop(e, None)
-    _factors[e] = g
-    while sum(h.n for h in _factors.values()) > DEFAULT_SIZE_CAP:
-        del _factors[next(iter(_factors))]
+    _factors.hold(e, g, g.n)
     return g.ring
 
 

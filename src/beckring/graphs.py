@@ -24,6 +24,15 @@ caller keeps them alive. Every graph carries `solved`, the memo in which
 the solvers keep the searches they finish on that graph. The table of
 factors (`dsl.held_factor`) holds the graphs of factor atoms, so their
 solves serve every later request in the process.
+
+The core a search runs on depends only on how the ring's annihilator
+classes are laid out, so rings as unlike as AN x Z2 and AN x Z17 have one
+core. The table of cores keys each core that `core` builds by (n, its
+adjacency rows, its square-zero bits) and gives it the `solved` memo of
+the first core built with that key, so each core is searched at most once
+per process. What a core's memo holds reads nothing but those three.
+Both tables are `HeldTable`s: the held vertex counts sum to at most
+DEFAULT_SIZE_CAP, and the least recently used goes first.
 """
 
 from __future__ import annotations
@@ -34,12 +43,61 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DescriptorError
-from .rings import FiniteRing
+from .rings import DEFAULT_SIZE_CAP, FiniteRing
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
     packed = np.packbits(mat, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+class HeldTable(dict):
+    """A process-wide table, least recently used first, whose values' sizes
+    sum to at most `cap`. The sum is kept as values come and go; write
+    only through `hold`, `drop` and `clear`."""
+
+    def __init__(self, cap: int = DEFAULT_SIZE_CAP):
+        super().__init__()
+        self.cap, self.total, self._sizes = cap, 0, {}
+
+    def hold(self, key, value, size: int) -> None:
+        """Hold `value` under `key` as the most recently used; the least
+        recently used go while the sizes sum past `cap`. A value above
+        `cap` is never held."""
+        self.drop(key)
+        if size <= self.cap:
+            self[key], self._sizes[key] = value, size
+            self.total += size
+            while self.total > self.cap:
+                self.drop(next(iter(self)))
+
+    def drop(self, key) -> None:
+        if key in self:
+            del self[key]
+            self.total -= self._sizes.pop(key)
+
+    def clear(self) -> None:
+        super().clear()
+        self._sizes.clear()
+        self.total = 0
+
+
+# the table of cores: (n, adjacency rows, square-zero bits) -> the `solved`
+# memo of the cores with that key. A memo holds no graph or ring, so an
+# evicted one is freed once no core still holds it.
+_cores = HeldTable()
+
+
+def held_memo(g) -> dict:
+    """The memo the table of cores holds for the key of `g`, a core or a
+    plain graph-like with `n`, `adj` and `sq0_bits`, now the most recently
+    used; else a new one, held unless `g` is above the cap."""
+    if g.n > _cores.cap:
+        return {}
+    key = g.n, tuple(g.adj), g.sq0_bits
+    memo = _cores.get(key, {})
+    _cores.hold(key, memo, g.n)
+    return memo
 
 
 class BeckGraph:
@@ -62,7 +120,7 @@ class BeckGraph:
         self.sq0_bits = _pack_rows(sq0[None])[0]
         self.solved: dict = {}
         self.factor_graphs = [build_graph(f) for f in ring.factors] if to_ring is None else []
-        # the core (None while unbuilt or if the graph is its own),
+        # the core (None while unbuilt or if the graph is a core),
         # `group`, the core vertex of each vertex, and `reps`, the vertex
         # that stands for each core vertex (the first of its class)
         self._core: BeckGraph | None = None
@@ -109,6 +167,12 @@ class BeckGraph:
         and `reps` each class's vertex back to the class's first vertex.
         Built on the first call and kept. A core is its own core.
 
+        The core takes its `solved` memo from the table of cores, shared
+        with every core of the same key. It is never the graph itself: a
+        graph with no twins gets a copy that shares its arrays and rows,
+        so that the graph's own memo, where `solvers.pinch` may keep
+        answers that no search gives, stays out of the table.
+
         The classes are read from the ring's annihilator classes, not from
         `adj`. A vertex x with x^2 != 0 has the neighbours Ann(x), so its
         twins are the other such vertices of its class. A square-zero
@@ -130,8 +194,14 @@ class BeckGraph:
             self.reps = list(first.values())
             self.group = list(map(dict(zip(self.reps, range(len(self.reps)))).__getitem__, firsts))
             if len(self.reps) < self.n:
-                self._core = BeckGraph(self.ring, [self.to_ring[v] for v in self.reps])
-                self._core.group = self._core.reps = list(range(len(self.reps)))
+                core = BeckGraph(self.ring, [self.to_ring[v] for v in self.reps])
+            else:  # no twins: the core shares the graph's arrays and rows
+                self.adj  # packed once, for both
+                core = object.__new__(BeckGraph)
+                core.__dict__.update(vars(self), factor_graphs=[])
+            core.group = core.reps = list(range(len(self.reps)))
+            core.solved = held_memo(core)
+            self._core = core
         return self._core or self
 
 

@@ -8,7 +8,8 @@ The JSON schema is fixed, with stable key order for diff-ability:
      split: {B, C}, s, checks: [{name, expected, actual, pass}]}
 
 Witness elements are rendered in coordinate-tuple form, never as raw
-indices. The coloring and s come from theorems.factor_coloring, the
+indices. `_dumps` writes the JSON text that every command's --json prints,
+and verify-suite's report_json_round_trip reads it back. The coloring and s come from theorems.factor_coloring, the
 reduced-ring checks from theorems.reduced_theorem_check.
 
 omega, chi, the split and s are read from the solvers' memo on the ring's
@@ -20,6 +21,9 @@ Elsewhere the solvers search its core, as they do any other ring's.
 """
 
 from __future__ import annotations
+
+import json
+from json.encoder import encode_basestring_ascii
 
 from .dsl import ProductExpr, ZmodAtom, elaborate, parse, print_expr
 from .errors import InternalCheckError
@@ -45,6 +49,36 @@ from .theorems import (
     reduced_theorem_check,
     zn_formula,
 )
+
+
+# the JSON text of each scalar type, as json.dumps writes it
+_LITERALS = {True: "true", False: "false", None: "null"}
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERALS.get, type(None): _LITERALS.get}
+
+
+def _dumps(x, pad: str = "\n") -> str:
+    """The bytes of `json.dumps(x, indent=2)`, its later lines indented by
+    `pad` less its newline. The stdlib's indenting encoder is pure Python,
+    so a list of strings (an analysis's color classes) is joined here in
+    one pass. Anything but a list, a str-keyed dict and a plain scalar is
+    left to the stdlib, re-indented: JSON text holds no raw newline."""
+    kind = type(x)
+    if kind in _SCALARS:
+        return _SCALARS[kind](x)
+    if kind is list or kind is dict and set(map(type, x)) <= {str}:
+        if not x:
+            return "[]" if kind is list else "{}"
+        inner = pad + "  "
+        if kind is list and set(map(type, x)) == {str}:
+            items = map(encode_basestring_ascii, x)
+        elif kind is list:
+            items = [_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner) for v in x]
+        else:
+            items = [encode_basestring_ascii(k) + ": " + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner))
+                     for k, v in x.items()]
+        opening, closing = "[]" if kind is list else "{}"
+        return opening + inner + ("," + inner).join(items) + pad + closing
+    return json.dumps(x, indent=2).replace("\n", pad)
 
 
 def _check(name: str, expected, actual, ok: bool) -> dict:

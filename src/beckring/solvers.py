@@ -58,7 +58,13 @@ theorem checks, pays for one clique search: omega, the split and chi's
 lower bound share it. Equal factors of a product are one ring
 (`dsl.elaborate_factors`), with one graph, and a factor atom is the same
 ring in every request of a process (`dsl.held_factor`), so its solves are
-paid for once per process, not once per request. Omega's witness, the
+paid for once per process, not once per request. A core's memo is the
+one the table of cores (`graphs`) gives every core with the same n,
+adjacency rows and square-zero bits, so rings with one core, such as
+AN x Z2 and AN x Z17, search it once per process; everything a core's
+memo holds (the ranking, the clique search, chi with its coloring, the
+exact min-s with its coloring, verified witnesses) reads nothing else.
+Omega's witness, the
 chi-coloring and the best split lifted to a graph are memoised on that
 graph, so each is lifted once however often it is asked, and so is a
 finished min-s with its lifted coloring. Those four answers on a graph
@@ -742,13 +748,25 @@ def min_s_optimal_coloring(g, budget: Budget = None) -> tuple[Coloring, SZero]:
     One deadline covers the chromatic solve and the searches for s. Expiry
     before chi is known raises a BudgetError; after it, the best coloring
     comes back with the interval proved so far (`SZero.lower` < s). Only an
-    exact answer is memoised on `g`.
+    exact answer is memoised, on `g` and, unlifted, on its core.
     """
     memo = _solved(g)
-    if "min_s" in memo:
-        return memo["min_s"]
-    work, group, _ = _core(g)
-    deadline = _Deadline(budget)
+    if "min_s" not in memo:
+        deadline = _Deadline(budget)
+        work, group, _ = _core(g)
+        if work is g:
+            answer = _min_s(g, deadline)
+        else:
+            coloring, sz = min_s_optimal_coloring(work, deadline)
+            answer = _lift(coloring.class_of, group, coloring.k), sz
+        if not answer[1].exact:  # a cut-short interval is not memoised
+            return answer
+        memo["min_s"] = answer
+    return memo["min_s"]
+
+
+def _min_s(work, deadline: _Deadline) -> tuple[Coloring, SZero]:
+    """min_s_optimal_coloring on a graph that is its own core."""
     k, best = _chromatic(work, deadline)
     hi = len({best[v] for v in _bits(work.sq0_bits)})
     lo = min(hi, 1)  # a square-zero vertex bears a class
@@ -767,10 +785,7 @@ def min_s_optimal_coloring(g, budget: Budget = None) -> tuple[Coloring, SZero]:
                     best, hi = found, lo
     except _OutOfTime:
         pass
-    answer = _lift(best, group, k), SZero(hi, lo)
-    if lo == hi:  # a cut-short interval is not memoised
-        memo["min_s"] = answer
-    return answer
+    return Coloring(tuple(best), k), SZero(hi, lo)
 
 
 def _sq0_clique_floor(work, deadline: _Deadline) -> list[int]:

@@ -21,9 +21,9 @@ from . import theorems
 from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings
 from .dsl import ProductExpr, elaborate_factors, parse, print_expr, ring_of
 from .errors import BeckringError, CapacityError
-from .graphs import BeckGraph, build_graph
+from .graphs import BeckGraph, build_graph, held_memo
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
-from .report import analyze
+from .report import _dumps, analyze
 from .rings import DEFAULT_SIZE_CAP, FiniteRing, ProductRing, make_product
 from .solvers import Budget, _Deadline, best_clique_split, chromatic_number, max_clique
 
@@ -163,11 +163,15 @@ def core_preservation(graphs: dict[str, BeckGraph], budget: Budget = None) -> Ch
     """The core, the twin quotient, has exactly the (omega, chi) of the graph.
     max_clique and chromatic_number search a Beck graph's core, so the whole
     graph is searched as a plain graph-like: its adjacency alone, with no
-    square-zero tie-break and a memo of its own (`ring` names it in traces)."""
+    square-zero tie-break, and a memo that the table of cores shares only
+    with equal plain graphs, whose square-zero bits, 0, no core has (`ring`
+    names it in traces)."""
     check = CheckResult("core_preservation")
     deadline = _Deadline(budget)
     for name, g in graphs.items():
-        whole = _omega_chi(SimpleNamespace(n=g.n, adj=g.adj, solved={}, ring=g.ring), deadline)
+        plain = SimpleNamespace(n=g.n, adj=g.adj, sq0_bits=0, ring=g.ring)
+        plain.solved = held_memo(plain)
+        whole = _omega_chi(plain, deadline)
         same = _omega_chi(g.core(), deadline) == whole
         check.require(same, f"{name}: core reduction changed (omega, chi)")
     return check
@@ -324,11 +328,13 @@ def isomorphic_rings(pair, size_cap: int, table: ProductTable) -> dict[str, Fini
 
 
 def report_json_round_trip(exprs, budget: Budget = None) -> CheckResult:
+    """Each report's JSON text, written by the encoder `--json` prints
+    with (`report._dumps`), parses back to the same report."""
     check = CheckResult("report_json_round_trip")
     for expr in exprs:
         rep = analyze(expr, budget=budget)
         check.require(
-            json.loads(json.dumps(rep)) == rep, f"{expr}: JSON round trip changed the report"
+            json.loads(_dumps(rep)) == rep, f"{expr}: JSON round trip changed the report"
         )
     return check
 

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from test_ring_predicates import PROPERTY, atoms, products
 
 from beckring import BeckGraph, Coloring, ring_of, verify_coloring
-from beckring.cli import _dumps
 from beckring.graphs import _pack_rows
+from beckring.report import _dumps
 from beckring.rings import ProductRing, StructureRing
 from beckring.solvers import _Deadline, _dsatur, _lift
 

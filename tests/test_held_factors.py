@@ -18,7 +18,8 @@ import weakref
 
 import pytest
 
-from beckring import build_graph, cli, dsl, solvers
+from beckring import build_graph, cli, dsl, graphs, solvers
+from beckring.graphs import HeldTable
 from beckring.dsl import ANAtom, ZmodAtom, elaborate_factors, held_factor, parse, ring_of
 from beckring.rings import DEFAULT_SIZE_CAP
 
@@ -57,9 +58,11 @@ def run(argv, tmp_path, tag):
 def test_results_do_not_depend_on_request_order(monkeypatch, tmp_path, empty_factor_table):
     alone = {}
     for i, argv in enumerate(REQUESTS):
-        monkeypatch.setattr(dsl, "_factors", {})
+        monkeypatch.setattr(dsl, "_factors", HeldTable())
+        monkeypatch.setattr(graphs, "_cores", HeldTable())
         alone[i] = run(argv, tmp_path, f"alone{i}")
     monkeypatch.setattr(dsl, "_factors", empty_factor_table)
+    monkeypatch.setattr(graphs, "_cores", HeldTable())
     order = list(range(len(REQUESTS)))
     for label, seq in (("forward", order), ("reversed", order[::-1])):
         for i in seq:

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beckring import build_graph, cli, dsl, graphs, report, ring_of, rings, solvers, theorems
+from beckring.graphs import HeldTable
 from beckring.solvers import (
     SZero,
     _bits,
@@ -173,9 +174,10 @@ def small_products(draw):
 @given(small_products())
 def test_min_s_from_the_split_matches_the_floor_search(expr):
     # the floor is searched exactly where the split does not decide s; the
-    # table of factors starts empty, so that a held AN comes unsolved
+    # tables of factors and cores start empty, so that a held AN and every
+    # core come unsolved
     with mock.patch.object(solvers, "_sq0_clique_floor", wraps=solvers._sq0_clique_floor) as floor, \
-            mock.patch.object(dsl, "_factors", {}):
+            mock.patch.object(dsl, "_factors", HeldTable()), mock.patch.object(graphs, "_cores", HeldTable()):
         got = min_s_optimal_coloring(build_graph(ring_of(expr)))
     want = floor_search_min_s(build_graph(ring_of(expr)))
     assert got == want

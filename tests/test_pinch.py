@@ -18,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beckring import BeckGraph, build_graph, report, ring_of, theorems
+from beckring import BeckGraph, build_graph, graphs, report, ring_of, theorems
+from beckring.graphs import HeldTable
 from beckring.solvers import (
     Coloring,
     SZero,
@@ -108,14 +109,17 @@ def test_the_pinch_fires_exactly_where_the_sandwich_closes(expr):
     assert gp.solved.keys() & ANSWERS == (ANSWERS if fired else set())
     if fired:
         # the answers are the witness and the product coloring, each verified
-        # on the product's graph, and the product's core is never searched
+        # on the product's graph, and the product's core is never searched:
+        # built first here, under an empty table of cores (a factor's core
+        # may share its key), it has no search in its memo
         coloring = chromatic_number(gp)[1]
         assert max_clique(gp) == pred.witness and coloring.k == pred.predicted == bounds.upper
         assert {(verify_clique, pred.witness.vertices), (verify_coloring, coloring)} <= gp.solved["verified"]
         assert best_clique_split(gp).b_size == min_s_optimal_coloring(gp)[1].s == math.prod(
             split.b_size for split in pred.splits
         )
-        assert not gp.core().solved.keys() & {"clique", "chromatic", "ranking"}
+        with mock.patch.object(graphs, "_cores", HeldTable()):
+            assert not gp.core().solved.keys() & {"clique", "chromatic", "ranking"}
 
 
 def test_a_factor_whose_least_s_exceeds_its_b_keeps_the_sandwich_open():

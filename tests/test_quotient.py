@@ -40,7 +40,8 @@ from beckring import (
     verify_clique,
     verify_coloring,
 )
-from beckring import solvers
+from beckring import graphs, solvers
+from beckring.graphs import HeldTable
 from beckring.solvers import (
     _CliqueSearch,
     _Deadline,
@@ -116,9 +117,10 @@ def test_clique_witnesses_lift_to_class_representatives(ring, after_set_up):
 @pytest.mark.parametrize("expr", ["AN", "AN x Z12"])
 def test_one_clique_search_cut_at_every_tick(expr):
     # omega and the split come from one search: cut at each deadline read
-    # in turn on a fresh graph, max_clique and best_clique_split certify no
-    # more than omega, max_clique's partial clique is a clique, and a call
-    # the cut lets complete returns the uncut answer
+    # in turn on a fresh graph, its core under an empty table of cores,
+    # max_clique and best_clique_split certify no more than omega,
+    # max_clique's partial clique is a clique, and a call the cut lets
+    # complete returns the uncut answer
     ring = ring_of(expr)
     g = build_graph(ring)
     clique, split = max_clique(g), best_clique_split(g)
@@ -127,6 +129,7 @@ def test_one_clique_search_cut_at_every_tick(expr):
             fresh = BeckGraph(ring)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solvers, "_Deadline", functools.partial(_CutDeadline, cut))
+                mp.setattr(graphs, "_cores", HeldTable())
                 try:
                     got = entry(fresh)
                 except BudgetError as e:

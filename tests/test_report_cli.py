@@ -86,9 +86,10 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     # two product checks share each factor's solves, and equal factors are
     # one ring with one graph. Where the sandwich closes, the product's own
     # core gets no clique search and no DSATUR; an AN product's stays open
-    # and its core is searched once. Each analysis starts from an empty
-    # table of factors, so that it solves its factors itself
-    from beckring import dsl, solvers
+    # and its core is searched once. Each analysis starts from empty
+    # tables of factors and cores, so that it solves its factors itself
+    from beckring import dsl, graphs, solvers
+    from beckring.graphs import HeldTable
 
     searched, colored = [], []
     init, dsatur = solvers._CliqueSearch.__init__, solvers._dsatur
@@ -106,7 +107,8 @@ def test_analyze_searches_each_graph_once(monkeypatch):
     for expr, pinched in (("Z4 x Z256", True), ("Z4 x Z16 x Z16", True), ("AN x Z3", False)):
         searched.clear()
         colored.clear()
-        monkeypatch.setattr(dsl, "_factors", {})
+        monkeypatch.setattr(dsl, "_factors", HeldTable())
+        monkeypatch.setattr(graphs, "_cores", HeldTable())
         rep = analyze(expr)
         assert all(c["pass"] for c in rep["checks"])
         core = build_graph(ring_of(expr)).core()

@@ -467,12 +467,14 @@ def test_search_trees_are_pinned(expr, clique_ticks, split_ticks, decisions):
 )
 def test_deadline_reads_are_pinned(monkeypatch, expr, chi_first, clique_first):
     # (tick, check) calls of chromatic_number then max_clique on a fresh
-    # graph, and of the two the other way round on another: DSATUR ticks
+    # graph, and of the two the other way round on another, each under an
+    # empty table of cores: DSATUR ticks
     # once per pick, the clique search once per node, and a check reads the
     # clock at once, so expiry is found at the same points of the same work
     # whichever solve ranks the graph's vertices first. A tick's own read
     # every 64 ticks counts as a check
-    from beckring.graphs import BeckGraph
+    from beckring import graphs
+    from beckring.graphs import BeckGraph, HeldTable
 
     counts = [0, 0]
     tick, check = _Deadline.tick, _Deadline.check
@@ -489,6 +491,7 @@ def test_deadline_reads_are_pinned(monkeypatch, expr, chi_first, clique_first):
     monkeypatch.setattr(_Deadline, "check", counting_check)
     ring = ring_of(expr)
     for solves, want in (((chromatic_number, max_clique), chi_first), ((max_clique, chromatic_number), clique_first)):
+        monkeypatch.setattr(graphs, "_cores", HeldTable())
         g, got = BeckGraph(ring), []
         for solve in solves:
             counts[:] = [0, 0]
@@ -531,14 +534,16 @@ def test_budget_error_is_not_memoised():
     assert max_clique(g, budget=10).size == 18
 
 
-def test_memo_goes_with_its_graph():
-    # the ring holds its graph weakly: once dropped, a new graph searches
-    # again and honors its own budget
+def test_memo_goes_with_its_graph(empty_core_table):
+    # the ring holds its graph weakly: once dropped, and its core's memo
+    # evicted from the table of cores, a new graph searches again and
+    # honors its own budget
     r = ring_of("AN x Z4")
     g = build_graph(r)
     assert max_clique(g).size == 9
     assert max_clique(g, budget=0).size == 9
     del g
+    empty_core_table.clear()
     with pytest.raises(BudgetError):
         max_clique(build_graph(r), budget=0)
 
