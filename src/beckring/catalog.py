@@ -11,7 +11,7 @@ import math
 from itertools import combinations_with_replacement
 
 from .dsl import canonical_anderson_naseer  # noqa: F401  (re-exported)
-from .dsl import elaborate_factors, parse
+from .dsl import held_factor, parse
 from .errors import CapacityError
 from .graphs import build_graph
 from .rings import AN_VARIANT, DEFAULT_SIZE_CAP, FiniteRing, make_anderson_naseer
@@ -22,7 +22,9 @@ FIELD_EXPRS = ("Z2", "Z3", "Z5", "Z7", "Z2[t]/(t^2+t+1)")
 
 
 def an_variant_stats() -> dict[int, tuple[int, int]]:
-    """(clique number, chromatic number) of both z^2 variants, solved afresh."""
+    """(clique number, chromatic number) of both z^2 variants, each of a new
+    ring whose core takes its memo from the table of cores: a later call in
+    the process reads the first one's searches while the table holds them."""
     graphs = {variant: build_graph(make_anderson_naseer(variant)) for variant in (0, 2)}
     return {variant: (max_clique(g).size, chromatic_number(g)[0]) for variant, g in graphs.items()}
 
@@ -49,7 +51,7 @@ def rings_under(exprs: tuple[str, ...], size_cap: int) -> dict[str, FiniteRing]:
     rings = {}
     for expr in exprs:
         try:
-            rings[expr] = elaborate_factors([parse(expr)], size_cap)[0]
+            rings[expr] = held_factor(parse(expr), size_cap)
         except CapacityError:
             pass
     return rings

@@ -64,9 +64,9 @@ def _cmd_analyze(args) -> int:
 
 def _direct_graph(factors, cap: int):
     """The graph of the product of `factors` when its direct solve is due
-    (at most DEFAULT_DIRECT_CAP elements and the cap), else None. Built
-    before the factors are solved: it holds their graphs, so the formula or
-    the bounds and the direct solve share them."""
+    (at most DEFAULT_DIRECT_CAP elements and the cap), else None. Its
+    factors' graphs are held in the table of factors (`dsl.held_factor`), so
+    the formula or the bounds and the direct solve share them."""
     if math.prod(f.size for f in factors) > min(DEFAULT_DIRECT_CAP, cap):
         return None
     return build_graph(make_product(factors, size_cap=cap) if len(factors) > 1 else factors[0])

@@ -252,15 +252,9 @@ def elaborate(e: RingExpr, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
 
 
 def elaborate_factors(exprs, size_cap: int = DEFAULT_SIZE_CAP) -> list[FiniteRing]:
-    """`exprs` realized in order, equal ones as one ring with one graph;
-    each atom from the table of factors."""
-    built: dict[RingExpr, FiniteRing] = {}
-    out = []
-    for e in exprs:
-        if e not in built:
-            built[e] = elaborate(e, size_cap) if isinstance(e, ProductExpr) else held_factor(e, size_cap)
-        out.append(built[e])
-    return out
+    """`exprs` realized in order, each atom from the table of factors, so
+    that equal atoms are one ring with one graph; a product is built anew."""
+    return [elaborate(e, size_cap) if isinstance(e, ProductExpr) else held_factor(e, size_cap) for e in exprs]
 
 
 def ring_of(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:

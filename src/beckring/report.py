@@ -102,9 +102,10 @@ def analyze(
     g = build_graph(ring)
 
     if isinstance(ast, ProductExpr):
-        # the formula and the sandwich first, from the factors' solves (g
-        # holds their graphs): where the sandwich closes they pin omega,
-        # chi, the split and min-s on g, and its core is not searched
+        # the formula and the sandwich first, from the factors' solves (the
+        # table of factors holds their graphs, g any above its cap): where
+        # the sandwich closes they pin omega, chi, the split and min-s on g,
+        # and its core is not searched
         pred = omega_product_formula(ring.factors, deadline, size_cap)
         bounds = chi_bounds(ring.factors, s_mode, deadline)
         pinch_product(g, pred, bounds, deadline)

@@ -55,10 +55,10 @@ are memoised in the `solved` dict of the core they ran on: DSATUR and the
 clique search run on the one ranking, and one analysis that asks for omega,
 the split and chi of the same graph, or solves the same factor for two
 theorem checks, pays for one clique search: omega, the split and chi's
-lower bound share it. Equal factors of a product are one ring
-(`dsl.elaborate_factors`), with one graph, and a factor atom is the same
-ring in every request of a process (`dsl.held_factor`), so its solves are
-paid for once per process, not once per request. A core's memo is the
+lower bound share it. A factor atom is one ring, with one graph, in every
+request of a process and for equal factors of a product
+(`dsl.held_factor`), so its solves are paid for once per process, not
+once per factor or per request. A core's memo is the
 one the table of cores (`graphs`) gives every core with the same n,
 adjacency rows and square-zero bits, so rings with one core, such as
 AN x Z2 and AN x Z17, search it once per process; everything a core's

@@ -112,8 +112,7 @@ def omega_product_formula(
     if not factors:
         raise PreconditionError("omega_product_formula needs at least one factor")
     deadline = _Deadline(budget)
-    graphs = [build_graph(f) for f in factors]  # held for the witness check
-    splits = tuple(best_clique_split(g, deadline) for g in graphs)
+    splits = tuple(best_clique_split(build_graph(f), deadline) for f in factors)
     predicted = math.prod(s.b_size for s in splits) + sum(s.c_size for s in splits)
     if predicted > size_cap:
         raise CapacityError(f"witness clique of {predicted} vertices exceeds cap {size_cap}")
@@ -188,8 +187,7 @@ def chi_bounds(
         raise PreconditionError("chi_bounds needs at least one factor")
     _check_s_mode(s_mode)
     deadline = _Deadline(budget)
-    graphs = [build_graph(f) for f in factors]  # held: equal factors share one graph's solves
-    cols = tuple(factor_coloring(g.ring, s_mode, deadline) for g in graphs)
+    cols = tuple(factor_coloring(f, s_mode, deadline) for f in factors)
     n = len(cols)
     lower = sum(c.chi for c in cols) - (n - 1)
     upper = sum(c.chi - c.s for c in cols) + math.prod(c.s for c in cols)

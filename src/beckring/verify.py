@@ -10,16 +10,13 @@ they keep no copy of a check the theorem layer makes.
 from __future__ import annotations
 
 import json
-import math
-import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import theorems
 from .catalog import CATALOG_EXPRS, FIELD_EXPRS, catalog_rings, catalog_tuples, field_rings
-from .dsl import ProductExpr, elaborate_factors, parse, print_expr, ring_of
+from .dsl import elaborate_factors, parse, print_expr, ring_of
 from .errors import BeckringError, CapacityError
 from .graphs import BeckGraph, build_graph, held_memo
 from .oracle import exhaustive_chromatic_number, exhaustive_max_clique, max_b_over_maximum_cliques
@@ -69,62 +66,33 @@ class SuiteResult:
         return all(c.failed == 0 for c in self.checks)
 
 
-class ProductTable:
-    """The products of one suite run by label, the factor names joined with
-    " x ". A label in more than one of `label_groups` is built once and held,
-    with its graph, to the end of the run; any other is built where it is
-    read and not held."""
-
-    def __init__(self, *label_groups):
-        counts = Counter(label for group in label_groups for label in group)
-        self.shared = {label for label, n in counts.items() if n > 1}
-        self.held: dict[str, BeckGraph] = {}
-
-    def ring(self, label: str, factors: list[FiniteRing]) -> FiniteRing:
-        if label in self.held:
-            return self.held[label].ring
-        ring = make_product(factors) if len(factors) > 1 else factors[0]
-        if label in self.shared:
-            self.held[label] = build_graph(ring)
-        return ring
-
-
 class SolvedProduct(NamedTuple):
-    """A product solved for omega. `held` is its graph if chi_sandwich checks
-    it (`small_core_pairs`), kept so that the two share its solves; the
-    graph of any other product goes once omega is solved."""
+    """A product solved for omega. `graph` is its graph if chi_sandwich
+    checks it (`small_core_pairs`), kept so that the two share its solves;
+    the graph of any other product goes once omega is solved."""
 
     factors: list[FiniteRing]
     omega: int
-    held: BeckGraph | None
-    ref: weakref.ref
-
-    @property
-    def graph(self) -> BeckGraph | None:
-        """The product's graph while anything holds it."""
-        return self.ref()
+    graph: BeckGraph | None
 
 
-def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: Budget = None,
-                    table: ProductTable | None = None):
+def solved_products(rings: dict[str, FiniteRing], max_product: int, budget: Budget = None):
     """label -> SolvedProduct for the pairs, then triples, of catalog_tuples,
-    each product from `table`, omega from one direct solve of its graph;
+    omega from one direct solve of each product's graph;
     product_omega_formula and nilradical_bound share omega, and chi_sandwich
-    the graphs held for the pairs with at most SANDWICH_CORE_LIMIT non-units."""
-    table = table or ProductTable()
+    the graphs kept for the pairs with at most SANDWICH_CORE_LIMIT non-units."""
     out = {}
     for label, factors in catalog_tuples(rings, (2, 3), max_product).items():
-        g = build_graph(table.ring(label, factors))
+        g = build_graph(make_product(factors))
         small_core = len(factors) == 2 and g.n - int(g.ring.unit_mask.sum()) <= SANDWICH_CORE_LIMIT
-        held = g if small_core else None
-        out[label] = SolvedProduct(factors, max_clique(g, budget).size, held, weakref.ref(g))
+        out[label] = SolvedProduct(factors, max_clique(g, budget).size, g if small_core else None)
     return out
 
 
 def small_core_pairs(products: dict[str, SolvedProduct]) -> dict[str, ProductRing]:
     """label -> product for the pairs among `products` (solved_products)
-    with at most SANDWICH_CORE_LIMIT non-units, whose graphs they hold."""
-    return {label: p.held.ring for label, p in products.items() if p.held is not None}
+    with at most SANDWICH_CORE_LIMIT non-units, whose graphs they keep."""
+    return {label: p.graph.ring for label, p in products.items() if p.graph is not None}
 
 
 def ring_axioms(rings: dict[str, FiniteRing]) -> CheckResult:
@@ -253,13 +221,12 @@ def zn_closed_form(moduli, chi_limit: int, budget: Budget = None) -> CheckResult
     return check
 
 
-def reduced_equality(field_products: dict, budget: Budget = None, table: ProductTable | None = None) -> CheckResult:
-    """chi = omega = (number of field factors) + 1 on products of fields,
-    each product from `table`."""
+def reduced_equality(field_products: dict, budget: Budget = None) -> CheckResult:
+    """chi = omega = (number of field factors) + 1 on products of fields."""
     check = CheckResult("reduced_equality")
-    table = table or ProductTable()
     for label, factors in field_products.items():
-        res = theorems.reduced_theorem_check(table.ring(label, factors), budget)
+        ring = make_product(factors) if len(factors) > 1 else factors[0]
+        res = theorems.reduced_theorem_check(ring, budget)
         check.require(
             res.consistent and res.omega == len(factors) + 1,
             f"{label}: omega {res.omega} chi {res.chi} r {res.r_count}",
@@ -310,21 +277,13 @@ def dsl_round_trip(exprs, isomorphic_pairs, budget: Budget = None) -> CheckResul
     return check
 
 
-def isomorphic_rings(pair, size_cap: int, table: ProductTable) -> dict[str, FiniteRing]:
-    """expr -> ring for both expressions of `pair`, each a product from
-    `table` of atoms from the table of factors; {} if either is above
+def isomorphic_rings(pair, size_cap: int) -> dict[str, FiniteRing]:
+    """expr -> ring for both expressions of `pair`; {} if either is above
     `size_cap`."""
-    rings = {}
-    for expr in pair:
-        ast = parse(expr)
-        try:
-            factors = elaborate_factors(ast.atoms if isinstance(ast, ProductExpr) else (ast,), size_cap)
-        except CapacityError:
-            return {}
-        if math.prod(f.size for f in factors) > size_cap:
-            return {}
-        rings[expr] = table.ring(expr, factors)
-    return rings
+    try:
+        return {expr: ring_of(expr, size_cap) for expr in pair}
+    except CapacityError:
+        return {}
 
 
 def report_json_round_trip(exprs, budget: Budget = None) -> CheckResult:
@@ -383,19 +342,15 @@ def run_suite(
     emit(core_preservation(graphs, deadline))
     emit(omega_le_chi(graphs, deadline))
     emit(oracle_equivalence(graphs, deadline))
-    # the catalog's products, the field products and the isomorphic pairs
-    # name some products alike (Z2 x Z3 in all three): one table builds each
-    field_products = catalog_tuples(field_rings(max_size), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
-    table = ProductTable(catalog_tuples(ring_map, (2, 3), limit(PRODUCT_SIZE_LIMIT)), field_products,
-                         [expr for pair in ISOMORPHIC_PAIRS for expr in pair])
-    products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), deadline, table)
+    products = solved_products(ring_map, limit(PRODUCT_SIZE_LIMIT), deadline)
     emit(product_omega_formula(products, deadline))
     emit(chi_sandwich(small_core_pairs(products), deadline))
     emit(nilradical_bound(products))
     emit(zn_closed_form(range(1, limit(ZN_OMEGA_LIMIT) + 1), limit(ZN_CHI_LIMIT), deadline))
-    emit(reduced_equality(field_products, deadline, table))
+    field_products = catalog_tuples(field_rings(max_size), (1, 2, 3), limit(FIELD_PRODUCT_LIMIT))
+    emit(reduced_equality(field_products, deadline))
     emit(counterexample_family(FAMILY_FACTORS, deadline, max_size))
-    pairs = [isomorphic_rings(pair, max_size, table) for pair in ISOMORPHIC_PAIRS]
+    pairs = [isomorphic_rings(pair, max_size) for pair in ISOMORPHIC_PAIRS]
     emit(dsl_round_trip(DSL_EXPRS, [pair for pair in pairs if pair], deadline))
     emit(report_json_round_trip(ring_map, deadline))
     emit(s_statistic(graphs, deadline))

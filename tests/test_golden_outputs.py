@@ -43,6 +43,8 @@ CASES = (
         ("predict-omega", "Z4 x Z8 x Z8", "--json"),
         ("counterexample", "Z2", "Z2", "--json"),
         ("analyze", "AN x Z12", "--json", "--s-mode", "min"),
+        # equal factors that are products: each is a ring of its own
+        ("counterexample", "Z2 x Z3", "Z2 x Z3", "--json"),
     ]
 )
 
@@ -125,6 +127,8 @@ DIGESTS = {
         "b0f4612340b1cd4213bfda700de4f7ed39869973719726a610b010263646c89f",
     "analyze AN x Z12 --json --s-mode min":
         "4c3388f5558667b281b2b1dd11bc3b616f9ffa65fe4f894f18ab5a477533f98c",
+    "counterexample Z2 x Z3 Z2 x Z3 --json":
+        "5572d2b7321602d27eb0d9708855b5e99926ad41f4af9da4725648693af627b0",
 }
 
 

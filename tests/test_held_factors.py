@@ -38,6 +38,7 @@ REQUESTS = (
     ["zn", "72"],
     ["export", "Z8 x Z2[t]/(t^2)", "--format", "json", "--output", "{out}"],
     ["verify-suite", "--max-size", "16"],
+    ["verify-suite", "--json"],
     ["analyze", "AN x Z8 x Z2", "--budget", "0"],
     ["analyze", "Z16 x Z1", "--max-size", "8"],
 )

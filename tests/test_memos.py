@@ -2,7 +2,7 @@
 
 A request verifies each (graph, witness) pair once, searches for the
 square-zero clique floor of min-s only where the best split does not
-already decide s, and builds one graph per ring and one ring per product.
+already decide s, builds one graph per ring and searches each core once.
 Min-s with the split's floor gives the answers of the search for the
 floor, kept below as the oracle; an exact min-s is memoised on its graph,
 a cut-short one is not.
@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beckring import build_graph, cli, dsl, graphs, report, ring_of, rings, solvers, theorems
+from beckring import build_graph, cli, dsl, graphs, report, ring_of, solvers, theorems
 from beckring.graphs import HeldTable
 from beckring.solvers import (
     SZero,
@@ -46,10 +46,6 @@ REQUESTS = (
     ["counterexample", "Z2", "Z2"],
     ["verify-suite", "--max-size", "16"],
 )
-# products one request builds more than once, by name and count: none. The
-# suite's checks that name one product alike (Z2 x Z3 is a catalog product,
-# a field product and an isomorphic pair) read it from one verify.ProductTable
-REBUILT_PRODUCTS: dict[str, Counter] = {}
 ATOMS = ("Z2", "Z3", "Z4", "Z8", "Z9", "Z12", "Z2[t]/(t^2)", "AN",
          "Z16", "Z25", "Z27", "Z3[t]/(t^2)", "Z4[t]/(t^2+2)")
 MIN_S_CAP = 128  # two 256-element products with AN take a second each
@@ -64,16 +60,17 @@ def split_decides(work) -> bool:
 
 class Recorder:
     """Counts, over one request, the verifications per (graph, witness), the
-    floor searches per core, the whole graphs per ring and the products per
-    factor list. Graphs are told apart by a serial number kept beside them,
-    not held, so that no graph outlives its request because of the count."""
+    floor searches per core, the whole graphs per ring and the clique
+    searches per core key. Graphs are told apart by a serial number kept
+    beside them, not held, so that no graph outlives its request because of
+    the count."""
 
     def __init__(self, monkeypatch):
         self.serial, self.serials = weakref.WeakKeyDictionary(), itertools.count()
         self.verified = {"coloring": [], "clique": []}
-        self.floors, self.graphs, self.products = [], [], []
+        self.floors, self.graphs, self.searches = [], [], []
         verify_coloring, verify_clique = solvers.verify_coloring, solvers.verify_clique
-        floor, graph_init, product_init = solvers._sq0_clique_floor, graphs.BeckGraph.__init__, rings.ProductRing.__init__
+        floor, graph_init, clique_init = solvers._sq0_clique_floor, graphs.BeckGraph.__init__, solvers._CliqueSearch.__init__
 
         def counting_coloring(g, coloring):
             self.verified["coloring"].append((self.serial_of(g), coloring))
@@ -92,9 +89,10 @@ class Recorder:
             if to_ring is None:
                 self.graphs.append(ring)  # a ring held here still lets its graph go
 
-        def counting_product(ring, factors, *args, **kwargs):
-            product_init(ring, factors, *args, **kwargs)
-            self.products.append(tuple(factors))
+        def counting_search(search, n, adj, deadline, sq0_bits=0):
+            if adj is not None:  # the square-zero floor's search takes its rows ranked
+                self.searches.append((n, tuple(adj), sq0_bits))
+            clique_init(search, n, adj, deadline, sq0_bits)
 
         for module in (solvers, theorems, report):
             for name, counting in (("verify_coloring", counting_coloring), ("verify_clique", counting_clique)):
@@ -102,7 +100,7 @@ class Recorder:
                     monkeypatch.setattr(module, name, counting)
         monkeypatch.setattr(solvers, "_sq0_clique_floor", counting_floor)
         monkeypatch.setattr(graphs.BeckGraph, "__init__", counting_graph)
-        monkeypatch.setattr(rings.ProductRing, "__init__", counting_product)
+        monkeypatch.setattr(solvers._CliqueSearch, "__init__", counting_search)
 
     def serial_of(self, g) -> int:
         if g not in self.serial:
@@ -117,7 +115,7 @@ def run(argv) -> int:
 
 @pytest.mark.isolated
 @pytest.mark.parametrize("argv", REQUESTS, ids=" ".join)
-def test_each_derived_result_is_made_once_per_request(monkeypatch, argv):
+def test_each_derived_result_is_made_once_per_request(monkeypatch, argv, empty_factor_table):
     record = Recorder(monkeypatch)
     assert run(argv) == 0
     assert any(record.verified.values())
@@ -128,9 +126,9 @@ def test_each_derived_result_is_made_once_per_request(monkeypatch, argv):
     assert all(not decided for _, decided in record.floors)
     assert len({g for g, _ in record.floors}) == len(record.floors)
     assert len(set(map(id, record.graphs))) == len(record.graphs), "a ring got two whole graphs"
-    builds = Counter(tuple(map(id, factors)) for factors in record.products)
-    rebuilt = Counter(" x ".join(map(repr, f)) for f in record.products if builds[tuple(map(id, f))] > 1)
-    assert rebuilt == REBUILT_PRODUCTS.get(argv[0], Counter()), "a product was built twice"
+    # each core key, (n, adjacency rows, square-zero bits), is searched once
+    assert record.searches
+    assert len(set(record.searches)) == len(record.searches), "a core was searched twice"
 
 
 def test_split_and_exact_min_s_are_memoised_on_their_graph():

@@ -584,7 +584,8 @@ def test_chi_sandwich_builds_each_product_graph_once(monkeypatch):
     product_graphs = [g.ring for g in graphed if isinstance(g.ring, ProductRing) and g.n == g.ring.size]
     assert len(pairs) == 27
     assert sorted(map(id, product_graphs)) == sorted(map(id, products))
-    assert sorted(map(id, products)) == sorted(id(p.graph.ring) for p in solved.values())
+    kept = [p.graph.ring for p in solved.values() if p.graph is not None]
+    assert sorted(map(id, kept)) == sorted(map(id, pairs.values()))
     assert set(map(id, pairs.values())) <= set(map(id, products))
 
 
