@@ -10,7 +10,6 @@ they keep no copy of a check the theorem layer makes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -36,12 +35,12 @@ DSL_EXPRS = CATALOG_EXPRS + FIELD_EXPRS + ("Z4 x Z3", "AN0 x Z2", "Z6[t]/(t^3+5t
 ISOMORPHIC_PAIRS = (("Z6", "Z2 x Z3"), ("Z12", "Z4 x Z3"), ("Z10", "Z2 x Z5"))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One check's tally: instances passed and failed, and a line per failure."""
+
+    def __init__(self, name: str, passed: int = 0, failed: int = 0, failures: list[str] | None = None):
+        self.name, self.passed, self.failed = name, passed, failed
+        self.failures = [] if failures is None else failures
 
     def ok(self):
         self.passed += 1
@@ -57,9 +56,11 @@ class CheckResult:
             self.fail(instance)
 
 
-@dataclass
 class SuiteResult:
-    checks: list[CheckResult]
+    """The checks of one suite run, in order; `ok` when none failed."""
+
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

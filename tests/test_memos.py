@@ -184,10 +184,13 @@ def test_min_s_from_the_split_matches_the_floor_search(expr):
 
 
 def test_min_s_cut_short_is_not_memoised():
-    # AN x Z12: chi = 11 and the floor 8 come within the budget, the
-    # refutation of s <= 8 does not; a later call with time proves s = 9
-    g = build_graph(ring_of("AN x Z12"))
-    coloring, sz = min_s_optimal_coloring(g, budget=0.05)
-    assert (sz.lower, sz.s) == (8, 9) and coloring.k == 11
-    _, sz = min_s_optimal_coloring(g, budget=60)
-    assert (sz.lower, sz.s) == (9, 9)
+    # AN x AN: chi = 20 and the floor 16 come within the budget, the
+    # refutation of s <= 16 does not; a later call searches again, and
+    # neither interval is kept on the graph or its core
+    g = build_graph(ring_of("AN x AN"))
+    coloring, sz = min_s_optimal_coloring(g, budget=0.3)
+    assert (sz.lower, sz.s) == (16, 18) and coloring.k == 20
+    with mock.patch.object(solvers, "_kernel_k_coloring", wraps=solvers._kernel_k_coloring) as decide:
+        _, sz = min_s_optimal_coloring(g, budget=0.3)
+    assert decide.called and 16 <= sz.lower <= sz.s <= 18
+    assert "min_s" not in g.solved and "min_s" not in g.core().solved

@@ -652,6 +652,17 @@ def test_cli_set_up_contents():
     assert proc.stdout.split("\n")[:4] == ["[]", "[]", "1", "[]"]
 
 
+def test_verify_suite_generates_no_dataclass_code():
+    # loading the suite for verify-suite decorates nothing: its result
+    # records are plain classes
+    import dataclasses
+
+    from beckring import verify
+
+    assert not [name for name, cls in vars(verify).items()
+                if isinstance(cls, type) and cls.__module__ == verify.__name__ and dataclasses.is_dataclass(cls)]
+
+
 _NEW_NUMPY_MODULES = """
 import contextlib, io, sys
 import beckring.cli
